@@ -32,18 +32,9 @@ class SharedPayloadLedger {
   // (the rep's shared size on the first reference, 0 on repeats).
   int64_t AddRef(const Row& payload) {
     if (payload.identity() == nullptr) return 0;  // empty row holds nothing
-    return AddRefIdentity(payload.identity(), payload.SharedSizeBytes());
-  }
-
-  // Low-level form of AddRef for callers that already hold the rep identity
-  // and its shared byte size (the payload-stats report in tools/cli.cc and
-  // the obs payload exporter both account through this single path, so
-  // "bytes saved" can never diverge between them).
-  int64_t AddRefIdentity(const void* identity, int64_t shared_bytes) {
-    LM_DCHECK(identity != nullptr);
-    auto [entry, inserted] = refs_.Insert(identity, Entry{});
+    auto [entry, inserted] = refs_.Insert(payload.identity(), Entry{});
     if (entry->count++ == 0) {
-      entry->bytes = shared_bytes;
+      entry->bytes = payload.SharedSizeBytes();
       bytes_ += entry->bytes;
       return entry->bytes;
     }

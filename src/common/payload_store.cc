@@ -125,7 +125,9 @@ PayloadStore::Stats PayloadStore::GetStats() const {
     stats.hits += shard.hits;
     stats.bytes_saved += shard.bytes_saved;
     for (const auto& [hash, rep] : shard.map) {
-      stats.live_refs += rep->refs.load(std::memory_order_relaxed);
+      const int64_t refs = rep->refs.load(std::memory_order_relaxed);
+      stats.live_refs += refs;
+      stats.deep_bytes_if_copied += rep->deep_bytes * refs;
     }
   }
   return stats;

@@ -65,6 +65,9 @@ class PayloadStore {
     int64_t entries = 0;        // live interned payloads
     int64_t live_refs = 0;      // sum of live entries' reference counts
     int64_t payload_bytes = 0;  // deep bytes held, once per entry
+    // Deep bytes the live references would hold as private copies:
+    // sum of deep_bytes x refs over live entries.
+    int64_t deep_bytes_if_copied = 0;
     int64_t intern_calls = 0;   // lifetime Intern() calls
     int64_t hits = 0;           // calls resolved to an existing entry
     int64_t bytes_saved = 0;    // cumulative deep bytes avoided via hits

@@ -1,11 +1,9 @@
 // A from-scratch open-addressing hash table with robin-hood probing.
 //
-// Used as the second tier of in2t/in3t (stream id -> per-stream state, with
-// the distinguished output entry), by LMergeR2's per-Vs payload set, and by
-// substrate operators (grouped aggregation, join sides).  Linear probing with
-// robin-hood displacement keeps probe sequences short at high load factors;
-// deletion uses backward-shift (no tombstones), which keeps iteration and
-// memory accounting simple.
+// Used by LMergeR2's per-Vs payload set, the payload ledger, and the serde
+// dictionaries.  Linear probing with robin-hood displacement keeps probe
+// sequences short at high load factors; deletion uses backward-shift (no
+// tombstones), which keeps iteration and memory accounting simple.
 
 #ifndef LMERGE_CONTAINER_HASH_TABLE_H_
 #define LMERGE_CONTAINER_HASH_TABLE_H_
@@ -178,20 +176,6 @@ class HashTable {
   int64_t size_ = 0;
   Hash hash_;
   Eq eq_;
-};
-
-// Hash functor for integral stream ids.
-struct IntHash {
-  uint64_t operator()(int64_t v) const {
-    uint64_t x = static_cast<uint64_t>(v);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return x;
-  }
-  uint64_t operator()(int32_t v) const {
-    return (*this)(static_cast<int64_t>(v));
-  }
 };
 
 }  // namespace lmerge

@@ -1,10 +1,12 @@
 // in2t — the two-tier index of Algorithm R3 (Sec. IV-D, Fig. 1 left).
 //
 // Top tier: a red-black tree keyed by (Vs, payload), one node per live
-// (not fully frozen) event key.  Bottom tier: per node, a hash table mapping
-// input-stream id -> that stream's current Ve for the event, plus one
-// distinguished entry (kOutputStream) holding the Ve last emitted on the
-// output.  The payload is *shared* across all input streams — the key
+// (not fully frozen) event key.  Bottom tier: per node, a flat small map
+// (container/small_map.h) from input-stream id -> that stream's current Ve
+// for the event, plus one distinguished entry (kOutputStream) holding the Ve
+// last emitted on the output.  Up to four entries — a merge of up to three
+// inputs — live inline in the tree node; wider merges spill the rest to one
+// heap vector.  The payload is *shared* across all input streams — the key
 // difference from the LMR3- baseline, and the reason LMR3+'s memory is
 // nearly independent of the number of inputs (Fig. 2/7).  With interned
 // Row handles (common/payload_store.h) the key holds a pointer-sized
@@ -16,33 +18,32 @@
 #define LMERGE_CORE_IN2T_H_
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/payload_ledger.h"
 #include "common/timestamp.h"
-#include "container/hash_table.h"
 #include "container/rbtree.h"
+#include "container/small_map.h"
 #include "temporal/event.h"
 
 namespace lmerge {
 
 // The bottom-tier key for the output entry ("∞" in the paper's Fig. 1).
 inline constexpr int32_t kOutputStream = -1;
+// Marks an unused inline bottom-tier slot; never a stream id.
+inline constexpr int32_t kVacantStream = std::numeric_limits<int32_t>::min();
 
 class In2t {
  public:
-  using EndTable = HashTable<int32_t, Timestamp, IntHash>;
-  // Cached per-node byte accounting: the payload's duplicated (per-node)
-  // size is computed once at AddNode (the rep is immutable), and the
-  // bottom-tier slot bytes are re-synced after table mutations, keeping
-  // StateBytes() O(1).  Shared payload bytes are charged through the
-  // identity ledger — once per distinct rep, not once per node.
-  struct NodeBytesCache {
-    int64_t payload = 0;  // unshared (pre-interning) charge for this node
-    int64_t table = 0;
-  };
-  using Tree =
-      RbTree<VsPayload, EndTable, VsPayloadLess, MinAugment<NodeBytesCache>>;
+  using EndTable = SmallMap<int32_t, Timestamp, 4, kVacantStream>;
+  // Per node, the tree carries the bottom tier's spilled heap bytes as last
+  // synced (0 for a node whose entries are all inline), so StateBytes()
+  // stays O(1) and DeleteNode releases exactly what was charged.  The
+  // inline entries are part of the node itself.  Shared payload bytes are
+  // charged through the identity ledger — once per distinct rep, not once
+  // per node.
+  using Tree = RbTree<VsPayload, EndTable, VsPayloadLess, MinAugment<int64_t>>;
   using Iterator = Tree::Iterator;
 
   // Returns the node with the element's (Vs, payload), or end().
@@ -56,30 +57,26 @@ class In2t {
   Iterator AddNode(Timestamp vs, const Row& payload) {
     auto [it, inserted] = tree_.Insert(VsPayload(vs, payload), EndTable());
     LM_DCHECK(inserted);
-    NodeBytesCache& cache = tree_.AugExtra(it);
-    cache.payload = payload.DeepSizeBytes();
-    cache.table = it.value().SlotBytes();
-    unshared_payload_bytes_ += cache.payload;
+    unshared_payload_bytes_ += payload.DeepSizeBytes();
     ledger_.AddRef(it.key().payload);
-    table_bytes_ += cache.table;
     return it;
   }
 
   // Removes the node at `it`; returns the successor.
   Iterator DeleteNode(Iterator it) {
-    const NodeBytesCache& cache = tree_.AugExtra(it);
-    unshared_payload_bytes_ -= cache.payload;
+    unshared_payload_bytes_ -= it.key().payload.DeepSizeBytes();
     ledger_.Release(it.key().payload);
-    table_bytes_ -= cache.table;
+    spill_bytes_ -= tree_.AugExtra(it);
     return tree_.Erase(it);
   }
 
-  // Re-syncs the cached slot bytes after the node's bottom-tier table may
-  // have grown; O(1).
+  // Re-syncs the charged spill bytes after the node's bottom tier may have
+  // grown; O(1).
   void SyncTableBytes(Iterator it) {
-    NodeBytesCache& cache = tree_.AugExtra(it);
-    table_bytes_ += it.value().SlotBytes() - cache.table;
-    cache.table = it.value().SlotBytes();
+    int64_t& charged = tree_.AugExtra(it);
+    const int64_t spill = it.value().HeapBytes();
+    spill_bytes_ += spill - charged;
+    charged = spill;
   }
 
   // --- Frontier bookkeeping for the pruned half-frozen scan ---
@@ -117,19 +114,19 @@ class In2t {
   int64_t node_count() const { return tree_.size(); }
   bool empty() const { return tree_.empty(); }
 
-  // Bytes held: tree nodes (which embed the handle-sized keys), interned
-  // payload reps charged once per distinct rep, the bottom-tier tables, and
-  // the ledger's own bookkeeping.  O(1): all terms are maintained
-  // incrementally.
+  // Bytes held: tree nodes (which embed the handle-sized keys and the inline
+  // bottom-tier entries), interned payload reps charged once per distinct
+  // rep, spilled bottom-tier entries, and the ledger's own bookkeeping.
+  // O(1): all terms are maintained incrementally.
   int64_t StateBytes() const {
     return tree_.NodeBytes() + ledger_.bytes() + ledger_.OverheadBytes() +
-           table_bytes_;
+           spill_bytes_;
   }
 
   // The pre-interning model: every node owns a private payload copy.  Kept
   // for the paper's memory comparison (bench_state_bytes reports both).
   int64_t StateBytesUnshared() const {
-    return tree_.NodeBytes() + unshared_payload_bytes_ + table_bytes_;
+    return tree_.NodeBytes() + unshared_payload_bytes_ + spill_bytes_;
   }
 
   // Distinct payload reps currently referenced by the index.
@@ -139,7 +136,7 @@ class In2t {
   Tree tree_;
   SharedPayloadLedger ledger_;
   int64_t unshared_payload_bytes_ = 0;
-  int64_t table_bytes_ = 0;
+  int64_t spill_bytes_ = 0;
 };
 
 }  // namespace lmerge

@@ -4,7 +4,9 @@
 // (Vs, payload) — different Ve values and even exact duplicates — so the
 // single Ve slot of the bottom tier is replaced by a small red-black tree
 // mapping Ve -> multiplicity (with a cached total) per stream, plus the
-// distinguished output entry.
+// distinguished output entry.  The per-node stream map is the same flat
+// small map as in2t's: up to four entries inline in the tree node, the rest
+// spilled to one heap vector.
 
 #ifndef LMERGE_CORE_IN3T_H_
 #define LMERGE_CORE_IN3T_H_
@@ -14,8 +16,8 @@
 
 #include "common/payload_ledger.h"
 #include "common/timestamp.h"
-#include "container/hash_table.h"
 #include "container/rbtree.h"
+#include "container/small_map.h"
 #include "core/in2t.h"  // for kOutputStream
 #include "temporal/event.h"
 
@@ -79,9 +81,9 @@ class VeMultiset {
     }
   }
 
-  int64_t StateBytes() const {
-    return static_cast<int64_t>(sizeof(*this)) + counts_.NodeBytes();
-  }
+  // Heap bytes of the Ve tree; the multiset object itself lives wherever
+  // its owner stores it (inline in an in3t node, or in a spill array).
+  int64_t HeapBytes() const { return counts_.NodeBytes(); }
 
  private:
   RbTree<Timestamp, int64_t> counts_;
@@ -90,18 +92,14 @@ class VeMultiset {
 
 class In3t {
  public:
-  using EndsTable = HashTable<int32_t, VeMultiset, IntHash>;
-  // Cached per-node bytes: the payload's duplicated (per-node) size, fixed
-  // at AddNode, and the auxiliary bottom tiers (slot bytes + per-stream
-  // multisets), re-synced after mutations so StateBytes() is O(1).  Shared
-  // payload bytes are charged through the identity ledger — once per
-  // distinct rep, not once per node.
-  struct NodeBytesCache {
-    int64_t payload = 0;  // unshared (pre-interning) charge for this node
-    int64_t aux = 0;
-  };
+  using EndsTable = SmallMap<int32_t, VeMultiset, 4, kVacantStream>;
+  // Per node, the tree carries the auxiliary bottom-tier heap bytes as last
+  // synced (the stream map's spill plus every per-stream Ve tree), so
+  // StateBytes() stays O(1) and DeleteNode releases exactly what was
+  // charged.  Shared payload bytes are charged through the identity ledger
+  // — once per distinct rep, not once per node.
   using Tree =
-      RbTree<VsPayload, EndsTable, VsPayloadLess, MinAugment<NodeBytesCache>>;
+      RbTree<VsPayload, EndsTable, VsPayloadLess, MinAugment<int64_t>>;
   using Iterator = Tree::Iterator;
 
   Iterator SameVsPayload(Timestamp vs, const Row& payload) const {
@@ -111,30 +109,25 @@ class In3t {
   Iterator AddNode(Timestamp vs, const Row& payload) {
     auto [it, inserted] = tree_.Insert(VsPayload(vs, payload), EndsTable());
     LM_DCHECK(inserted);
-    NodeBytesCache& cache = tree_.AugExtra(it);
-    cache.payload = payload.DeepSizeBytes();
-    cache.aux = AuxBytes(it);
-    unshared_payload_bytes_ += cache.payload;
+    unshared_payload_bytes_ += payload.DeepSizeBytes();
     ledger_.AddRef(it.key().payload);
-    aux_bytes_ += cache.aux;
     return it;
   }
 
   Iterator DeleteNode(Iterator it) {
-    const NodeBytesCache& cache = tree_.AugExtra(it);
-    unshared_payload_bytes_ -= cache.payload;
+    unshared_payload_bytes_ -= it.key().payload.DeepSizeBytes();
     ledger_.Release(it.key().payload);
-    aux_bytes_ -= cache.aux;
+    aux_bytes_ -= tree_.AugExtra(it);
     return tree_.Erase(it);
   }
 
   // Re-syncs the cached auxiliary bytes after the node's bottom tiers
   // changed; O(streams + distinct Ve).
   void SyncAuxBytes(Iterator it) {
-    NodeBytesCache& cache = tree_.AugExtra(it);
+    int64_t& charged = tree_.AugExtra(it);
     const int64_t aux = AuxBytes(it);
-    aux_bytes_ += aux - cache.aux;
-    cache.aux = aux;
+    aux_bytes_ += aux - charged;
+    charged = aux;
   }
 
   // Frontier bookkeeping for the pruned stable scan; see In2t for the
@@ -161,7 +154,8 @@ class In3t {
   int64_t node_count() const { return tree_.size(); }
   bool empty() const { return tree_.empty(); }
 
-  // O(1): all three tiers' bytes are maintained incrementally; interned
+  // O(1): all three tiers' bytes are maintained incrementally (inline
+  // bottom-tier entries are part of the tree nodes); interned
   // payload reps are charged once per distinct rep via the ledger.
   int64_t StateBytes() const {
     return tree_.NodeBytes() + ledger_.bytes() + ledger_.OverheadBytes() +
@@ -177,10 +171,10 @@ class In3t {
 
  private:
   static int64_t AuxBytes(Iterator it) {
-    int64_t bytes = it.value().SlotBytes();
+    int64_t bytes = it.value().HeapBytes();
     it.value().ForEach([&bytes](int32_t stream, const VeMultiset& ends) {
       (void)stream;
-      bytes += ends.StateBytes();
+      bytes += ends.HeapBytes();
     });
     return bytes;
   }

@@ -1,6 +1,7 @@
 #include "core/lmerge_r3.h"
 
 #include <algorithm>
+#include <string>
 
 namespace lmerge {
 
@@ -337,6 +338,11 @@ Status LMergeR3::RestoreState(Decoder* decoder) {
       int64_t ve = 0;
       if (!(status = decoder->ReadU32(&stream)).ok()) return status;
       if (!(status = decoder->ReadI64(&ve)).ok()) return status;
+      if (static_cast<int32_t>(stream) != kOutputStream &&
+          stream >= stream_count_saved) {
+        return Status::InvalidArgument("checkpoint entry for unknown stream " +
+                                       std::to_string(stream));
+      }
       node.value().Insert(static_cast<int32_t>(stream), ve);
     }
   }

@@ -1,5 +1,6 @@
 #include "core/lmerge_r4.h"
 
+#include <string>
 #include <vector>
 
 namespace lmerge {
@@ -48,9 +49,9 @@ Status LMergeR4::ApplyInsert(int stream, const StreamElement& element,
     *node_io = node;
   }
   In3t::EndsTable& ends = node.value();
-  // Materialize both entries before taking references: a robin-hood insert
-  // can displace existing slots, so interleaving Insert with held references
-  // would dangle.
+  // Materialize both entries before taking references: an insert that grows
+  // the spill array moves the spilled entries, so interleaving Insert with
+  // held references would dangle.
   ends.Insert(stream, VeMultiset());
   ends.Insert(kOutputStream, VeMultiset());
   VeMultiset* mine = ends.Find(stream);
@@ -175,7 +176,7 @@ Status LMergeR4::AdoptOutputView(int stream) {
       out->ForEach([&copy](Timestamp ve, int64_t count) {
         copy.Increment(ve, count);
       });
-      // Insert may displace `out`; the copy is built before it runs.
+      // Insert may move a spilled `out`; the copy is built before it runs.
       ends.Insert(stream, std::move(copy));
     }
     RefreshNode(it);
@@ -199,8 +200,8 @@ void LMergeR4::ReconcileNode(In3t::Iterator it, int stream, Timestamp t) {
   const Timestamp vs = it.key().vs;
   const Row& payload = it.key().payload;
   In3t::EndsTable& ends = it.value();
-  // Materialize the output entry first; Insert may displace slots, so the
-  // input pointer is looked up afterwards.
+  // Materialize the output entry first; Insert may move spilled entries, so
+  // the input pointer is looked up afterwards.
   ends.Insert(kOutputStream, VeMultiset());
   const VeMultiset* in_ptr = ends.Find(stream);
   VeMultiset& out = *ends.Find(kOutputStream);
@@ -380,6 +381,11 @@ Status LMergeR4::RestoreState(Decoder* decoder) {
       uint32_t distinct = 0;
       if (!(status = decoder->ReadU32(&stream)).ok()) return status;
       if (!(status = decoder->ReadU32(&distinct)).ok()) return status;
+      if (static_cast<int32_t>(stream) != kOutputStream &&
+          stream >= stream_count_saved) {
+        return Status::InvalidArgument("checkpoint entry for unknown stream " +
+                                       std::to_string(stream));
+      }
       VeMultiset ends;
       for (uint32_t d = 0; d < distinct; ++d) {
         int64_t ve = 0;

@@ -86,10 +86,13 @@ void ConcurrentMerger::EnqueueBlocking(int stream, StreamElement element) {
 
 void ConcurrentMerger::PushStamp(int stream, size_t count,
                                  const obs::IngestStamp& stamp) {
+  if (count == 0 || stamp.empty()) return;
   InputSlot& slot = *slots_[static_cast<size_t>(stream)];
+  // Called before the `count` elements are enqueued: once the merge thread
+  // can drain any of them, their stamp is already in the ring.
   BatchStamp entry;
-  entry.begin_count = slot.enqueued_count - count;
-  entry.end_count = slot.enqueued_count;
+  entry.begin_count = slot.enqueued_count;
+  entry.end_count = slot.enqueued_count + count;
   entry.stamp = stamp;
   // Full ring: drop the stamp.  Latency samples are best-effort; elements
   // never are.
@@ -120,43 +123,46 @@ Status ConcurrentMerger::TryDeliver(int stream, const StreamElement& element) {
 
 Status ConcurrentMerger::TryDeliverBatch(int stream,
                                          std::span<StreamElement> batch) {
-  for (StreamElement& element : batch) {
-    const Status status = Precheck(stream, element);
-    if (!status.ok()) return status;
-    EnqueueBlocking(stream, std::move(element));
-  }
-  return Status::Ok();
+  return TryDeliverBatch(stream, batch, obs::IngestStamp());
 }
 
 Status ConcurrentMerger::TryDeliverBatch(int stream,
                                          std::span<StreamElement> batch,
                                          const obs::IngestStamp& stamp) {
-  const size_t count = batch.size();
-  const Status status = TryDeliverBatch(stream, batch);
-  // Stamp only a fully-enqueued batch: a validation failure tears the
-  // session down anyway, and a stamp whose range overshoots the elements
-  // actually enqueued would pin the stamp ring forever.
-  if (status.ok() && count > 0 && !stamp.empty()) {
-    PushStamp(stream, count, stamp);
+  // Validate the whole batch before any of it becomes visible (validation
+  // is stateless), so the stamp can be published ahead of exactly the
+  // elements that will be enqueued: the valid prefix.
+  size_t valid = batch.size();
+  Status failure = Status::Ok();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Status status = Precheck(stream, batch[i]);
+    if (!status.ok()) {
+      valid = i;
+      failure = std::move(status);
+      break;
+    }
   }
-  return status;
+  PushStamp(stream, valid, stamp);
+  for (StreamElement& element : batch.first(valid)) {
+    EnqueueBlocking(stream, std::move(element));
+  }
+  return failure;
 }
 
 void ConcurrentMerger::DeliverBatch(int stream,
                                     std::span<StreamElement> batch) {
-  LM_CHECK(stream >= 0 &&
-           stream < slot_count_.load(std::memory_order_acquire));
-  for (StreamElement& element : batch) {
-    EnqueueBlocking(stream, std::move(element));
-  }
+  DeliverBatch(stream, batch, obs::IngestStamp());
 }
 
 void ConcurrentMerger::DeliverBatch(int stream,
                                     std::span<StreamElement> batch,
                                     const obs::IngestStamp& stamp) {
-  const size_t count = batch.size();
-  DeliverBatch(stream, batch);
-  if (count > 0 && !stamp.empty()) PushStamp(stream, count, stamp);
+  LM_CHECK(stream >= 0 &&
+           stream < slot_count_.load(std::memory_order_acquire));
+  PushStamp(stream, batch.size(), stamp);
+  for (StreamElement& element : batch) {
+    EnqueueBlocking(stream, std::move(element));
+  }
 }
 
 int ConcurrentMerger::AddStream() {
@@ -259,7 +265,9 @@ size_t ConcurrentMerger::DrainRing(int stream) {
   // for same-thread consumers (the fan-out sink reads it per element).
   // Always runs — even with metrics off the wire-carried origin must keep
   // flowing so `lmerge_subscribe --latency` works against a bare server.
-  // A stamp straddling the drain boundary stays queued for the next batch.
+  // Stamps are published before their elements: one whose range starts past
+  // this drain waits, and one straddling the drain boundary stays queued
+  // for the next batch.
   slot.drained_count += n;
   obs::IngestStamp batch_stamp;
   while (BatchStamp* entry = slot.stamp_ring.Peek()) {

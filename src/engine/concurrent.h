@@ -92,11 +92,13 @@ class ConcurrentMerger : public Merger {
   // element-wise delivery) and the error is returned.
   Status TryDeliverBatch(int stream, std::span<StreamElement> batch) override;
 
-  // Stamped TryDeliverBatch for the latency pipeline: on success, the
-  // batch's ingest stamp rides a per-stream side ring keyed by element
-  // counts, so the merge thread can attribute drain batches back to their
-  // arrival times without widening StreamElement.  A full stamp ring drops
-  // the stamp (a lost latency sample), never the elements.
+  // Stamped TryDeliverBatch for the latency pipeline: the whole batch is
+  // validated first, then the ingest stamp for the valid prefix is pushed
+  // onto a per-stream side ring keyed by element counts, and only then are
+  // the elements enqueued — so the merge thread never drains an element
+  // whose stamp has not landed, and can attribute drain batches back to
+  // their arrival times without widening StreamElement.  A full stamp ring
+  // drops the stamp (a lost latency sample), never the elements.
   Status TryDeliverBatch(int stream, std::span<StreamElement> batch,
                          const obs::IngestStamp& stamp) override;
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "common/payload_ledger.h"
 #include "common/payload_store.h"
 #include "obs/metrics.h"
 
@@ -26,18 +25,12 @@ void ExportPayloadStoreMetrics(const PayloadStore& store,
       ->Set(stats.intern_calls - stats.hits - stats.entries);
   registry->GetExportedCounter("payload.bytes_saved")->Set(stats.bytes_saved);
 
-  // Live sharing: charge each live rep once through the ledger (the same
-  // accounting `lmerge_inspect --payload-stats` performs over a tape), then
-  // compare against the per-reference deep-copy cost.
-  SharedPayloadLedger ledger;
-  int64_t deep_if_copied = 0;
-  store.ForEach([&](const RowRep& rep, int64_t refs) {
-    ledger.AddRefIdentity(&rep, rep.deep_bytes);
-    deep_if_copied += rep.deep_bytes * refs;
-  });
-  registry->GetGauge("payload.bytes_held")->Set(ledger.bytes());
+  // Live sharing: the store holds each live rep once (payload_bytes), while
+  // private copies would cost deep_bytes per live reference.  Both come
+  // from the one walk GetStats() already makes.
+  registry->GetGauge("payload.bytes_held")->Set(stats.payload_bytes);
   registry->GetGauge("payload.bytes_shared")
-      ->Set(deep_if_copied - ledger.bytes());
+      ->Set(stats.deep_bytes_if_copied - stats.payload_bytes);
 }
 
 }  // namespace obs

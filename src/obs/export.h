@@ -3,10 +3,11 @@
 //
 // The payload store keeps its own counters (common/payload_store.h Stats);
 // rather than double-bookkeeping on the intern hot path, the obs layer
-// re-derives the registry view from the store on demand.  Byte accounting
-// goes through SharedPayloadLedger::AddRefIdentity — the same path
-// `lmerge_inspect --payload-stats` uses — so the two reports agree by
-// construction.
+// re-derives the registry view from the store on demand, from the single
+// walk PayloadStore::GetStats() makes.  The store charges each live rep's
+// deep bytes once, as `lmerge_inspect --payload-stats` does through
+// SharedPayloadLedger, so the two reports agree on the same live payloads
+// (tests/obs/payload_accounting_test.cc).
 
 #ifndef LMERGE_OBS_EXPORT_H_
 #define LMERGE_OBS_EXPORT_H_
@@ -21,8 +22,9 @@ class MetricsRegistry;
 
 // Publishes the store's stats as gauges under "payload." (entries,
 // live_refs, payload_bytes, intern_calls, hits, evictions, bytes_saved,
-// bytes_shared).  `bytes_shared` is ledger-derived: the bytes the live refs
-// would occupy if deep-copied, minus the bytes actually held.
+// bytes_held, bytes_shared).  `bytes_held` is the store's payload_bytes;
+// `bytes_shared` is the bytes the live refs would occupy if deep-copied,
+// minus the bytes actually held.
 void ExportPayloadStoreMetrics(const PayloadStore& store,
                                MetricsRegistry* registry);
 

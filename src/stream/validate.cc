@@ -29,27 +29,21 @@ Status StreamValidator::Consume(const StreamElement& element) {
       break;
   }
 
-  Tdb snapshot = tdb_;  // roll back on failure
+  // An insert Apply would count (Vs at or past the stable point, non-empty
+  // lifetime) must not repeat a live (Vs, payload) on a keyed stream.
+  // Checked before Apply, which itself returns every error before it
+  // mutates anything — so a rejected element leaves the state untouched
+  // without a rollback copy.
+  if (element.is_insert() && properties_.vs_payload_key &&
+      element.vs() >= tdb_.stable_point() && element.ve() > element.vs() &&
+      !tdb_.EndTimesFor(VsPayload(element.vs(), element.payload()))
+           .empty()) {
+    return Status::FailedPrecondition("(Vs,payload) key violated by " +
+                                      element.ToString());
+  }
   const Status status = tdb_.Apply(element);
-  if (!status.ok()) {
-    tdb_ = std::move(snapshot);
-    return status;
-  }
-  if (element.is_insert()) {
-    if (element.vs() > max_vs_) max_vs_ = element.vs();
-    if (properties_.vs_payload_key) {
-      int64_t multiplicity = 0;
-      for (const auto& [ve, count] :
-           tdb_.EndTimesFor(VsPayload(element.vs(), element.payload()))) {
-        multiplicity += count;
-      }
-      if (multiplicity > 1) {
-        tdb_ = std::move(snapshot);
-        return Status::FailedPrecondition(
-            "(Vs,payload) key violated by " + element.ToString());
-      }
-    }
-  }
+  if (!status.ok()) return status;
+  if (element.is_insert() && element.vs() > max_vs_) max_vs_ = element.vs();
   ++element_count_;
   return Status::Ok();
 }

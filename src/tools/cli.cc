@@ -83,10 +83,9 @@ Status ReadStreamFile(const std::string& path, ElementSequence* elements) {
 }
 
 PayloadStatsReport ComputePayloadStats(const ElementSequence& elements) {
-  // One SharedPayloadLedger replay over the tape: the same accounting path
-  // the obs payload exporter uses (AddRef charges a rep's shared bytes
-  // exactly once), so this report and the registry's payload.* gauges can
-  // never disagree on what sharing saves.
+  // One SharedPayloadLedger replay over the tape: AddRef charges a rep's
+  // shared bytes exactly once, as the payload store does for the registry's
+  // payload.bytes_held gauge, so the two agree on the same live payloads.
   PayloadStatsReport report;
   SharedPayloadLedger ledger;
   for (const StreamElement& element : elements) {

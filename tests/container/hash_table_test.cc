@@ -11,6 +11,16 @@
 namespace lmerge {
 namespace {
 
+struct IntHash {
+  uint64_t operator()(int64_t v) const {
+    uint64_t x = static_cast<uint64_t>(v);
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    return x;
+  }
+};
+
 TEST(HashTableTest, InsertFindBasic) {
   HashTable<int64_t, int64_t, IntHash> table;
   EXPECT_TRUE(table.empty());

@@ -219,6 +219,63 @@ TEST(CheckpointTest, OperatorRejectsNonCheckpointableVariant) {
   EXPECT_FALSE(lm.RestoreState(&payload).ok());
 }
 
+// A poolless R3 state blob for two streams holding one node whose bottom
+// tier has a single entry for `stream`.
+std::string R3StateWithEntryFor(uint32_t stream) {
+  Encoder encoder;
+  encoder.WriteI64(kMinTimestamp);  // max stable
+  encoder.WriteU32(2);              // streams
+  encoder.WriteI64(kMinTimestamp);
+  encoder.WriteI64(kMinTimestamp);
+  encoder.WriteU32(1);  // nodes
+  encoder.WriteI64(5);
+  encoder.WriteRowRef(Row::OfString("A"));
+  encoder.WriteU32(1);  // entries
+  encoder.WriteU32(stream);
+  encoder.WriteI64(50);
+  return encoder.TakeBytes();
+}
+
+TEST(CheckpointTest, R3RestoreRejectsEntryForUnknownStream) {
+  CollectingSink sink;
+  for (const uint32_t stream :
+       {0u, 1u, static_cast<uint32_t>(kOutputStream)}) {
+    LMergeR3 merge(2, &sink);
+    const std::string blob = R3StateWithEntryFor(stream);
+    Decoder decoder(blob);
+    EXPECT_TRUE(merge.RestoreState(&decoder).ok()) << stream;
+  }
+  // Stream 2 does not exist, and 0x80000000 would alias the bottom tier's
+  // vacant-slot marker.
+  for (const uint32_t stream : {2u, 0x80000000u}) {
+    LMergeR3 merge(2, &sink);
+    const std::string blob = R3StateWithEntryFor(stream);
+    Decoder decoder(blob);
+    EXPECT_FALSE(merge.RestoreState(&decoder).ok()) << stream;
+  }
+}
+
+TEST(CheckpointTest, R4RestoreRejectsEntryForUnknownStream) {
+  CollectingSink sink;
+  for (const uint32_t stream : {1u, 2u}) {
+    Encoder encoder;
+    encoder.WriteI64(kMinTimestamp);  // max stable
+    encoder.WriteI64(0);              // inconsistencies
+    encoder.WriteU32(2);              // streams
+    encoder.WriteU32(1);              // nodes
+    encoder.WriteI64(5);
+    encoder.WriteRowRef(Row::OfString("A"));
+    encoder.WriteU32(1);  // entries
+    encoder.WriteU32(stream);
+    encoder.WriteU32(1);  // distinct Ve
+    encoder.WriteI64(50);
+    encoder.WriteI64(1);
+    LMergeR4 merge(2, &sink);
+    Decoder decoder(encoder.bytes());
+    EXPECT_EQ(merge.RestoreState(&decoder).ok(), stream < 2) << stream;
+  }
+}
+
 TEST(CheckpointTest, BadMagicRejected) {
   CollectingSink sink;
   LMergeR3 merge(2, &sink);

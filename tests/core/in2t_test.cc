@@ -75,5 +75,38 @@ TEST(In2tTest, StateBytesIncludesPayloadOnce) {
   EXPECT_LT(index.StateBytes(), one_stream_before);
 }
 
+TEST(In2tTest, InlineBottomTierChargesNoHeapBytes) {
+  // Three inputs plus the output entry fit inline in the tree node: the
+  // bottom tier adds nothing beyond the node itself.
+  In2t index;
+  auto it = index.AddNode(5, Row::OfString("A"));
+  const int64_t empty_node = index.StateBytes();
+  for (int s = 0; s < 3; ++s) it.value().Insert(s, 100 + s);
+  it.value().Insert(kOutputStream, 100);
+  index.SyncTableBytes(it);
+  EXPECT_EQ(it.value().size(), 4);
+  EXPECT_EQ(it.value().HeapBytes(), 0);
+  EXPECT_EQ(index.StateBytes(), empty_node);
+}
+
+TEST(In2tTest, WideMergeChargesItsSpill) {
+  In2t index;
+  auto it = index.AddNode(5, Row::OfString("A"));
+  const int64_t empty_node = index.StateBytes();
+  for (int s = 0; s < 10; ++s) it.value().Insert(s, 100 + s);
+  index.SyncTableBytes(it);
+  const int64_t spill = it.value().HeapBytes();
+  // Six of the ten entries spilled; every spilled byte is charged.
+  EXPECT_GE(spill, 6 * static_cast<int64_t>(sizeof(int32_t) +
+                                            sizeof(Timestamp)));
+  EXPECT_EQ(index.StateBytes(), empty_node + spill);
+  // Re-syncing an unchanged node is idempotent, and deleting the node
+  // releases the spill along with everything else.
+  index.SyncTableBytes(it);
+  EXPECT_EQ(index.StateBytes(), empty_node + spill);
+  index.DeleteNode(it);
+  EXPECT_EQ(index.StateBytes(), 0);
+}
+
 }  // namespace
 }  // namespace lmerge
