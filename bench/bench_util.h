@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.h"
@@ -112,7 +113,10 @@ inline int64_t RoundRobinDeliver(MergeAlgorithm* algo,
 // JSON array written to the path given by `--json PATH` (or `--json=PATH`)
 // alongside the normal console output.  Schema per entry:
 //   {"name", "elems_per_sec", "p50_latency_us", "p99_latency_us",
-//    "state_bytes"}
+//    "state_bytes", "encoded_bytes", "tx_fanout_bytes",
+//    "host_nproc", "build_type", "git_sha"}
+// The last three describe the host and build that produced the row, so a
+// before/after pair can be checked to come from the same host.
 // ---------------------------------------------------------------------------
 
 // Collects sampled per-operation durations and publishes the percentile
@@ -192,6 +196,13 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
   std::vector<BenchJsonEntry> entries_;
 };
 
+#ifndef LMERGE_BENCH_BUILD_TYPE
+#define LMERGE_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef LMERGE_BENCH_GIT_SHA
+#define LMERGE_BENCH_GIT_SHA "unknown"
+#endif
+
 // Benchmark names are user-controlled (template args, Args() values), so
 // the document goes through JsonWriter: names with quotes/backslashes stay
 // valid JSON and keys always appear in this fixed order.
@@ -215,6 +226,12 @@ inline bool WriteBenchJson(const std::string& path,
     writer.Int(e.encoded_bytes);
     writer.Key("tx_fanout_bytes");
     writer.Int(e.tx_fanout_bytes);
+    writer.Key("host_nproc");
+    writer.Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
+    writer.Key("build_type");
+    writer.String(LMERGE_BENCH_BUILD_TYPE);
+    writer.Key("git_sha");
+    writer.String(LMERGE_BENCH_GIT_SHA);
     writer.EndObject();
   }
   writer.EndArray();

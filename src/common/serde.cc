@@ -1,6 +1,7 @@
 #include "common/serde.h"
 
 #include <cstring>
+#include <limits>
 
 #include "common/check.h"
 
@@ -30,7 +31,18 @@ void Encoder::WriteString(const std::string& s) {
   bytes_.append(s);
 }
 
-void Encoder::WriteValue(const Value& value) {
+void Encoder::WriteVarU64(uint64_t v) {
+  char buf[10];
+  size_t n = 0;
+  while (v >= 0x80) {
+    buf[n++] = static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  buf[n++] = static_cast<char>(v);
+  bytes_.append(buf, n);
+}
+
+void Encoder::WriteValueAs(const Value& value, bool compact) {
   WriteU8(static_cast<uint8_t>(value.type()));
   switch (value.type()) {
     case ValueType::kNull:
@@ -39,20 +51,38 @@ void Encoder::WriteValue(const Value& value) {
       WriteU8(value.AsBool() ? 1 : 0);
       break;
     case ValueType::kInt64:
-      WriteI64(value.AsInt64());
+      if (compact) {
+        WriteVarI64(value.AsInt64());
+      } else {
+        WriteI64(value.AsInt64());
+      }
       break;
     case ValueType::kDouble:
       WriteDouble(value.AsDouble());
       break;
     case ValueType::kString:
-      WriteString(value.AsString());
+      if (compact) {
+        WriteVarU64(value.AsString().size());
+        bytes_.append(value.AsString());
+      } else {
+        WriteString(value.AsString());
+      }
       break;
   }
 }
 
+void Encoder::WriteValue(const Value& value) { WriteValueAs(value, false); }
+
 void Encoder::WriteRow(const Row& row) {
   WriteU32(static_cast<uint32_t>(row.field_count()));
   for (int64_t i = 0; i < row.field_count(); ++i) WriteValue(row.field(i));
+}
+
+void Encoder::WriteCompactRow(const Row& row) {
+  WriteVarU64(static_cast<uint64_t>(row.field_count()));
+  for (int64_t i = 0; i < row.field_count(); ++i) {
+    WriteValueAs(row.field(i), /*compact=*/true);
+  }
 }
 
 Status Decoder::Need(size_t n) {
@@ -112,7 +142,46 @@ Status Decoder::ReadString(std::string* s) {
   return Status::Ok();
 }
 
-Status Decoder::ReadValue(Value* value) {
+Status Decoder::ReadVarU64(uint64_t* v) {
+  uint64_t result = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (offset_ == bytes_.size()) {
+      return Status::OutOfRange("truncated varint");
+    }
+    const uint8_t byte = static_cast<uint8_t>(bytes_[offset_++]);
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      // The tenth byte holds bit 63 only.
+      if (shift == 63 && byte > 1) {
+        return Status::InvalidArgument("varint overflows 64 bits");
+      }
+      *v = result;
+      return Status::Ok();
+    }
+  }
+  return Status::InvalidArgument("varint longer than 10 bytes");
+}
+
+Status Decoder::ReadVarI64(int64_t* v) {
+  uint64_t raw = 0;
+  Status status = ReadVarU64(&raw);
+  if (!status.ok()) return status;
+  *v = ZigZagDecode(raw);
+  return Status::Ok();
+}
+
+Status Decoder::ReadVarU32(uint32_t* v) {
+  uint64_t raw = 0;
+  Status status = ReadVarU64(&raw);
+  if (!status.ok()) return status;
+  if (raw > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("varint exceeds 32 bits");
+  }
+  *v = static_cast<uint32_t>(raw);
+  return Status::Ok();
+}
+
+Status Decoder::ReadValueAs(Value* value, bool compact) {
   uint8_t tag = 0;
   Status status = ReadU8(&tag);
   if (!status.ok()) return status;
@@ -129,7 +198,7 @@ Status Decoder::ReadValue(Value* value) {
     }
     case ValueType::kInt64: {
       int64_t v = 0;
-      status = ReadI64(&v);
+      status = compact ? ReadVarI64(&v) : ReadI64(&v);
       if (!status.ok()) return status;
       *value = Value(v);
       return Status::Ok();
@@ -143,7 +212,19 @@ Status Decoder::ReadValue(Value* value) {
     }
     case ValueType::kString: {
       std::string s;
-      status = ReadString(&s);
+      if (compact) {
+        uint64_t len = 0;
+        status = ReadVarU64(&len);
+        if (status.ok() && len > remaining()) {
+          status = Status::OutOfRange("decode past end of buffer");
+        }
+        if (status.ok()) {
+          s.assign(bytes_, offset_, static_cast<size_t>(len));
+          offset_ += static_cast<size_t>(len);
+        }
+      } else {
+        status = ReadString(&s);
+      }
       if (!status.ok()) return status;
       *value = Value(std::move(s));
       return Status::Ok();
@@ -216,9 +297,9 @@ Status RowPoolDecoder::Resolve(uint32_t id, Row* row) const {
   return Status::Ok();
 }
 
-Status Decoder::ReadRow(Row* row) {
+Status Decoder::ReadRowAs(Row* row, bool compact) {
   uint32_t count = 0;
-  Status status = ReadU32(&count);
+  Status status = compact ? ReadVarU32(&count) : ReadU32(&count);
   if (!status.ok()) return status;
   if (count > remaining()) {  // each field takes at least one byte
     return Status::InvalidArgument("row field count exceeds buffer");
@@ -227,7 +308,7 @@ Status Decoder::ReadRow(Row* row) {
   fields.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     Value value;
-    status = ReadValue(&value);
+    status = ReadValueAs(&value, compact);
     if (!status.ok()) return status;
     fields.push_back(std::move(value));
   }

@@ -5,10 +5,15 @@
 // information stored on disk"), and usable as a wire format for shipping
 // stream elements between processes.
 //
-// Format: little-endian, length-prefixed, no alignment.  Integers are
-// varint-free fixed width (simplicity over compactness).  Every Decode
-// validates bounds and returns a Status instead of crashing on corrupt
-// input.
+// Format: little-endian, length-prefixed, no alignment.  Two integer
+// codings share one buffer type:
+//  - fixed width (WriteU32/WriteI64/WriteRow ...): the checkpoint format
+//    and every control frame;
+//  - LEB128 varints, zigzag-mapped when signed (WriteVarU64/WriteVarI64,
+//    WriteCompactRow): the dictionary-coded element frames, where most
+//    fields are small ids, deltas and lifetimes.
+// Every Decode validates bounds and returns a Status instead of crashing on
+// corrupt input.
 
 #ifndef LMERGE_COMMON_SERDE_H_
 #define LMERGE_COMMON_SERDE_H_
@@ -47,8 +52,18 @@ class Encoder {
   void WriteDouble(double v);
   void WriteString(const std::string& s);
 
+  // Unsigned LEB128: seven bits per byte, low group first, the high bit
+  // set on every byte but the last (1 byte below 128, at most 10).
+  void WriteVarU64(uint64_t v);
+  // Zigzag-mapped signed varint: small magnitudes of either sign stay short.
+  void WriteVarI64(int64_t v) { WriteVarU64(ZigZagEncode(v)); }
+
   void WriteValue(const Value& value);
   void WriteRow(const Row& row);
+  // Varint row layout: varint field count, then each value as its type tag
+  // followed by a zigzag int, a varint string length, a u8 bool or an
+  // 8-byte double.
+  void WriteCompactRow(const Row& row);
 
   // Pooled row references (checkpoint format v2): with a pool attached,
   // WriteRowRef emits a u32 — the row's pool id, or kInlineRowRef followed
@@ -62,7 +77,14 @@ class Encoder {
   const std::string& bytes() const { return bytes_; }
   std::string TakeBytes() { return std::move(bytes_); }
 
+  static uint64_t ZigZagEncode(int64_t v) {
+    return (static_cast<uint64_t>(v) << 1) ^
+           static_cast<uint64_t>(v >> 63);
+  }
+
  private:
+  void WriteValueAs(const Value& value, bool compact);
+
   std::string bytes_;
   RowPoolEncoder* row_pool_ = nullptr;
 };
@@ -83,8 +105,16 @@ class Decoder {
   Status ReadDouble(double* v);
   Status ReadString(std::string* s);
 
-  Status ReadValue(Value* value);
-  Status ReadRow(Row* row);
+  // Counterparts of the varint writers.  Truncated input, a varint longer
+  // than 10 bytes and one that overflows 64 bits are errors.
+  Status ReadVarU64(uint64_t* v);
+  Status ReadVarI64(int64_t* v);
+  // ReadVarU64 restricted to values that fit in 32 bits.
+  Status ReadVarU32(uint32_t* v);
+
+  Status ReadValue(Value* value) { return ReadValueAs(value, false); }
+  Status ReadRow(Row* row) { return ReadRowAs(row, false); }
+  Status ReadCompactRow(Row* row) { return ReadRowAs(row, true); }
 
   // Counterpart of Encoder::WriteRowRef.  With a pool attached, resolves
   // u32 references against it (kInlineRowRef reads the row inline); without
@@ -96,7 +126,13 @@ class Decoder {
   size_t remaining() const { return bytes_.size() - offset_; }
 
  private:
+  static int64_t ZigZagDecode(uint64_t v) {
+    return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
+  }
+
   Status Need(size_t n);
+  Status ReadValueAs(Value* value, bool compact);
+  Status ReadRowAs(Row* row, bool compact);
 
   const std::string& bytes_;
   size_t offset_ = 0;

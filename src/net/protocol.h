@@ -1,7 +1,8 @@
 // Typed messages of the LMerge wire protocol, one per frame type.
 //
 // Payload layouts (all via common/serde.h, little-endian, length-prefixed
-// strings; see docs/SERVICE.md for the byte-level tables):
+// strings; the two dictionary-coded payloads use varints; see
+// docs/SERVICE.md for the byte-level tables):
 //
 //   HELLO     u32 version, u8 role, u8 property bits, i64 join_time,
 //             string peer_name
@@ -12,8 +13,10 @@
 //   ELEMENTS  one EncodeSequence payload
 //   FEEDBACK  i64 horizon
 //   BYE       string reason
-//   PAYLOAD_DEF    u32 id, row          (v2; defines a dictionary entry)
-//   ELEMENTS_DICT  one EncodeSequenceDict payload (v2)
+//   PAYLOAD_DEF    varint id, compact row  (v2; defines one dictionary
+//                  entry; stream/element_serde.h)
+//   ELEMENTS_DICT  one EncodeSequenceDict payload: varint count, then
+//                  varint/delta-coded elements (v2; stream/element_serde.h)
 //   STATS_REQUEST  (empty)              (v3; poll the server's stats)
 //   STATS_RESPONSE server summary + per-input table + metrics snapshot (v3)
 //   CHECKPOINT_REQUEST  (empty)         (v4; standby asks for a snapshot)
@@ -27,7 +30,10 @@
 // ELEMENTS_DICT) may only be sent on v2 sessions; STATS frames and the
 // monitor role require v3; CHECKPOINT_* / CUT_CERT frames and the standby
 // role require v4.  v1 peers keep the inline ELEMENTS encoding and v2
-// peers never see a STATS frame, so old and new binaries interoperate.
+// peers never see a STATS frame.  The version ladder only spans binaries
+// built from this source: the dictionary frames' varint layout replaced an
+// earlier fixed-width one without a version bump, so dictionary sessions
+// do not interoperate with binaries built before that change.
 //
 // Every Decode* consumes exactly one message and rejects trailing bytes, so
 // a frame is either a whole valid message or a Status error.

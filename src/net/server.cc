@@ -214,28 +214,59 @@ void MergeServer::OnDisconnect(int session_id) {
 }
 
 Status MergeServer::OnBytes(int session_id, const char* data, size_t size) {
-  MutexLock lock(mutex_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("unknown session " + std::to_string(session_id));
+  {
+    MutexLock lock(mutex_);
+    auto it = sessions_.find(session_id);
+    if (it == sessions_.end()) {
+      return Status::NotFound("unknown session " +
+                              std::to_string(session_id));
+    }
+    Session& session = it->second;
+    if (session.state == SessionState::kClosed) {
+      return Status::FailedPrecondition("session already closed");
+    }
+    rx_bytes_metric_->Add(static_cast<int64_t>(size));
+    // Stamp receive time once per socket read (one steady-clock call),
+    // before frame reassembly: every batch decoded from these bytes is
+    // charged this rx instant.  Unconditional — v4 peers still get
+    // rx-relative latencies.
+    session.last_rx_us = obs::MonotonicMicros();
+    const Status status =
+        HandleFramesLocked(session, session.assembler.Feed(data, size));
+    if (!status.ok() || !session.stats_requested) return status;
   }
-  Session& session = it->second;
-  if (session.state == SessionState::kClosed) {
-    return Status::FailedPrecondition("session already closed");
+  // A STATS_REQUEST paused the frame loop.  The payload-store walk behind
+  // its gauges visits every live payload; it takes only the store's shard
+  // locks and sets atomic gauges, so it runs here, between two holds of
+  // mutex_, instead of stalling every other session for the whole walk.
+  // The answer then goes out and the remaining frames are handled in order.
+  while (true) {
+    obs::ExportPayloadStoreMetrics(PayloadStore::Global(),
+                                   &obs::MetricsRegistry::Global());
+    MutexLock lock(mutex_);
+    auto it = sessions_.find(session_id);
+    if (it == sessions_.end() || it->second.state == SessionState::kClosed) {
+      return Status::Ok();
+    }
+    Session& session = it->second;
+    session.stats_requested = false;
+    const Status status = HandleFramesLocked(
+        session, session.connection->Send(EncodeStatsResponseFrame(
+                     BuildStatsResponseLocked(), session.version)));
+    if (!status.ok() || !session.stats_requested) return status;
   }
-  rx_bytes_metric_->Add(static_cast<int64_t>(size));
-  // Stamp receive time once per socket read (one steady-clock call), before
-  // frame reassembly: every batch decoded from these bytes is charged this
-  // rx instant.  Unconditional — v4 peers still get rx-relative latencies.
-  session.last_rx_us = obs::MonotonicMicros();
-  Status status = session.assembler.Feed(data, size);
+}
+
+Status MergeServer::HandleFramesLocked(Session& session, Status status) {
   Frame frame;
-  while (status.ok() && session.assembler.Next(&frame)) {
+  while (status.ok() && !session.stats_requested &&
+         session.assembler.Next(&frame)) {
     rx_frames_metric_->Increment();
     status = HandleFrameLocked(session, frame);
     if (session.state == SessionState::kClosed) break;
   }
-  if (status.ok() && session.assembler.poisoned()) {
+  if (status.ok() && !session.stats_requested &&
+      session.assembler.poisoned()) {
     status = Status::InvalidArgument("malformed frame stream");
   }
   if (!status.ok()) {
@@ -333,8 +364,9 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
       Status status = DecodeStatsRequest(frame.payload);
       if (!status.ok()) return status;
       stats_requests_metric_->Increment();
-      return session.connection->Send(EncodeStatsResponseFrame(
-          BuildStatsResponseLocked(), session.version));
+      // Answered by OnBytes once the payload gauges are refreshed.
+      session.stats_requested = true;
+      return Status::Ok();
     }
     case FrameType::kCheckpointRequest: {
       if (session.state != SessionState::kStandby) {
@@ -1023,7 +1055,6 @@ const char* MergeServer::algorithm_name() const {
 
 obs::MetricsSnapshot MergeServer::MetricsSnapshotLocked() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::ExportPayloadStoreMetrics(PayloadStore::Global(), &registry);
   {
     MutexLock fanout_lock(fanout_mutex_);
     registry.GetGauge("net.subscribers")
@@ -1043,6 +1074,9 @@ obs::MetricsSnapshot MergeServer::MetricsSnapshotLocked() {
 }
 
 obs::MetricsSnapshot MergeServer::MetricsSnapshot() {
+  // Outside mutex_: see OnBytes.
+  obs::ExportPayloadStoreMetrics(PayloadStore::Global(),
+                                 &obs::MetricsRegistry::Global());
   MutexLock lock(mutex_);
   return MetricsSnapshotLocked();
 }
@@ -1113,6 +1147,9 @@ StatsResponseMessage MergeServer::BuildStatsResponseLocked() {
 }
 
 StatsResponseMessage MergeServer::StatsSnapshot() {
+  // Outside mutex_: see OnBytes.
+  obs::ExportPayloadStoreMetrics(PayloadStore::Global(),
+                                 &obs::MetricsRegistry::Global());
   MutexLock lock(mutex_);
   return BuildStatsResponseLocked();
 }

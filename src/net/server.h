@@ -155,9 +155,10 @@ class MergeServer {
   // first when exactness matters (e.g. after drain).
   StatsResponseMessage StatsSnapshot();
 
-  // Refreshes the registry (algorithm export on the merge thread + payload
-  // store gauges) and returns its snapshot; what `--metrics-interval`
-  // serializes.  Same liveness caveat as StatsSnapshot().
+  // Refreshes the registry (payload store gauges before taking the session
+  // lock, then the algorithm export on the merge thread) and returns its
+  // snapshot; what `--metrics-interval` serializes.  Same liveness caveat as
+  // StatsSnapshot().
   obs::MetricsSnapshot MetricsSnapshot();
 
   // Readiness probe for /readyz: true when the merge pipeline answers a
@@ -212,6 +213,9 @@ class MergeServer {
     // Monotonic µs when the transport last handed this session bytes — the
     // rx half of the batch ingest stamp (obs/latency.h).
     int64_t last_rx_us = 0;
+    // Set by a STATS_REQUEST frame: the frame loop pauses and OnBytes sends
+    // the answer after refreshing the payload-store gauges unlocked.
+    bool stats_requested = false;
     // Publisher fields.
     int stream_id = -1;
     bool joined = false;
@@ -267,11 +271,17 @@ class MergeServer {
   // discipline.
   Status HandleFrameLocked(Session& session, const Frame& frame)
       LM_REQUIRES(mutex_);
+  // Handles the session's reassembled frames, starting from `status` (the
+  // result of the step before), until none is left, one fails (the session
+  // is then closed) or a STATS_REQUEST sets stats_requested.
+  Status HandleFramesLocked(Session& session, Status status)
+      LM_REQUIRES(mutex_);
   Status HandleHelloLocked(Session& session, const HelloMessage& hello)
       LM_REQUIRES(mutex_);
   // Assembles the STATS_RESPONSE message.
   StatsResponseMessage BuildStatsResponseLocked() LM_REQUIRES(mutex_);
-  // Refreshes registry-exported state and snapshots it.
+  // Refreshes registry-exported state and snapshots it.  The payload-store
+  // gauges are not among it: callers refresh them before taking mutex_.
   obs::MetricsSnapshot MetricsSnapshotLocked() LM_REQUIRES(mutex_);
   Status DeliverElementLocked(Session& session, const StreamElement& element)
       LM_REQUIRES(mutex_);

@@ -145,129 +145,163 @@ Status PayloadDictDecoder::Resolve(uint32_t id, Row* payload) const {
 }
 
 void EncodePayloadDef(uint32_t id, const Row& payload, Encoder* encoder) {
-  encoder->WriteU32(id);
-  encoder->WriteRow(payload);
+  encoder->WriteVarU64(id);
+  encoder->WriteCompactRow(payload);
 }
 
 Status DecodePayloadDef(Decoder* decoder, uint32_t* id, Row* payload) {
-  Status status = decoder->ReadU32(id);
+  Status status = decoder->ReadVarU32(id);
   if (!status.ok()) return status;
-  return decoder->ReadRow(payload);
+  return decoder->ReadCompactRow(payload);
 }
 
 namespace {
 
-// Writes the payload reference for one insert/adjust element: a dictionary
-// id, or the inline sentinel followed by the full row.
-void EncodePayloadRef(const Row& payload, PayloadDictEncoder* dict,
-                      std::vector<std::pair<uint32_t, Row>>* new_defs,
-                      Encoder* encoder) {
-  const uint32_t id = dict->Intern(payload, new_defs);
-  encoder->WriteU32(id);
-  if (id == kInlinePayloadId) encoder->WriteRow(payload);
-}
+// Tag bit marking an insert/adjust whose payload is written inline.
+constexpr uint8_t kInlinePayloadBit = 0x80;
 
-Status DecodePayloadRef(Decoder* decoder, const PayloadDictDecoder& dict,
-                        Row* payload) {
-  uint32_t id = 0;
-  Status status = decoder->ReadU32(&id);
-  if (!status.ok()) return status;
-  if (id == kInlinePayloadId) return decoder->ReadRow(payload);
-  return dict.Resolve(id, payload);
-}
+// Delta bases shared by the encoder and decoder of one sequence.  Times are
+// differenced as uint64 (mod 2^64), so any pair of timestamps has a delta.
+struct DictDeltaState {
+  int64_t prev_id = -1;
+  uint64_t prev_time = 0;
+};
 
-}  // namespace
+int64_t TimeDelta(Timestamp t, uint64_t base) {
+  return static_cast<int64_t>(static_cast<uint64_t>(t) - base);
+}
 
 void EncodeElementDict(const StreamElement& element, PayloadDictEncoder* dict,
                        std::vector<std::pair<uint32_t, Row>>* new_defs,
-                       Encoder* encoder) {
-  encoder->WriteU8(static_cast<uint8_t>(element.kind()));
-  switch (element.kind()) {
-    case ElementKind::kInsert:
-      EncodePayloadRef(element.payload(), dict, new_defs, encoder);
-      encoder->WriteI64(element.vs());
-      encoder->WriteI64(element.ve());
-      break;
-    case ElementKind::kAdjust:
-      EncodePayloadRef(element.payload(), dict, new_defs, encoder);
-      encoder->WriteI64(element.vs());
-      encoder->WriteI64(element.v_old());
-      encoder->WriteI64(element.ve());
-      break;
-    case ElementKind::kStable:
-      encoder->WriteI64(element.stable_time());
-      break;
+                       DictDeltaState* state, Encoder* encoder) {
+  const uint8_t kind = static_cast<uint8_t>(element.kind());
+  if (element.kind() == ElementKind::kStable) {
+    encoder->WriteU8(kind);
+    encoder->WriteVarI64(TimeDelta(element.stable_time(), state->prev_time));
+    state->prev_time = static_cast<uint64_t>(element.stable_time());
+    return;
   }
+  const uint32_t id = dict->Intern(element.payload(), new_defs);
+  if (id == kInlinePayloadId) {
+    encoder->WriteU8(static_cast<uint8_t>(kind | kInlinePayloadBit));
+    encoder->WriteCompactRow(element.payload());
+  } else {
+    encoder->WriteU8(kind);
+    encoder->WriteVarI64(static_cast<int64_t>(id) - state->prev_id);
+    state->prev_id = id;
+  }
+  const Timestamp vs = element.vs();
+  encoder->WriteVarI64(TimeDelta(vs, state->prev_time));
+  state->prev_time = static_cast<uint64_t>(vs);
+  if (element.kind() == ElementKind::kAdjust) {
+    encoder->WriteVarI64(TimeDelta(element.v_old(), vs));
+  }
+  encoder->WriteVarI64(TimeDelta(element.ve(), vs));
+}
+
+Status DecodePayloadRef(Decoder* decoder, const PayloadDictDecoder& dict,
+                        bool inline_payload, DictDeltaState* state,
+                        Row* payload) {
+  if (inline_payload) return decoder->ReadCompactRow(payload);
+  int64_t delta = 0;
+  Status status = decoder->ReadVarI64(&delta);
+  if (!status.ok()) return status;
+  const int64_t id = static_cast<int64_t>(
+      static_cast<uint64_t>(state->prev_id) + static_cast<uint64_t>(delta));
+  if (id < 0 || id >= static_cast<int64_t>(kInlinePayloadId)) {
+    return Status::InvalidArgument("payload id delta lands on invalid id " +
+                                   std::to_string(id));
+  }
+  status = dict.Resolve(static_cast<uint32_t>(id), payload);
+  if (!status.ok()) return status;
+  state->prev_id = id;
+  return Status::Ok();
+}
+
+// Reads one zigzag time delta against `base` (the inverse of TimeDelta).
+Status ReadTime(Decoder* decoder, uint64_t base, Timestamp* t) {
+  int64_t delta = 0;
+  Status status = decoder->ReadVarI64(&delta);
+  if (!status.ok()) return status;
+  *t = static_cast<Timestamp>(base + static_cast<uint64_t>(delta));
+  return Status::Ok();
 }
 
 Status DecodeElementDict(Decoder* decoder, const PayloadDictDecoder& dict,
-                         StreamElement* element) {
+                         DictDeltaState* state, StreamElement* element) {
   uint8_t tag = 0;
   Status status = decoder->ReadU8(&tag);
   if (!status.ok()) return status;
-  switch (static_cast<ElementKind>(tag)) {
-    case ElementKind::kInsert: {
-      Row payload;
-      int64_t vs = 0;
-      int64_t ve = 0;
-      if (!(status = DecodePayloadRef(decoder, dict, &payload)).ok()) {
-        return status;
-      }
-      if (!(status = decoder->ReadI64(&vs)).ok()) return status;
-      if (!(status = decoder->ReadI64(&ve)).ok()) return status;
-      *element = StreamElement::Insert(std::move(payload), vs, ve);
-      return Status::Ok();
+  const bool inline_payload = (tag & kInlinePayloadBit) != 0;
+  const uint8_t kind = static_cast<uint8_t>(tag & ~kInlinePayloadBit);
+  if (kind == static_cast<uint8_t>(ElementKind::kStable) && !inline_payload) {
+    Timestamp t = 0;
+    if (!(status = ReadTime(decoder, state->prev_time, &t)).ok()) {
+      return status;
     }
-    case ElementKind::kAdjust: {
-      Row payload;
-      int64_t vs = 0;
-      int64_t v_old = 0;
-      int64_t ve = 0;
-      if (!(status = DecodePayloadRef(decoder, dict, &payload)).ok()) {
-        return status;
-      }
-      if (!(status = decoder->ReadI64(&vs)).ok()) return status;
-      if (!(status = decoder->ReadI64(&v_old)).ok()) return status;
-      if (!(status = decoder->ReadI64(&ve)).ok()) return status;
-      *element = StreamElement::Adjust(std::move(payload), vs, v_old, ve);
-      return Status::Ok();
-    }
-    case ElementKind::kStable: {
-      int64_t t = 0;
-      if (!(status = decoder->ReadI64(&t)).ok()) return status;
-      *element = StreamElement::Stable(t);
-      return Status::Ok();
-    }
+    state->prev_time = static_cast<uint64_t>(t);
+    *element = StreamElement::Stable(t);
+    return Status::Ok();
   }
-  return Status::InvalidArgument("unknown element tag " +
-                                 std::to_string(tag));
+  if (kind != static_cast<uint8_t>(ElementKind::kInsert) &&
+      kind != static_cast<uint8_t>(ElementKind::kAdjust)) {
+    return Status::InvalidArgument("unknown element tag " +
+                                   std::to_string(tag));
+  }
+  Row payload;
+  Timestamp vs = 0;
+  Timestamp v_old = 0;
+  Timestamp ve = 0;
+  if (!(status = DecodePayloadRef(decoder, dict, inline_payload, state,
+                                  &payload))
+           .ok()) {
+    return status;
+  }
+  if (!(status = ReadTime(decoder, state->prev_time, &vs)).ok()) {
+    return status;
+  }
+  state->prev_time = static_cast<uint64_t>(vs);
+  const uint64_t base = static_cast<uint64_t>(vs);
+  if (kind == static_cast<uint8_t>(ElementKind::kAdjust)) {
+    if (!(status = ReadTime(decoder, base, &v_old)).ok()) return status;
+  }
+  if (!(status = ReadTime(decoder, base, &ve)).ok()) return status;
+  *element = kind == static_cast<uint8_t>(ElementKind::kInsert)
+                 ? StreamElement::Insert(std::move(payload), vs, ve)
+                 : StreamElement::Adjust(std::move(payload), vs, v_old, ve);
+  return Status::Ok();
 }
+
+}  // namespace
 
 void EncodeSequenceDict(const ElementSequence& elements,
                         PayloadDictEncoder* dict,
                         std::vector<std::pair<uint32_t, Row>>* new_defs,
                         Encoder* encoder) {
-  // Floor estimate: tag + id + two i64 per element.
-  encoder->Reserve(4 + elements.size() * 21);
-  encoder->WriteU32(static_cast<uint32_t>(elements.size()));
+  // Typical in-window element: tag + 1-byte id delta + two short time
+  // varints.
+  encoder->Reserve(2 + elements.size() * 8);
+  encoder->WriteVarU64(elements.size());
+  DictDeltaState state;
   for (const StreamElement& e : elements) {
-    EncodeElementDict(e, dict, new_defs, encoder);
+    EncodeElementDict(e, dict, new_defs, &state, encoder);
   }
 }
 
 Status DecodeSequenceDict(Decoder* decoder, const PayloadDictDecoder& dict,
                           ElementSequence* elements) {
-  uint32_t count = 0;
-  Status status = decoder->ReadU32(&count);
+  uint64_t count = 0;
+  Status status = decoder->ReadVarU64(&count);
   if (!status.ok()) return status;
-  if (count > decoder->remaining()) {
+  if (count > decoder->remaining() / 2) {  // each element takes >= 2 bytes
     return Status::InvalidArgument("sequence length exceeds buffer");
   }
   elements->clear();
   elements->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
+  DictDeltaState state;
+  for (uint64_t i = 0; i < count; ++i) {
     StreamElement element;
-    status = DecodeElementDict(decoder, dict, &element);
+    status = DecodeElementDict(decoder, dict, &state, &element);
     if (!status.ok()) return status;
     elements->push_back(std::move(element));
   }

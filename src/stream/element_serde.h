@@ -5,12 +5,25 @@
 //  - Inline (EncodeSequence): every element carries its full payload.  Used
 //    by checkpoints and by protocol-v1 peers.
 //  - Dictionary-coded (EncodeSequenceDict): element payloads are replaced by
-//    4-byte ids into a session-scoped payload dictionary, built up by
-//    PAYLOAD_DEF messages.  Redundant publishers re-send the same payloads
-//    constantly (that is the paper's whole setting), so after warm-up the
-//    per-element wire cost drops from the full row to one u32.  The id
-//    space is per (session, direction); kInlinePayloadId escapes to an
-//    inline row when the dictionary is full or the payload is empty.
+//    ids into a session-scoped payload dictionary, built up by PAYLOAD_DEF
+//    messages.  Redundant publishers re-send the same payloads constantly
+//    (that is the paper's whole setting), so after warm-up the per-element
+//    wire cost drops from the full row to a short varint.  The id space is
+//    per (session, direction); an element whose payload is empty or does
+//    not fit the full dictionary escapes to an inline row.
+//
+// Dictionary-coded layout (all varints LEB128, "zz" = zigzag-mapped):
+//   sequence   varint count, then count elements
+//   element    u8 tag = ElementKind | 0x80 when the payload is inline
+//     insert   payload, zz(Vs - prev), zz(Ve - Vs)
+//     adjust   payload, zz(Vs - prev), zz(v_old - Vs), zz(Ve - Vs)
+//     stable   zz(t - prev)
+//   payload    zz(id - previous id in the sequence), or with the inline
+//              bit a compact row (Encoder::WriteCompactRow)
+//   PAYLOAD_DEF  varint id, compact row
+// `prev` is the previous element's Vs or stable time in the same sequence
+// (0 before the first), and the first id delta is taken from -1.  Time
+// arithmetic is mod 2^64, so kMinTimestamp and kInfinity round-trip.
 
 #ifndef LMERGE_STREAM_ELEMENT_SERDE_H_
 #define LMERGE_STREAM_ELEMENT_SERDE_H_
@@ -39,7 +52,8 @@ Status DeserializeSequence(const std::string& bytes,
 
 // --- Payload dictionary (protocol v2) ---
 
-// Sentinel id meaning "no dictionary entry; a full row follows inline".
+// Id returned by PayloadDictEncoder::Intern for a payload that has no
+// dictionary entry and must be written inline; never a valid wire id.
 inline constexpr uint32_t kInlinePayloadId = 0xffffffffu;
 // Default cap on dictionary entries per session direction; bounds the
 // decoder's memory against a hostile or miscoded peer.
@@ -95,19 +109,13 @@ class PayloadDictDecoder {
   HashTable<uint32_t, Row, IdHash> rows_;
 };
 
-// PAYLOAD_DEF payload: u32 id, then the row inline.
+// PAYLOAD_DEF payload: varint id, then the compact row.
 void EncodePayloadDef(uint32_t id, const Row& payload, Encoder* encoder);
 Status DecodePayloadDef(Decoder* decoder, uint32_t* id, Row* payload);
 
-// Dictionary-coded element: like EncodeElement but insert/adjust payloads
-// are written as a u32 id (kInlinePayloadId + inline row as the escape).
-void EncodeElementDict(const StreamElement& element, PayloadDictEncoder* dict,
-                       std::vector<std::pair<uint32_t, Row>>* new_defs,
-                       Encoder* encoder);
-Status DecodeElementDict(Decoder* decoder, const PayloadDictDecoder& dict,
-                         StreamElement* element);
-
-// Dictionary-coded sequence (ELEMENTS_DICT payload).
+// Dictionary-coded sequence (ELEMENTS_DICT payload, layout above).  Ids and
+// times are delta-coded within one sequence, so a sequence is the unit of
+// encoding and decoding.
 void EncodeSequenceDict(const ElementSequence& elements,
                         PayloadDictEncoder* dict,
                         std::vector<std::pair<uint32_t, Row>>* new_defs,

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/random.h"
 #include "common/serde.h"
 #include "net/protocol.h"
@@ -178,6 +180,195 @@ TEST_P(SerdeFuzzTest, TruncatedDictBuffersReturnStatus) {
     uint32_t id = 0;
     Row payload;
     EXPECT_FALSE(DecodePayloadDef(&decoder, &id, &payload).ok())
+        << "prefix length " << len;
+  }
+}
+
+// Hostile inputs against the varint/delta layout: each is a Status error.
+
+// A hand-built ELEMENTS_DICT body: varint count, then raw bytes.
+std::string DictBody(uint64_t count, const std::string& elements) {
+  Encoder encoder;
+  encoder.WriteVarU64(count);
+  return encoder.TakeBytes() + elements;
+}
+
+Status DecodeDictBody(const std::string& bytes,
+                      const PayloadDictDecoder& dict) {
+  Decoder decoder(bytes);
+  ElementSequence elements;
+  return DecodeSequenceDict(&decoder, dict, &elements);
+}
+
+TEST(VarintHostileTest, TruncatedAtEveryByteFails) {
+  for (const uint64_t value :
+       {uint64_t{128}, uint64_t{1} << 35, ~uint64_t{0},
+        Encoder::ZigZagEncode(std::numeric_limits<int64_t>::min())}) {
+    Encoder encoder;
+    encoder.WriteVarU64(value);
+    const std::string whole = encoder.TakeBytes();
+    {
+      Decoder decoder(whole);
+      uint64_t got = 0;
+      ASSERT_TRUE(decoder.ReadVarU64(&got).ok());
+      EXPECT_EQ(got, value);
+      EXPECT_TRUE(decoder.AtEnd());
+    }
+    for (size_t len = 0; len < whole.size(); ++len) {
+      const std::string prefix = whole.substr(0, len);
+      Decoder decoder(prefix);
+      uint64_t got = 0;
+      EXPECT_FALSE(decoder.ReadVarU64(&got).ok())
+          << value << " cut to " << len << " bytes";
+    }
+  }
+}
+
+TEST(VarintHostileTest, ElevenByteAndOverflowingVarintsFail) {
+  // Ten continuation bytes, then a terminator: one byte too long.
+  const std::string eleven = std::string(10, '\x80') + std::string(1, '\0');
+  Decoder long_decoder(eleven);
+  uint64_t got = 0;
+  const Status too_long = long_decoder.ReadVarU64(&got);
+  EXPECT_FALSE(too_long.ok());
+  EXPECT_NE(too_long.ToString().find("longer than 10 bytes"),
+            std::string::npos);
+  // Ten bytes whose last carries more than bit 63.
+  const std::string overflow =
+      std::string(9, '\xff') + std::string(1, '\x02');
+  Decoder overflow_decoder(overflow);
+  EXPECT_FALSE(overflow_decoder.ReadVarU64(&got).ok());
+  // A 33-bit value where a 32-bit one (id, field count) is required.
+  Encoder wide;
+  wide.WriteVarU64(uint64_t{1} << 32);
+  const std::string wide_bytes = wide.TakeBytes();
+  Decoder wide_decoder(wide_bytes);
+  uint32_t narrow = 0;
+  EXPECT_FALSE(wide_decoder.ReadVarU32(&narrow).ok());
+  // The same shapes inside the payloads.
+  PayloadDictDecoder dict;
+  ASSERT_TRUE(dict.Define(0, Row::OfString("zero")).ok());
+  EXPECT_FALSE(DecodeDictBody(eleven, dict).ok());
+  EXPECT_FALSE(DecodeDictBody(DictBody(1, std::string(1, '\0') + eleven),
+                              dict)
+                   .ok());
+  Decoder def_decoder(wide_bytes);
+  uint32_t id = 0;
+  Row payload;
+  EXPECT_FALSE(DecodePayloadDef(&def_decoder, &id, &payload).ok());
+}
+
+TEST(VarintHostileTest, CountLargerThanBytesLeftFails) {
+  PayloadDictDecoder dict;
+  ASSERT_TRUE(dict.Define(0, Row::OfString("zero")).ok());
+  // One valid stable (tag 2, delta 0), but a count of 1000.
+  const std::string one_stable("\x02\x00", 2);
+  EXPECT_FALSE(DecodeDictBody(DictBody(1000, one_stable), dict).ok());
+  EXPECT_FALSE(DecodeDictBody(DictBody(~uint64_t{0}, one_stable), dict).ok());
+  // A row field count larger than the bytes left, in a PAYLOAD_DEF.
+  Encoder def;
+  def.WriteVarU64(3);       // id
+  def.WriteVarU64(100000);  // field count
+  def.WriteU8(0);
+  const std::string def_bytes = def.TakeBytes();
+  Decoder decoder(def_bytes);
+  uint32_t id = 0;
+  Row payload;
+  EXPECT_FALSE(DecodePayloadDef(&decoder, &id, &payload).ok());
+}
+
+TEST(VarintHostileTest, IdDeltaLandingOnUndefinedOrReservedIdFails) {
+  PayloadDictDecoder dict;
+  ASSERT_TRUE(dict.Define(0, Row::OfString("zero")).ok());
+  ASSERT_TRUE(dict.Define(1, Row::OfString("one")).ok());
+  // An insert (tag 0) with the given id delta, Vs delta 0, Ve offset 1.
+  const auto insert_with_delta = [](int64_t id_delta) {
+    Encoder encoder;
+    encoder.WriteU8(0);
+    encoder.WriteVarI64(id_delta);
+    encoder.WriteVarI64(0);
+    encoder.WriteVarI64(1);
+    return encoder.TakeBytes();
+  };
+  // Sanity: from the start value -1, +1 lands on id 0, then +1 on id 1.
+  EXPECT_TRUE(DecodeDictBody(DictBody(2, insert_with_delta(1) +
+                                             insert_with_delta(1)),
+                             dict)
+                  .ok());
+  // Undefined id 5.
+  Status status = DecodeDictBody(DictBody(1, insert_with_delta(6)), dict);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("undefined payload id"),
+            std::string::npos);
+  // The reserved inline id, reached by a delta from id 0.
+  status = DecodeDictBody(
+      DictBody(2, insert_with_delta(1) +
+                      insert_with_delta(static_cast<int64_t>(
+                          kInlinePayloadId))),
+      dict);
+  EXPECT_FALSE(status.ok());
+  // Below zero, and past 32 bits: among them 2^32 and -2^32, which a
+  // decoder truncating to 32 bits would misread as the defined id 0.
+  EXPECT_FALSE(DecodeDictBody(DictBody(1, insert_with_delta(-1)), dict).ok());
+  EXPECT_FALSE(
+      DecodeDictBody(DictBody(1, insert_with_delta(int64_t{1} << 40)), dict)
+          .ok());
+  EXPECT_FALSE(DecodeDictBody(
+                   DictBody(1, insert_with_delta((int64_t{1} << 32) + 1)),
+                   dict)
+                   .ok());
+  EXPECT_FALSE(DecodeDictBody(
+                   DictBody(1, insert_with_delta(-(int64_t{1} << 32) + 1)),
+                   dict)
+                   .ok());
+  EXPECT_FALSE(DecodeDictBody(
+                   DictBody(1, insert_with_delta(
+                                   std::numeric_limits<int64_t>::min())),
+                   dict)
+                   .ok());
+}
+
+TEST(VarintHostileTest, UnknownTagWithEscapeBitFails) {
+  PayloadDictDecoder dict;
+  ASSERT_TRUE(dict.Define(0, Row::OfString("zero")).ok());
+  // 0x82 is a stable with the inline bit (a stable has no payload); 0x83
+  // and 0xff name no element kind at all; 0x03 is unknown without the bit.
+  for (const char tag : {'\x82', '\x83', '\xff', '\x03'}) {
+    const std::string body =
+        DictBody(1, std::string(1, tag) + std::string(2, '\0'));
+    const Status status = DecodeDictBody(body, dict);
+    EXPECT_FALSE(status.ok())
+        << "tag " << static_cast<int>(static_cast<uint8_t>(tag));
+    EXPECT_NE(status.ToString().find("unknown element tag"),
+              std::string::npos);
+  }
+}
+
+TEST(VarintHostileTest, ExtremeTimesTruncatedAtEveryByteFail) {
+  // Ve = kInfinity and Vs = kMinTimestamp take the longest varints; every
+  // strict prefix of the body must still fail.
+  // Capacity 1: the second payload escapes inline.
+  PayloadDictEncoder encoder(/*capacity=*/1);
+  std::vector<std::pair<uint32_t, Row>> defs;
+  const ElementSequence original = {
+      Ins("far", kMinTimestamp, kInfinity), Stb(kInfinity),
+      Adj("far", kMinTimestamp, kInfinity, 0),
+      StreamElement::Insert(Row::OfIntAndString(-9, "inline"), 1, 2)};
+  Encoder body;
+  EncodeSequenceDict(original, &encoder, &defs, &body);
+  const std::string valid = body.TakeBytes();
+  PayloadDictDecoder dict;
+  for (const auto& [id, payload] : defs) {
+    ASSERT_TRUE(dict.Define(id, payload).ok());
+  }
+  {
+    Decoder decoder(valid);
+    ElementSequence elements;
+    ASSERT_TRUE(DecodeSequenceDict(&decoder, dict, &elements).ok());
+    EXPECT_EQ(elements, original);
+  }
+  for (size_t len = 0; len < valid.size(); ++len) {
+    EXPECT_FALSE(DecodeDictBody(valid.substr(0, len), dict).ok())
         << "prefix length " << len;
   }
 }

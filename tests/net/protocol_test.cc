@@ -267,6 +267,93 @@ TEST(ProtocolTest, ElementsDictPayloadWithUnknownIdFails) {
             std::string::npos);
 }
 
+// The varint layout behind the frame decoders: hostile payloads on a v5
+// session (trailing stamp present) fail with a Status, never a crash.
+TEST(ProtocolTest, HostileDictPayloadsFailCleanly) {
+  PayloadDictDecoder dict;
+  ASSERT_TRUE(dict.Define(0, Row::OfString("zero")).ok());
+  const auto stamped = [](const std::string& body) {
+    Encoder encoder;
+    encoder.WriteI64(42);
+    return body + encoder.TakeBytes();
+  };
+  const auto fails = [&](const std::string& payload) {
+    ElementSequence decoded;
+    int64_t origin_us = 0;
+    return !DecodeElementsDictPayload(payload, dict, &decoded, &origin_us)
+                .ok();
+  };
+  const std::string eleven(10, '\x80');
+  // 11-byte varint count.
+  EXPECT_TRUE(fails(stamped(eleven + std::string(1, '\0'))));
+  // Count 5 with one element's bytes (the stamp must not count as
+  // elements).
+  EXPECT_TRUE(fails(stamped(std::string("\x05\x02\x00", 3))));
+  // Insert whose id delta (+2 from -1) lands on undefined id 1.
+  EXPECT_TRUE(fails(stamped(std::string("\x01\x00\x04\x00\x02", 5))));
+  // Insert whose id delta lands on the reserved inline id.
+  {
+    Encoder body;
+    body.WriteVarU64(1);
+    body.WriteU8(0);
+    body.WriteVarI64(static_cast<int64_t>(kInlinePayloadId) + 1);
+    body.WriteVarI64(0);
+    body.WriteVarI64(1);
+    EXPECT_TRUE(fails(stamped(body.TakeBytes())));
+  }
+  // A stable carrying the inline escape bit.
+  EXPECT_TRUE(fails(stamped(std::string("\x01\x82\x00", 3))));
+  // Sanity: the well-formed one-stable body decodes.
+  EXPECT_FALSE(fails(stamped(std::string("\x01\x02\x00", 3))));
+
+  // Every strict prefix of a real stamped payload fails, whether the cut
+  // lands in the stamp or in a varint of the body.
+  PayloadDictEncoder encoder;
+  const ElementSequence batch = {Ins("p", kMinTimestamp, kInfinity),
+                                 Adj("p", kMinTimestamp, kInfinity, 7),
+                                 Stb(kInfinity)};
+  FrameAssembler assembler;
+  ASSERT_TRUE(assembler.Feed(EncodeElementsDictFrame(batch, &encoder, 99))
+                  .ok());
+  PayloadDictDecoder session_dict;
+  Frame frame;
+  std::string body;
+  while (assembler.Next(&frame)) {
+    if (frame.type == FrameType::kPayloadDef) {
+      PayloadDefMessage def;
+      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
+      // Every strict prefix of the def fails too.
+      for (size_t len = 0; len < frame.payload.size(); ++len) {
+        PayloadDefMessage cut;
+        EXPECT_FALSE(
+            DecodePayloadDefPayload(frame.payload.substr(0, len), &cut).ok())
+            << "def prefix " << len;
+      }
+      ASSERT_TRUE(session_dict.Define(def.id, def.payload).ok());
+    } else {
+      body = frame.payload;
+    }
+  }
+  ElementSequence decoded;
+  int64_t origin_us = 0;
+  ASSERT_TRUE(
+      DecodeElementsDictPayload(body, session_dict, &decoded, &origin_us)
+          .ok());
+  EXPECT_EQ(decoded, batch);
+  EXPECT_EQ(origin_us, 99);
+  for (size_t len = 0; len < body.size(); ++len) {
+    ElementSequence cut;
+    EXPECT_FALSE(DecodeElementsDictPayload(body.substr(0, len), session_dict,
+                                           &cut, &origin_us)
+                     .ok())
+        << "prefix " << len;
+  }
+  // An 11-byte varint id in a PAYLOAD_DEF.
+  PayloadDefMessage def;
+  EXPECT_FALSE(
+      DecodePayloadDefPayload(eleven + std::string(2, '\0'), &def).ok());
+}
+
 TEST(ProtocolTest, VersionNegotiationBounds) {
   // The wire preserves whatever version the sender claims — negotiation is
   // the server's min() against its own version, so decode must not clamp.

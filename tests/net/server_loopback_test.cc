@@ -283,6 +283,56 @@ TEST(ServerLoopbackTest, StatsBeforeAnyPublisherIsEmptyButValid) {
   EXPECT_EQ(stats.output_stable, kMinTimestamp);
 }
 
+// A STATS_REQUEST pauses the session's frame loop while the payload-store
+// gauges are refreshed outside the server lock; the answer and the frames
+// after it in the same read must still be handled in order.
+TEST(ServerLoopbackTest, InBandStatsKeepFrameOrderWithinOneRead) {
+  MergeServer server;
+  TestPeer pub = ConnectPeer(&server, "pub");
+  // HELLO, STATS_REQUEST, ELEMENTS, STATS_REQUEST in one read.
+  const std::string bytes =
+      EncodeHelloFrame(PublisherHello("replica")) + EncodeStatsRequestFrame() +
+      EncodeElementsFrame({Ins("x", 1, 10), Ins("y", 2, 11), Stb(5)},
+                          /*origin_us=*/1000) +
+      EncodeStatsRequestFrame();
+  ASSERT_TRUE(server.OnBytes(pub.session_id, bytes).ok());
+  server.Flush();
+  const std::vector<Frame> frames = pub.DrainFrames();
+  std::vector<FrameType> stats_and_welcome;
+  std::vector<StatsResponseMessage> stats;
+  for (const Frame& frame : frames) {
+    if (frame.type == FrameType::kFeedback) continue;
+    stats_and_welcome.push_back(frame.type);
+    if (frame.type != FrameType::kStatsResponse) continue;
+    stats.emplace_back();
+    ASSERT_TRUE(DecodeStatsResponse(frame.payload, &stats.back()).ok());
+  }
+  ASSERT_EQ(stats_and_welcome,
+            (std::vector<FrameType>{FrameType::kWelcome,
+                                    FrameType::kStatsResponse,
+                                    FrameType::kStatsResponse}));
+  // The first answer predates the batch; the second one counts it, and
+  // carries the payload-store gauges refreshed for it.
+  ASSERT_EQ(stats[0].inputs.size(), 1u);
+  EXPECT_EQ(stats[0].inputs[0].inserts_in, 0);
+  ASSERT_EQ(stats[1].inputs.size(), 1u);
+  EXPECT_EQ(stats[1].inputs[0].inserts_in, 2);
+  EXPECT_GE(stats[1].metrics.Value("payload.entries"), 2);
+  EXPECT_EQ(server.merge_stats().inserts_in, 2);
+
+  // A malformed frame after a STATS_REQUEST: the answer goes out, then
+  // the session is closed with the decode error.
+  TestPeer mon = ConnectPeer(&server, "mon");
+  Handshake(&server, &mon, MonitorHello("dashboard"));
+  std::string bad = EncodeStatsRequestFrame();
+  bad += EncodeFrame(FrameType::kFeedback, "short");
+  EXPECT_FALSE(server.OnBytes(mon.session_id, bad).ok());
+  const std::vector<Frame> mon_frames = mon.DrainFrames();
+  ASSERT_GE(mon_frames.size(), 2u);
+  EXPECT_EQ(mon_frames[0].type, FrameType::kStatsResponse);
+  EXPECT_EQ(mon_frames.back().type, FrameType::kBye);
+}
+
 TEST(ServerLoopbackTest, V2PeerNeverSeesStatsAndMonitorNeedsV3) {
   MergeServer server;
   // A v2 publisher negotiates down and must not be able to poll stats.

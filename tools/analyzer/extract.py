@@ -150,6 +150,10 @@ class ClassFacts:
         self.locks = []          # Mutex member names
         self.members = {}        # member name -> raw type string
         self.methods = set()     # unqualified method names declared here
+        # `using Alias = Target<...>;` -> raw target type (template name
+        # only).  Resolution-only: not part of the facts schema, since the
+        # LibTooling frontend sees through aliases itself.
+        self.aliases = {}
 
     def to_json(self):
         return {
@@ -170,6 +174,9 @@ class Facts:
         self.declared_edges = []  # {before, after, file, line}
         self.unresolved_calls = 0
         self.files = []
+        # Function names from an earlier pass, so a call resolves against
+        # a definition in a file parsed later.  Resolution-only.
+        self.known_functions = set()
 
     def function(self, name, file, line):
         fn = self.functions.get(name)
@@ -604,6 +611,15 @@ class FileParser:
             # `Mutex m_ LM_ACQUIRED_AFTER(x)` / `std::function<void()> cb_`:
             # the paren belongs to an annotation macro or a function type;
             # fall through to the data-member parse.
+        if len(texts) >= 4 and texts[0] == "using" and texts[2] == "=" and \
+                re.match(r"[A-Za-z_][A-Za-z0-9_]*$", texts[1]):
+            target = texts[3:]
+            if "<" in target:
+                target = target[:target.index("<")]
+            cls.aliases[texts[1]] = " ".join(
+                tx for tx in target if re.match(r"[A-Za-z_]", tx)
+                and tx not in _TYPE_NOISE)
+            return
         if texts[0] in ("using", "typedef", "friend", "public", "private",
                         "protected", "template", "enum", "static_assert"):
             return
@@ -952,17 +968,39 @@ class FileParser:
                 return ns_hits[0]
         return None
 
-    def _type_to_class(self, type_str):
+    def _type_to_class(self, type_str, depth=0):
         """Extracts the project class a declaration type refers to: the
-        last identifier in the type string that names a known class."""
+        last identifier in the type string that names a known class, where
+        `Holder::Name` may name a class alias or a nested class of Holder
+        (`In2t::EndTable&` is the SmallMap the alias stands for)."""
         if type_str is None:
             return None
         found = None
         for tx in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", type_str):
-            resolved = self._resolve_class_name(tx)
+            resolved = self._alias_target(found, tx, depth)
+            if resolved is None and found is not None and \
+                    found + "::" + tx in self.facts.classes:
+                resolved = found + "::" + tx
+            if resolved is None:
+                resolved = self._resolve_class_name(tx)
             if resolved:
                 found = resolved
         return found
+
+    def _alias_target(self, holder, name, depth):
+        """The class an alias `name` stands for: declared in `holder` (or
+        its bases), or with no holder in the enclosing class chain."""
+        if depth > 4:  # alias of an alias of ...: give up, never loop
+            return None
+        if holder is not None:
+            cls = self.facts.classes.get(holder)
+        else:
+            cls = self._enclosing_class_for_fn() or self._current_class()
+        while cls is not None:
+            if name in cls.aliases:
+                return self._type_to_class(cls.aliases[name], depth + 1)
+            cls = self._base_class(cls)
+        return None
 
     def _resolve_lock_expr(self, expr_tokens, line):
         """Resolves the argument of MutexLock(...) / LM_REQUIRES(...) /
@@ -1046,7 +1084,8 @@ class FileParser:
         ns_name = (ns + "::" + name) if ns else name
         for cand in (f"{ns_name}@{self.file}", f"{name}@{self.file}",
                      ns_name, name, "lmerge::" + name):
-            if cand in self.facts.functions:
+            if cand in self.facts.functions or \
+                    cand in self.facts.known_functions:
                 return cand
         return None
 
@@ -1061,10 +1100,10 @@ class FileParser:
                 return hit
             return cls_name + "::" + method
         full = "::".join(chain)
-        if full in self.facts.functions:
-            return full
-        if "lmerge::" + full in self.facts.functions:
-            return "lmerge::" + full
+        for cand in (full, "lmerge::" + full):
+            if cand in self.facts.functions or \
+                    cand in self.facts.known_functions:
+                return cand
         return None
 
 
@@ -1096,6 +1135,7 @@ def extract_tree(root, rel_paths):
     # against classes declared later.
     facts2 = Facts()
     facts2.classes = facts.classes
+    facts2.known_functions = set(facts.functions)
     for cls in facts2.classes.values():
         cls.methods = set(cls.methods)
     for rel in rel_paths:
