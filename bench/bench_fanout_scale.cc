@@ -1,19 +1,22 @@
 // Fan-out scaling: one publisher, N subscribers, measuring what the
 // serialize-once fan-out actually costs as N grows.
 //
-// Every same-protocol subscriber shares one immutable encoded frame per
-// merged batch (net/server.cc FanOutBatchLocked), so the per-batch encode
-// cost — net.fanout.encoded_bytes — must be FLAT in the subscriber count:
-// the 256-subscriber figure equals the 16-subscriber figure.  What scales
-// linearly is only the transport hand-off, net.tx.fanout.bytes ≈
-// N * encoded_bytes.  The CI bench-fanout-smoke job asserts exactly that
-// from the --json output (docs/PERFORMANCE.md "Fan-out scaling").
+// Every subscriber shares one immutable encoded frame per merged batch
+// (net/server.cc FanOutBatchLocked), so the per-batch encode cost —
+// net.fanout.encoded_bytes — must be FLAT in the subscriber count: the
+// 256-subscriber figure equals the 16-subscriber figure, and exactly one
+// frame is encoded per fanned-out batch.  What scales linearly is only the
+// transport hand-off, net.tx.fanout.bytes ≈ N * encoded_bytes.  The CI
+// bench-fanout-smoke job asserts exactly that from the --json output
+// (docs/PERFORMANCE.md "Fan-out scaling").
 //
 // Loopback direct-drive, like bench_net_throughput: no sockets, no
 // scheduler noise — the counters isolate the encode path itself.
 //
 // Reported counters (per iteration):
 //   encoded_bytes    bytes serialized by the fan-out (once per batch)
+//   encoded_frames   frame buffers the fan-out built
+//   fanout_batches   merged batches fanned out to subscribers
 //   tx_fanout_bytes  bytes enqueued across all subscriber connections
 //   subscribers      N
 
@@ -71,7 +74,7 @@ void BM_FanOutScale(benchmark::State& state) {
         tape.begin() + static_cast<ElementSequence::difference_type>(i),
         tape.begin() + static_cast<ElementSequence::difference_type>(
                            std::min(i + kBatch, tape.size())));
-    // v5 sessions expect the trailing origin stamp on batch frames.
+    // Batch frames carry a trailing origin stamp.
     frames.push_back(net::EncodeElementsFrame(batch, obs::MonotonicMicros()));
   }
 
@@ -120,6 +123,8 @@ void BM_FanOutScale(benchmark::State& state) {
       benchmark::Counter(per_iter("net.fanout.encoded_bytes"));
   state.counters["encoded_frames"] =
       benchmark::Counter(per_iter("net.fanout.encoded_frames"));
+  state.counters["fanout_batches"] =
+      benchmark::Counter(per_iter("net.fanout.batches"));
   state.counters["tx_fanout_bytes"] =
       benchmark::Counter(per_iter("net.tx.fanout.bytes"));
 }

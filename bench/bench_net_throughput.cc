@@ -57,20 +57,16 @@ std::vector<std::string> EncodeTapes(
     std::vector<std::string> frames;
     const ElementSequence& tape = replicas[s];
     for (size_t i = 0; i < tape.size(); i += batch_size) {
-      if (batch_size == 1) {
-        frames.push_back(net::EncodeElementFrame(tape[i]));
-      } else {
-        const ElementSequence batch(
-            tape.begin() + static_cast<ElementSequence::difference_type>(i),
-            tape.begin() + static_cast<ElementSequence::difference_type>(
-                               std::min(i + batch_size, tape.size())));
-        // Sessions handshake at v5, whose batch frames carry a trailing
-        // origin stamp.  The tapes are pre-encoded outside the timed loop,
-        // so the stamp is stale by publish time — fine for throughput; the
-        // latency histograms it feeds are not what this bench reports.
-        frames.push_back(
-            net::EncodeElementsFrame(batch, obs::MonotonicMicros()));
-      }
+      const ElementSequence batch(
+          tape.begin() + static_cast<ElementSequence::difference_type>(i),
+          tape.begin() + static_cast<ElementSequence::difference_type>(
+                             std::min(i + batch_size, tape.size())));
+      // Batch frames carry a trailing origin stamp (batch_size 1 sends
+      // batches of one).  The tapes are pre-encoded outside the timed loop,
+      // so the stamp is stale by publish time — fine for throughput; the
+      // latency histograms it feeds are not what this bench reports.
+      frames.push_back(
+          net::EncodeElementsFrame(batch, obs::MonotonicMicros()));
     }
     frames_out->push_back(std::move(frames));
   }

@@ -161,6 +161,10 @@ struct BenchJsonEntry {
   // once per merged batch vs. bytes actually sent across all subscribers.
   int64_t encoded_bytes = 0;
   int64_t tx_fanout_bytes = 0;
+  // Frame buffers encoded vs. batches fanned out: equal when every batch
+  // is encoded exactly once.
+  int64_t encoded_frames = 0;
+  int64_t fanout_batches = 0;
 };
 
 // Console output as usual, plus a copy of every run's metrics for the JSON
@@ -185,6 +189,8 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       entry.encoded_bytes = static_cast<int64_t>(counter("encoded_bytes"));
       entry.tx_fanout_bytes =
           static_cast<int64_t>(counter("tx_fanout_bytes"));
+      entry.encoded_frames = static_cast<int64_t>(counter("encoded_frames"));
+      entry.fanout_batches = static_cast<int64_t>(counter("fanout_batches"));
       entries_.push_back(std::move(entry));
     }
     benchmark::ConsoleReporter::ReportRuns(runs);
@@ -226,6 +232,10 @@ inline bool WriteBenchJson(const std::string& path,
     writer.Int(e.encoded_bytes);
     writer.Key("tx_fanout_bytes");
     writer.Int(e.tx_fanout_bytes);
+    writer.Key("encoded_frames");
+    writer.Int(e.encoded_frames);
+    writer.Key("fanout_batches");
+    writer.Int(e.fanout_batches);
     writer.Key("host_nproc");
     writer.Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
     writer.Key("build_type");

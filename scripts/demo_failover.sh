@@ -2,7 +2,7 @@
 # End-to-end demo of replication and hot failover on localhost:
 #
 #   * lmerge_served (the primary) merges 2 redundant publishers over TCP;
-#   * lmerge_standby attaches from the start as a v4 standby, shadows the
+#   * lmerge_standby attaches from the start as a standby, shadows the
 #     primary's merged output, then jumpstarts mid-stream: it receives a
 #     snapshot-equivalent checkpoint plus a cut certificate and dedups the
 #     already-covered prefix by count;
@@ -25,7 +25,7 @@ PRIMARY_PORT=${2:-7664}
 STANDBY_PORT=${3:-7665}
 TOOLS="$BUILD_DIR/tools"
 WORK=$(mktemp -d /tmp/lmerge_failover.XXXXXX)
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$WORK"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 for tool in lmerge_gen lmerge_served lmerge_standby lmerge_publish \
             lmerge_inspect lmerge_stats; do

@@ -16,7 +16,7 @@
 #     samples, and /metrics.json reports the live publish->fanout
 #     p50/p99;
 #   * the subscriber measures publish->delivery latency externally from
-#     the v5 wire stamps (--latency).
+#     the wire stamps (--latency).
 #
 # Usage: scripts/demo_net.sh [build-dir] [port] [http-port]
 
@@ -27,7 +27,7 @@ PORT=${2:-7654}
 HTTP_PORT=${3:-$((PORT + 1))}
 TOOLS="$BUILD_DIR/tools"
 WORK=$(mktemp -d /tmp/lmerge_demo.XXXXXX)
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$WORK"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 for tool in lmerge_gen lmerge_served lmerge_publish lmerge_subscribe \
             lmerge_inspect lmerge_stats; do
@@ -188,7 +188,7 @@ print(f"   rejoin: {len(polls)} live polls; lag recovered, only the dead "
       f"input remains behind (stable {stable})")
 EOF
 
-echo "== subscriber-side publish->delivery latency (v5 wire stamps) =="
+echo "== subscriber-side publish->delivery latency (wire stamps) =="
 grep "publish->delivery" "$WORK/subscriber.log"
 
 echo "DEMO PASSED: merged stream is valid and logically equivalent (no"

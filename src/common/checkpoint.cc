@@ -6,7 +6,7 @@ namespace lmerge {
 
 namespace {
 
-// Reads and validates the magic + version prefix shared by all formats.
+// Reads and validates the magic + version prefix.
 Status ReadHeader(Decoder* decoder, uint32_t* version) {
   uint32_t magic = 0;
   Status status = decoder->ReadU32(&magic);
@@ -16,16 +16,16 @@ Status ReadHeader(Decoder* decoder, uint32_t* version) {
   }
   status = decoder->ReadU32(version);
   if (!status.ok()) return status;
-  if (*version != kCheckpointVersionV1 && *version != kCheckpointVersion) {
+  if (*version != kCheckpointVersion) {
     return Status::InvalidArgument("unsupported checkpoint version " +
                                    std::to_string(*version));
   }
   return Status::Ok();
 }
 
-// Reads the v2 sections following the header.  Any output may be null when
+// Reads the sections following the header.  Any output may be null when
 // the caller does not need it.
-Status ReadV2Sections(Decoder* decoder, uint8_t* flags_out,
+Status ReadSections(Decoder* decoder, uint8_t* flags_out,
                       std::string* cut_certificate, std::string* pool_section,
                       std::string* body) {
   uint8_t flags = 0;
@@ -55,17 +55,8 @@ Status ReadV2Sections(Decoder* decoder, uint8_t* flags_out,
 
 }  // namespace
 
-std::string SaveCheckpoint(const Checkpointable& target, uint32_t version,
+std::string SaveCheckpoint(const Checkpointable& target,
                            const std::string& cut_certificate) {
-  LM_CHECK(version == kCheckpointVersionV1 || version == kCheckpointVersion);
-  if (version == kCheckpointVersionV1) {
-    LM_CHECK(cut_certificate.empty());
-    Encoder encoder;
-    encoder.WriteU32(kCheckpointMagic);
-    encoder.WriteU32(kCheckpointVersionV1);
-    target.SaveState(&encoder);
-    return encoder.TakeBytes();
-  }
   // Two-phase encode: the body first (interning payloads into the pool as
   // WriteRowRef encounters them), then the assembled blob with the pool
   // section ahead of the body so restore can resolve references in one pass.
@@ -97,19 +88,10 @@ Status LoadCheckpoint(const std::string& bytes, Checkpointable* target,
   Status status = ReadHeader(&decoder, &version);
   if (!status.ok()) return status;
 
-  if (version == kCheckpointVersionV1) {
-    status = target->RestoreState(&decoder);
-    if (!status.ok()) return status;
-    if (!decoder.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes after checkpoint");
-    }
-    return Status::Ok();
-  }
-
   std::string pool_section;
   std::string body;
-  status = ReadV2Sections(&decoder, nullptr, cut_certificate, &pool_section,
-                          &body);
+  status = ReadSections(&decoder, nullptr, cut_certificate, &pool_section,
+                        &body);
   if (!status.ok()) return status;
 
   RowPoolDecoder pool;
@@ -138,15 +120,10 @@ Status InspectCheckpoint(const std::string& bytes, CheckpointInfo* info) {
   Status status = ReadHeader(&decoder, &info->version);
   if (!status.ok()) return status;
 
-  if (info->version == kCheckpointVersionV1) {
-    info->body_bytes = decoder.remaining();
-    return Status::Ok();
-  }
-
   std::string cut;
   std::string pool_section;
   std::string body;
-  status = ReadV2Sections(&decoder, &info->flags, &cut, &pool_section, &body);
+  status = ReadSections(&decoder, &info->flags, &cut, &pool_section, &body);
   if (!status.ok()) return status;
   info->cut_certificate_bytes = cut.size();
   info->cut_certificate = std::move(cut);

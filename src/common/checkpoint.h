@@ -7,17 +7,16 @@
 // carry a magic and version so stale or foreign blobs are rejected rather
 // than misinterpreted.
 //
-// Format v1:  u32 magic, u32 version, SaveState bytes (payload rows inline
-//             per index entry).
-// Format v2:  u32 magic, u32 version, u8 flags,
+// Format (v2): u32 magic, u32 version, u8 flags,
 //             [string cut_certificate]   (iff flags bit 0)
 //             string pool_section        (u32 count, rows in id order)
 //             string body                (SaveState bytes with WriteRowRef
 //                                         emitting u32 pool references)
-// v2 writes each distinct interned rep exactly once: index entries carry
+// Each distinct interned rep is written exactly once: index entries carry
 // 4-byte references into the pool section instead of a full row each — the
 // shared-ledger ratio of BENCH_state_bytes.json, applied to snapshots.
-// Both versions load; SaveCheckpoint can still emit v1 for old consumers.
+// Version 2 is the only one written or loaded; the inline-payload v1
+// format is rejected as unsupported.
 
 #ifndef LMERGE_COMMON_CHECKPOINT_H_
 #define LMERGE_COMMON_CHECKPOINT_H_
@@ -42,21 +41,18 @@ class Checkpointable {
 };
 
 inline constexpr uint32_t kCheckpointMagic = 0x4c4d4347;  // "LMCG"
-inline constexpr uint32_t kCheckpointVersionV1 = 1;
 inline constexpr uint32_t kCheckpointVersion = 2;
 
-// v2 flags byte: bit 0 marks an embedded cut-certificate section (the
+// Flags byte: bit 0 marks an embedded cut-certificate section (the
 // replication subsystem's virtual-cut descriptor, src/replica/).
 inline constexpr uint8_t kCheckpointFlagCutCertificate = 1u << 0;
 
-// Wraps SaveState with a header.  `version` selects the format;
-// `cut_certificate`, when non-empty, is embedded as an opaque section
-// (v2 only — the caller must not pass one with a v1 version).
+// Wraps SaveState with a header.  `cut_certificate`, when non-empty, is
+// embedded as an opaque section.
 std::string SaveCheckpoint(const Checkpointable& target,
-                           uint32_t version = kCheckpointVersion,
                            const std::string& cut_certificate = std::string());
 
-// Verifies the header and restores either format.  When `cut_certificate`
+// Verifies the header and restores the state.  When `cut_certificate`
 // is non-null it receives the embedded section (empty if absent).
 Status LoadCheckpoint(const std::string& bytes, Checkpointable* target,
                       std::string* cut_certificate = nullptr);
@@ -67,10 +63,10 @@ struct CheckpointInfo {
   uint32_t version = 0;
   uint8_t flags = 0;
   size_t total_bytes = 0;
-  size_t cut_certificate_bytes = 0;  // embedded cut cert section (v2)
-  size_t pool_bytes = 0;             // payload pool section (v2; 0 for v1)
+  size_t cut_certificate_bytes = 0;  // embedded cut cert section
+  size_t pool_bytes = 0;             // payload pool section
   size_t body_bytes = 0;             // SaveState body
-  uint32_t pool_entries = 0;         // distinct pooled payload reps (v2)
+  uint32_t pool_entries = 0;         // distinct pooled payload reps
   // The embedded cut-certificate section verbatim (empty when absent), so
   // inspectors can decode it without restoring any operator state.
   std::string cut_certificate;
@@ -81,7 +77,7 @@ Status InspectCheckpoint(const std::string& bytes, CheckpointInfo* info);
 // Partitioned checkpoint container (engine/partitioned.h).
 //
 // A partitioned merge's state is N independent shard algorithms; its
-// checkpoint is N ordinary blobs (one per shard, each in the v1/v2 format
+// checkpoint is N ordinary blobs (one per shard, each in the format
 // above) wrapped in a container:
 //
 //   u32 magic "LMPC", u32 version, u32 shard_count,

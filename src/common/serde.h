@@ -70,7 +70,7 @@ class Encoder {
   // by the row inline when it has no rep identity.  Each distinct rep is
   // then serialized exactly once, in the pool section, no matter how many
   // index entries reference it.  Without a pool it degrades to WriteRow,
-  // so the same SaveState code produces the v1 encoding unchanged.
+  // so the same SaveState code produces the inline encoding unchanged.
   void set_row_pool(RowPoolEncoder* pool) { row_pool_ = pool; }
   void WriteRowRef(const Row& row);
 

@@ -32,7 +32,8 @@ ConcurrentMerger::ConcurrentMerger(MergeAlgorithm* algorithm,
   const int n = algorithm_->stream_count();
   LM_CHECK(static_cast<size_t>(n) <= kMaxStreams);
   for (int s = 0; s < n; ++s) {
-    slots_.push_back(std::make_unique<InputSlot>(options_.ring_capacity));
+    slots_.push_back(std::make_unique<InputSlot>(options_.ring_capacity,
+                                                    options_.max_batch));
   }
   slot_count_.store(n, std::memory_order_release);
   scratch_.reserve(options_.max_batch);
@@ -94,9 +95,9 @@ void ConcurrentMerger::PushStamp(int stream, size_t count,
   entry.begin_count = slot.enqueued_count;
   entry.end_count = slot.enqueued_count + count;
   entry.stamp = stamp;
-  // Full ring: drop the stamp.  Latency samples are best-effort; elements
-  // never are.
-  (void)slot.stamp_ring.TryPush(entry);
+  // Cannot fail: the ring is sized past the entries-in-flight bound
+  // (InputSlot).
+  LM_CHECK(slot.stamp_ring.TryPush(entry));
 }
 
 void ConcurrentMerger::WakeMerge() {
@@ -323,7 +324,8 @@ size_t ConcurrentMerger::ProcessControlOps() {
     if (op.kind == ControlOp::kAddStream) {
       const int id = algorithm_->AddStream();
       LM_CHECK(slots_.size() < kMaxStreams);
-      slots_.push_back(std::make_unique<InputSlot>(options_.ring_capacity));
+      slots_.push_back(std::make_unique<InputSlot>(options_.ring_capacity,
+                                                    options_.max_batch));
       slot_count_.store(static_cast<int>(slots_.size()),
                         std::memory_order_release);
       LM_CHECK(id == static_cast<int>(slots_.size()) - 1);

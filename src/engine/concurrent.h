@@ -97,8 +97,8 @@ class ConcurrentMerger : public Merger {
   // onto a per-stream side ring keyed by element counts, and only then are
   // the elements enqueued — so the merge thread never drains an element
   // whose stamp has not landed, and can attribute drain batches back to
-  // their arrival times without widening StreamElement.  A full stamp ring
-  // drops the stamp (a lost latency sample), never the elements.
+  // their arrival times without widening StreamElement.  The stamp ring is
+  // sized so it cannot fill (see InputSlot), so no stamp is ever dropped.
   Status TryDeliverBatch(int stream, std::span<StreamElement> batch,
                          const obs::IngestStamp& stamp) override;
 
@@ -196,12 +196,16 @@ class ConcurrentMerger : public Merger {
   };
 
   struct InputSlot {
-    explicit InputSlot(size_t capacity)
-        : ring(capacity), stamp_ring(kStampRingCapacity) {}
+    InputSlot(size_t capacity, size_t max_batch)
+        : ring(capacity), stamp_ring(ring.capacity() + max_batch + 1) {}
     SpscRing<StreamElement> ring;
     // Latency side-channel beside the element ring: one entry per stamped
-    // publisher batch.  Much smaller than the element ring — overflow drops
-    // the stamp (a lost sample), never blocks the producer.
+    // batch.  Bound: every entry covers >= 1 element and leaves the ring
+    // only once all its elements count as drained, so the entries in
+    // flight are at most the elements not yet counted — those in the ring,
+    // plus one drain's worth (max_batch) popped but not yet counted — plus
+    // the one batch whose stamp is pushed ahead of its elements.  Sized to
+    // that bound it never fills, and the push is checked.
     SpscRing<BatchStamp> stamp_ring;
     // Cumulative elements ever enqueued (producer-thread-only) / drained
     // (merge-thread-only); their difference in stamp ranges is the matching
@@ -239,9 +243,6 @@ class ConcurrentMerger : public Merger {
   // The slot vector is append-only and pre-reserved to kMaxStreams so
   // producers may index it without locks while AddStream appends.
   static constexpr size_t kMaxStreams = 1024;
-  // Stamp entries per input: one per publisher batch in flight, so far
-  // fewer than ring_capacity elements ever need.
-  static constexpr size_t kStampRingCapacity = 256;
 
   MergeAlgorithm* algorithm_;
   ConcurrentMergerOptions options_;

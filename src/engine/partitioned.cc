@@ -26,7 +26,8 @@ PartitionedMerger::PartitionedMerger(ShardAlgorithmFactory factory,
   shards_.reserve(static_cast<size_t>(num_shards_));
   algorithms_.reserve(static_cast<size_t>(num_shards_));
   for (int i = 0; i < num_shards_; ++i) {
-    auto shard = std::make_unique<Shard>(options_.out_ring_capacity);
+    auto shard = std::make_unique<Shard>(options_.out_ring_capacity,
+                                          options_.max_batch);
     shard->sink.parent_ = this;
     shard->sink.shard_ = i;
     // Restore-style factories rebuild state without emitting, so the sink
@@ -369,14 +370,15 @@ void PartitionedMerger::EnqueueOutput(int shard, const StreamElement& element) {
   // input batch's stamp thread-locally (engine/concurrent.cc); record it
   // into the side ring whenever it changes, keyed by the cumulative output
   // position, so the aggregator can re-derive "which stamp was in force"
-  // for each drained element.  A full side ring drops the change (lost
-  // sample) and retries at the next change.
+  // for each drained element.  The push cannot fail (Shard sizes the side
+  // ring past its bound).
   const obs::IngestStamp& current = obs::CurrentIngestStamp();
   if (!(current == s.out_last_stamp)) {
     OutStamp entry;
     entry.begin_count = s.out_enqueued;
     entry.stamp = current;
-    if (s.out_stamp_ring.TryPush(entry)) s.out_last_stamp = current;
+    LM_CHECK(s.out_stamp_ring.TryPush(entry));
+    s.out_last_stamp = current;
   }
   s.out_enqueued += 1;
   // Commit to the books before the push so out_pending_ never transiently

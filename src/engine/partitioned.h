@@ -199,21 +199,26 @@ class PartitionedMerger : public Merger {
   // Stamp relay entry: "output elements from cumulative position
   // `begin_count` on carry `stamp`, until a later entry supersedes it."
   // Pushed by the shard merge thread only when its thread-local stamp
-  // changes, so the ring stays tiny relative to the element ring.
+  // changes.
   struct OutStamp {
     uint64_t begin_count = 0;
     obs::IngestStamp stamp;
   };
 
   struct Shard {
-    explicit Shard(size_t out_capacity)
-        : out_ring(out_capacity), out_stamp_ring(kOutStampRingCapacity) {}
+    Shard(size_t out_capacity, size_t max_batch)
+        : out_ring(out_capacity),
+          out_stamp_ring(out_ring.capacity() + max_batch + 1) {}
     ShardOutput sink;
     std::unique_ptr<MergeAlgorithm> algorithm;  // fed only by `merger`
     std::unique_ptr<ConcurrentMerger> merger;
     SpscRing<StreamElement> out_ring;  // shard merge thread -> aggregator
     // Latency side-channel beside the output ring (shard merge thread ->
-    // aggregator); overflow drops stamps, never elements.
+    // aggregator).  Bound: every entry is pushed just ahead of its first
+    // element and leaves once that element counts as drained, so entries
+    // in flight are at most the outputs in the ring, plus one drain's worth
+    // (max_batch) popped but not yet counted, plus the element about to be
+    // pushed.  Sized to that bound it never fills, and the push is checked.
     SpscRing<OutStamp> out_stamp_ring;
     // Cumulative outputs enqueued (shard-merge-thread-only) / drained
     // (aggregator-only) — the matching key for OutStamp ranges.
@@ -268,8 +273,6 @@ class PartitionedMerger : public Merger {
   // vector is append-only and pre-reserved so producers index it without
   // locks while AddStream appends).
   static constexpr size_t kMaxStreams = 1024;
-  // Stamp relay entries per shard (see OutStamp).
-  static constexpr size_t kOutStampRingCapacity = 256;
   std::vector<std::unique_ptr<std::atomic<bool>>> active_;
   std::atomic<int> stream_count_{0};
 

@@ -23,6 +23,41 @@ Status ReceiveFrame(Connection* connection, FrameAssembler* assembler,
   }
 }
 
+Status ExchangeHello(Connection* connection, FrameAssembler* assembler,
+                     const HelloMessage& hello, WelcomeMessage* welcome,
+                     std::string* bye_reason) {
+  Status status = connection->Send(EncodeHelloFrame(hello));
+  if (!status.ok()) return status;
+  Frame frame;
+  status = ReceiveFrame(connection, assembler, &frame);
+  if (!status.ok()) return status;
+  if (frame.type == FrameType::kBye) {
+    ByeMessage bye;
+    // Best effort: a BYE that fails to decode just yields an empty
+    // reason; the session outcome is the same either way.
+    (void)DecodeBye(frame.payload, &bye);
+    *bye_reason = bye.reason;
+    return Status::FailedPrecondition(std::string("server rejected ") +
+                                      PeerRoleName(hello.role) +
+                                      " session: " + bye.reason);
+  }
+  if (frame.type != FrameType::kWelcome) {
+    return Status::InvalidArgument(
+        std::string("expected WELCOME, got ") + FrameTypeName(frame.type));
+  }
+  WelcomeMessage parsed;
+  status = DecodeWelcome(frame.payload, &parsed);
+  if (!status.ok()) return status;
+  if (parsed.version != kProtocolVersion) {
+    return Status::InvalidArgument(
+        "protocol version mismatch: server speaks v" +
+        std::to_string(parsed.version) + ", client speaks v" +
+        std::to_string(kProtocolVersion));
+  }
+  if (welcome != nullptr) *welcome = parsed;
+  return Status::Ok();
+}
+
 PublisherClient::PublisherClient(std::unique_ptr<Connection> connection)
     : connection_(std::move(connection)) {
   LM_CHECK(connection_ != nullptr);
@@ -39,40 +74,8 @@ Status PublisherClient::Handshake(const StreamProperties& properties,
   hello.properties = properties;
   hello.join_time = join_time;
   hello.peer_name = name;
-  Status status = connection_->Send(EncodeHelloFrame(hello));
-  if (!status.ok()) return status;
-  Frame frame;
-  status = ReceiveFrame(connection_.get(), &assembler_, &frame);
-  if (!status.ok()) return status;
-  if (frame.type == FrameType::kBye) {
-    ByeMessage bye;
-    // Best effort: a BYE that fails to decode just yields an empty
-    // reason; the session outcome is the same either way.
-    (void)DecodeBye(frame.payload, &bye);
-    server_said_bye_ = true;
-    bye_reason_ = bye.reason;
-    return Status::FailedPrecondition("server rejected session: " +
-                                      bye.reason);
-  }
-  if (frame.type != FrameType::kWelcome) {
-    return Status::InvalidArgument(
-        std::string("expected WELCOME, got ") + FrameTypeName(frame.type));
-  }
-  WelcomeMessage parsed;
-  status = DecodeWelcome(frame.payload, &parsed);
-  if (!status.ok()) return status;
-  // The server answers with min(our version, its version); anything above
-  // what we offered (or below the floor) is a broken negotiation.
-  if (parsed.version < kMinProtocolVersion ||
-      parsed.version > kProtocolVersion) {
-    return Status::InvalidArgument("server protocol version mismatch");
-  }
-  version_ = parsed.version;
-  if (version_ >= kPayloadDictVersion) {
-    dict_ = std::make_unique<PayloadDictEncoder>();
-  }
-  if (welcome != nullptr) *welcome = parsed;
-  return Status::Ok();
+  return ExchangeHello(connection_.get(), &assembler_, hello, welcome,
+                       &bye_reason_);
 }
 
 Status PublisherClient::ProcessFrame(const Frame& frame) {
@@ -129,36 +132,16 @@ bool PublisherClient::ShouldSkip(const StreamElement& element) const {
          (!element.is_adjust() || element.v_old() < feedback_horizon_);
 }
 
-Status PublisherClient::Publish(const StreamElement& element) {
-  if (server_said_bye_) {
-    return Status::FailedPrecondition("server closed session: " +
-                                      bye_reason_);
-  }
-  return connection_->Send(EncodeElementFrame(element));
-}
-
 Status PublisherClient::PublishBatch(const ElementSequence& elements) {
   if (server_said_bye_) {
     return Status::FailedPrecondition("server closed session: " +
                                       bye_reason_);
   }
-  if (version_ >= kLatencyVersion) {
-    // v5: the batch carries its origin stamp (our steady clock at send);
-    // the server folds it into the end-to-end latency histograms and
-    // forwards it to --latency subscribers.
-    const int64_t origin_us = obs::MonotonicMicros();
-    if (dict_ != nullptr) {
-      return connection_->Send(
-          EncodeElementsDictFrame(elements, dict_.get(), origin_us));
-    }
-    return connection_->Send(EncodeElementsFrame(elements, origin_us));
-  }
-  if (dict_ != nullptr) {
-    // v2: one Send carrying PAYLOAD_DEFs for first-seen payloads followed
-    // by the dictionary-coded batch.
-    return connection_->Send(EncodeElementsDictFrame(elements, dict_.get()));
-  }
-  return connection_->Send(EncodeElementsFrame(elements));
+  // The batch carries its origin stamp (our steady clock at send); the
+  // server folds it into the end-to-end latency histograms and forwards it
+  // to --latency subscribers.
+  return connection_->Send(EncodeElementsDictFrame(elements, &dict_,
+                                                   obs::MonotonicMicros()));
 }
 
 Status PublisherClient::Finish(const std::string& reason) {
@@ -192,37 +175,8 @@ Status StatsClient::Handshake(const std::string& name,
   HelloMessage hello;
   hello.role = PeerRole::kMonitor;
   hello.peer_name = name;
-  Status status = connection_->Send(EncodeHelloFrame(hello));
-  if (!status.ok()) return status;
-  Frame frame;
-  status = ReceiveFrame(connection_.get(), &assembler_, &frame);
-  if (!status.ok()) return status;
-  if (frame.type == FrameType::kBye) {
-    // Pre-v3 servers (or ones built without stats) reject the monitor role
-    // with a BYE; surface their reason instead of a generic decode error.
-    ByeMessage bye;
-    // Best effort: a BYE that fails to decode just yields an empty
-    // reason; the session outcome is the same either way.
-    (void)DecodeBye(frame.payload, &bye);
-    bye_reason_ = bye.reason;
-    return Status::FailedPrecondition("server rejected monitor session: " +
-                                      bye.reason);
-  }
-  if (frame.type != FrameType::kWelcome) {
-    return Status::InvalidArgument(
-        std::string("expected WELCOME, got ") + FrameTypeName(frame.type));
-  }
-  WelcomeMessage parsed;
-  status = DecodeWelcome(frame.payload, &parsed);
-  if (!status.ok()) return status;
-  if (parsed.version < kStatsVersion || parsed.version > kProtocolVersion) {
-    return Status::InvalidArgument(
-        "server negotiated v" + std::to_string(parsed.version) +
-        "; STATS needs v" + std::to_string(kStatsVersion));
-  }
-  version_ = parsed.version;
-  if (welcome != nullptr) *welcome = parsed;
-  return Status::Ok();
+  return ExchangeHello(connection_.get(), &assembler_, hello, welcome,
+                       &bye_reason_);
 }
 
 Status StatsClient::PollStats(StatsResponseMessage* stats) {
@@ -269,34 +223,8 @@ Status SubscriberClient::Handshake(const std::string& name,
   HelloMessage hello;
   hello.role = PeerRole::kSubscriber;
   hello.peer_name = name;
-  Status status = connection_->Send(EncodeHelloFrame(hello));
-  if (!status.ok()) return status;
-  Frame frame;
-  status = ReceiveFrame(connection_.get(), &assembler_, &frame);
-  if (!status.ok()) return status;
-  if (frame.type != FrameType::kWelcome) {
-    return Status::InvalidArgument(
-        std::string("expected WELCOME, got ") + FrameTypeName(frame.type));
-  }
-  WelcomeMessage parsed;
-  status = DecodeWelcome(frame.payload, &parsed);
-  if (!status.ok()) return status;
-  if (parsed.version < kMinProtocolVersion ||
-      parsed.version > kProtocolVersion) {
-    return Status::InvalidArgument("server protocol version mismatch");
-  }
-  version_ = parsed.version;
-  if (version_ >= kPayloadDictVersion) {
-    dict_ = std::make_unique<PayloadDictDecoder>();
-  }
-  if (welcome != nullptr) *welcome = parsed;
-  return Status::Ok();
-}
-
-void SubscriberClient::NoteBatchStamp(int64_t origin_us, size_t count) {
-  if (stamp_observer_ && origin_us != 0 && count > 0) {
-    stamp_observer_(origin_us, count);
-  }
+  return ExchangeHello(connection_.get(), &assembler_, hello, welcome,
+                       &bye_reason_);
 }
 
 Status SubscriberClient::Consume(ElementSink* sink) {
@@ -314,55 +242,23 @@ Status SubscriberClient::Consume(ElementSink* sink) {
       return status;
     }
     switch (frame.type) {
-      case FrameType::kElement: {
-        StreamElement element;
-        const Status decode = DecodeElementPayload(frame.payload, &element);
-        if (!decode.ok()) return decode;
-        ++elements_received_;
-        sink->OnElement(element);
-        break;
-      }
-      case FrameType::kElements: {
-        ElementSequence elements;
-        int64_t origin_us = 0;
-        const Status decode =
-            version_ >= kLatencyVersion
-                ? DecodeElementsPayload(frame.payload, &elements, &origin_us)
-                : DecodeElementsPayload(frame.payload, &elements);
-        if (!decode.ok()) return decode;
-        NoteBatchStamp(origin_us, elements.size());
-        for (const StreamElement& element : elements) {
-          ++elements_received_;
-          sink->OnElement(element);
-        }
-        break;
-      }
       case FrameType::kPayloadDef: {
-        if (dict_ == nullptr) {
-          return Status::FailedPrecondition(
-              "PAYLOAD_DEF on a v1-negotiated session");
-        }
         PayloadDefMessage def;
         const Status decode = DecodePayloadDefPayload(frame.payload, &def);
         if (!decode.ok()) return decode;
-        const Status defined = dict_->Define(def.id, std::move(def.payload));
+        const Status defined = dict_.Define(def.id, std::move(def.payload));
         if (!defined.ok()) return defined;
         break;
       }
       case FrameType::kElementsDict: {
-        if (dict_ == nullptr) {
-          return Status::FailedPrecondition(
-              "ELEMENTS_DICT on a v1-negotiated session");
-        }
         ElementSequence elements;
         int64_t origin_us = 0;
-        const Status decode =
-            version_ >= kLatencyVersion
-                ? DecodeElementsDictPayload(frame.payload, *dict_, &elements,
-                                            &origin_us)
-                : DecodeElementsDictPayload(frame.payload, *dict_, &elements);
+        const Status decode = DecodeElementsDictPayload(frame.payload, dict_,
+                                                        &elements, &origin_us);
         if (!decode.ok()) return decode;
-        NoteBatchStamp(origin_us, elements.size());
+        if (stamp_observer_ && origin_us != 0 && !elements.empty()) {
+          stamp_observer_(origin_us, elements.size());
+        }
         for (const StreamElement& element : elements) {
           ++elements_received_;
           sink->OnElement(element);

@@ -22,10 +22,18 @@ namespace lmerge::net {
 Status ReceiveFrame(Connection* connection, FrameAssembler* assembler,
                     Frame* frame);
 
+// Sends `hello` and blocks for the server's answer, which must be a WELCOME
+// at exactly kProtocolVersion (decoded into `*welcome` unless null).  A BYE
+// fails with FailedPrecondition carrying the server's reason, also stored
+// in `*bye_reason`.  The handshake of every client below and the standby.
+Status ExchangeHello(Connection* connection, FrameAssembler* assembler,
+                     const HelloMessage& hello, WelcomeMessage* welcome,
+                     std::string* bye_reason);
+
 // One redundant input replica (Sec. II-2).  Usage:
 //   PublisherClient pub(std::move(connection));
 //   pub.Handshake(properties, join_time, "replica-a", &welcome);
-//   for (...) pub.Publish(element);     // or PublishBatch
+//   for (...) pub.PublishBatch(elements);
 //   pub.Finish("done");
 //
 // Between publishes, Poll() drains server frames without blocking; FEEDBACK
@@ -42,7 +50,8 @@ class PublisherClient {
                    const std::string& name,
                    WelcomeMessage* welcome = nullptr);
 
-  Status Publish(const StreamElement& element);
+  // Sends `elements` (any size, one included) as one stamped dictionary
+  // batch: PAYLOAD_DEFs for first-seen payloads, then ELEMENTS_DICT.
   Status PublishBatch(const ElementSequence& elements);
 
   // Drains pending server->client traffic without blocking.
@@ -59,8 +68,6 @@ class PublisherClient {
   Timestamp feedback_horizon() const { return feedback_horizon_; }
   bool server_said_bye() const { return server_said_bye_; }
   const std::string& bye_reason() const { return bye_reason_; }
-  // Version agreed in the WELCOME; kMinProtocolVersion before Handshake.
-  uint32_t negotiated_version() const { return version_; }
   Connection* connection() { return connection_.get(); }
 
  private:
@@ -72,13 +79,11 @@ class PublisherClient {
   Timestamp feedback_horizon_ = kMinTimestamp;
   bool server_said_bye_ = false;
   std::string bye_reason_;
-  uint32_t version_ = kMinProtocolVersion;
-  // Outbound payload dictionary; non-null once a v2 session is negotiated.
-  // PublishBatch then ships repeated payloads as 4-byte ids.
-  std::unique_ptr<PayloadDictEncoder> dict_;
+  // Outbound payload dictionary: repeated payloads cross as small ids.
+  PayloadDictEncoder dict_;
 };
 
-// v3 monitor session: polls the server's live stats (per-input merge
+// Monitor session: polls the server's live stats (per-input merge
 // counters + metrics-registry snapshot) without joining the element flow.
 // What lmerge_stats is built on.  Usage:
 //   StatsClient mon(std::move(connection));
@@ -90,8 +95,7 @@ class StatsClient {
   explicit StatsClient(std::unique_ptr<Connection> connection);
   ~StatsClient();
 
-  // Sends HELLO with the monitor role; fails (with the server's BYE reason)
-  // against pre-v3 servers, which cannot answer STATS_REQUEST.
+  // Sends HELLO with the monitor role and blocks for the WELCOME.
   Status Handshake(const std::string& name,
                    WelcomeMessage* welcome = nullptr);
 
@@ -101,14 +105,12 @@ class StatsClient {
   Status Finish(const std::string& reason = "done");
 
   const std::string& bye_reason() const { return bye_reason_; }
-  uint32_t negotiated_version() const { return version_; }
   Connection* connection() { return connection_.get(); }
 
  private:
   std::unique_ptr<Connection> connection_;
   FrameAssembler assembler_;
   std::string bye_reason_;
-  uint32_t version_ = kMinProtocolVersion;
 };
 
 // Receives the merged output stream.
@@ -120,9 +122,9 @@ class SubscriberClient {
   Status Handshake(const std::string& name,
                    WelcomeMessage* welcome = nullptr);
 
-  // Called once per stamped batch (v5 sessions; origin_us != 0), before the
-  // batch's elements reach the sink.  `origin_us` is the publisher's steady
-  // clock at send: on the same host, now - origin_us is the end-to-end
+  // Called once per stamped batch (origin_us != 0), before the batch's
+  // elements reach the sink.  `origin_us` is the publisher's steady clock
+  // at send: on the same host, now - origin_us is the end-to-end
   // publish->delivery latency (what lmerge_subscribe --latency reports).
   void set_stamp_observer(
       std::function<void(int64_t origin_us, size_t count)> observer) {
@@ -135,19 +137,15 @@ class SubscriberClient {
 
   int64_t elements_received() const { return elements_received_; }
   const std::string& bye_reason() const { return bye_reason_; }
-  uint32_t negotiated_version() const { return version_; }
   Connection* connection() { return connection_.get(); }
 
  private:
-  void NoteBatchStamp(int64_t origin_us, size_t count);
-
   std::unique_ptr<Connection> connection_;
   FrameAssembler assembler_;
   int64_t elements_received_ = 0;
   std::string bye_reason_;
-  uint32_t version_ = kMinProtocolVersion;
-  // Inbound payload dictionary for v2 sessions, fed by PAYLOAD_DEF frames.
-  std::unique_ptr<PayloadDictDecoder> dict_;
+  // Inbound payload dictionary, fed by PAYLOAD_DEF frames.
+  PayloadDictDecoder dict_;
   std::function<void(int64_t, size_t)> stamp_observer_;
 };
 

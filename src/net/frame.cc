@@ -10,8 +10,6 @@ const char* FrameTypeName(FrameType type) {
       return "HELLO";
     case FrameType::kWelcome:
       return "WELCOME";
-    case FrameType::kElement:
-      return "ELEMENT";
     case FrameType::kElements:
       return "ELEMENTS";
     case FrameType::kFeedback:
@@ -37,8 +35,11 @@ const char* FrameTypeName(FrameType type) {
 }
 
 bool IsKnownFrameType(uint8_t tag) {
+  // Tag 3 (the retired single-ELEMENT frame) sits inside the range.
+  constexpr uint8_t kRetiredElementTag = 3;
   return tag >= static_cast<uint8_t>(FrameType::kHello) &&
-         tag <= static_cast<uint8_t>(FrameType::kCutCert);
+         tag <= static_cast<uint8_t>(FrameType::kCutCert) &&
+         tag != kRetiredElementTag;
 }
 
 void AppendFrame(FrameType type, const std::string& payload,

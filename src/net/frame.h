@@ -8,8 +8,8 @@
 // on the frame type (net/protocol.h).  Framing is the only part of the
 // protocol that touches raw transport bytes: a FrameAssembler is fed
 // arbitrary chunks as they arrive from a Connection and yields complete
-// frames.  Every malformed input — oversized length prefix, unknown type,
-// truncation — surfaces as a Status error, never a crash (the same contract
+// frames.  Every malformed input — oversized length prefix, unknown or
+// retired type, truncation — surfaces as a Status error, never a crash (the same contract
 // as the serde decoders, tests/net/frame_test.cc).
 
 #ifndef LMERGE_NET_FRAME_H_
@@ -25,22 +25,23 @@ namespace lmerge::net {
 enum class FrameType : uint8_t {
   kHello = 1,     // client -> server: role, stream properties, join time
   kWelcome = 2,   // server -> client: assigned stream id, algorithm, stable
-  kElement = 3,   // one stream element (publisher -> server -> subscribers)
-  kElements = 4,  // a batched element sequence (same direction as kElement)
+  // Tag 3 was the single-ELEMENT frame: retired, rejected by the
+  // assembler, never reused.
+  kElements = 4,  // publisher -> server: a batch with inline payloads
   kFeedback = 5,  // server -> publisher: stable-point horizon (Sec. V-D)
   kBye = 6,       // either direction: orderly close with a reason
-  // Protocol v2 payload dictionary (docs/SERVICE.md): a session-scoped,
+  // The payload dictionary (docs/SERVICE.md): a session-scoped,
   // per-direction mapping id -> payload, so repeated payloads cross the
-  // wire as 4-byte ids instead of full rows.
+  // wire as small varint ids instead of full rows.
   kPayloadDef = 7,     // defines one (id, payload) dictionary entry
   kElementsDict = 8,   // batched sequence with dictionary-coded payloads
-  // Protocol v3 live stats (docs/OBSERVABILITY.md): a monitor or any
-  // connected peer polls the server's metrics registry over the session.
+  // Live stats (docs/OBSERVABILITY.md): a monitor or any connected peer
+  // polls the server's metrics registry over the session.
   kStatsRequest = 9,   // client -> server: ask for a stats snapshot
   kStatsResponse = 10, // server -> client: server state + metrics snapshot
-  // Protocol v4 replication (docs/REPLICATION.md): a standby subscribes,
-  // streams the primary's checkpoint under live traffic, and replays its
-  // feed from the certified cut.
+  // Replication (docs/REPLICATION.md): a standby subscribes, streams the
+  // primary's checkpoint under live traffic, and replays its feed from the
+  // certified cut.
   kCheckpointRequest = 11,  // standby -> server: ask for checkpoint + cut
   kCheckpointChunk = 12,    // server -> standby: one checkpoint blob chunk
   kCutCert = 13,            // server -> standby: cut certificate + framing

@@ -7,7 +7,7 @@ namespace lmerge::net {
 
 namespace {
 
-// Bit positions of PropertiesToBits; kept stable across protocol versions.
+// Bit positions of PropertiesToBits; part of the frozen HELLO layout.
 constexpr uint8_t kBitInsertOnly = 1u << 0;
 constexpr uint8_t kBitOrdered = 1u << 1;
 constexpr uint8_t kBitStrictlyIncreasing = 1u << 2;
@@ -111,40 +111,12 @@ Status DecodeWelcome(const std::string& payload, WelcomeMessage* welcome) {
   return FinishDecode(decoder);
 }
 
-std::string EncodeElementFrame(const StreamElement& element) {
-  Encoder encoder;
-  EncodeElement(element, &encoder);
-  return EncodeFrame(FrameType::kElement, encoder.TakeBytes());
-}
-
-Status DecodeElementPayload(const std::string& payload,
-                            StreamElement* element) {
-  Decoder decoder(payload);
-  const Status status = DecodeElement(&decoder, element);
-  if (!status.ok()) return status;
-  return FinishDecode(decoder);
-}
-
-std::string EncodeElementsFrame(const ElementSequence& elements) {
-  Encoder encoder;
-  EncodeSequence(elements, &encoder);
-  return EncodeFrame(FrameType::kElements, encoder.TakeBytes());
-}
-
 std::string EncodeElementsFrame(const ElementSequence& elements,
                                 int64_t origin_us) {
   Encoder encoder;
   EncodeSequence(elements, &encoder);
   encoder.WriteI64(origin_us);
   return EncodeFrame(FrameType::kElements, encoder.TakeBytes());
-}
-
-Status DecodeElementsPayload(const std::string& payload,
-                             ElementSequence* elements) {
-  Decoder decoder(payload);
-  const Status status = DecodeSequence(&decoder, elements);
-  if (!status.ok()) return status;
-  return FinishDecode(decoder);
 }
 
 Status DecodeElementsPayload(const std::string& payload,
@@ -203,39 +175,26 @@ DictBatchParts EncodeDictBatchParts(const ElementSequence& elements,
   return parts;
 }
 
-std::string EncodeElementsDictFrame(const ElementSequence& elements,
-                                    PayloadDictEncoder* dict) {
-  DictBatchParts parts = EncodeDictBatchParts(elements, dict);
-  std::string out = std::move(parts.defs);
-  AppendFrame(FrameType::kElementsDict, parts.body, &out);
+std::string AssembleElementsDictFrame(const DictBatchParts& parts,
+                                      int64_t origin_us) {
+  Encoder stamp;
+  stamp.WriteI64(origin_us);
+  std::string out = parts.defs;
+  AppendFrame(FrameType::kElementsDict, parts.body + stamp.bytes(), &out);
   return out;
 }
 
 std::string EncodeElementsDictFrame(const ElementSequence& elements,
                                     PayloadDictEncoder* dict,
                                     int64_t origin_us) {
-  DictBatchParts parts = EncodeDictBatchParts(elements, dict);
-  Encoder stamp;
-  stamp.WriteI64(origin_us);
-  parts.body += stamp.TakeBytes();
-  std::string out = std::move(parts.defs);
-  AppendFrame(FrameType::kElementsDict, parts.body, &out);
-  return out;
+  return AssembleElementsDictFrame(EncodeDictBatchParts(elements, dict),
+                                   origin_us);
 }
 
 Status DecodePayloadDefPayload(const std::string& payload,
                                PayloadDefMessage* def) {
   Decoder decoder(payload);
   const Status status = DecodePayloadDef(&decoder, &def->id, &def->payload);
-  if (!status.ok()) return status;
-  return FinishDecode(decoder);
-}
-
-Status DecodeElementsDictPayload(const std::string& payload,
-                                 const PayloadDictDecoder& dict,
-                                 ElementSequence* elements) {
-  Decoder decoder(payload);
-  const Status status = DecodeSequenceDict(&decoder, dict, elements);
   if (!status.ok()) return status;
   return FinishDecode(decoder);
 }
@@ -262,8 +221,7 @@ Status DecodeStatsRequest(const std::string& payload) {
   return Status::Ok();
 }
 
-std::string EncodeStatsResponseFrame(const StatsResponseMessage& stats,
-                                     uint32_t version) {
+std::string EncodeStatsResponseFrame(const StatsResponseMessage& stats) {
   Encoder encoder;
   encoder.WriteU8(stats.algorithm_case);
   encoder.WriteI64(stats.output_stable);
@@ -285,10 +243,8 @@ std::string EncodeStatsResponseFrame(const StatsResponseMessage& stats,
     encoder.WriteI64(row.stable_point);
   }
   obs::EncodeMetricsSnapshot(stats.metrics, &encoder);
-  if (version >= kLatencyVersion) {
-    encoder.WriteI64(stats.metrics.captured_wall_ms);
-    encoder.WriteI64(stats.metrics.captured_mono_us);
-  }
+  encoder.WriteI64(stats.metrics.captured_wall_ms);
+  encoder.WriteI64(stats.metrics.captured_mono_us);
   return EncodeFrame(FrameType::kStatsResponse, encoder.TakeBytes());
 }
 
@@ -337,15 +293,11 @@ Status DecodeStatsResponse(const std::string& payload,
            .ok()) {
     return status;
   }
-  // v5 sessions append the snapshot capture timestamps; a v3/v4 response
-  // ends here.  Anything else is trailing garbage either way.
-  if (!decoder.AtEnd()) {
-    if (!(status = decoder.ReadI64(&stats->metrics.captured_wall_ms)).ok()) {
-      return status;
-    }
-    if (!(status = decoder.ReadI64(&stats->metrics.captured_mono_us)).ok()) {
-      return status;
-    }
+  if (!(status = decoder.ReadI64(&stats->metrics.captured_wall_ms)).ok()) {
+    return status;
+  }
+  if (!(status = decoder.ReadI64(&stats->metrics.captured_mono_us)).ok()) {
+    return status;
   }
   return FinishDecode(decoder);
 }

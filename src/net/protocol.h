@@ -9,31 +9,30 @@
 //   WELCOME   u32 version, i32 stream_id (-1 for subscribers),
 //             u8 algorithm_case (kUnknownAlgorithmCase before selection),
 //             i64 output_stable
-//   ELEMENT   one EncodeElement payload (stream/element_serde.h)
-//   ELEMENTS  one EncodeSequence payload
+//   ELEMENTS  one EncodeSequence payload, then i64 origin_us
+//             (publisher -> server only; the dictionary-free batch)
 //   FEEDBACK  i64 horizon
 //   BYE       string reason
-//   PAYLOAD_DEF    varint id, compact row  (v2; defines one dictionary
-//                  entry; stream/element_serde.h)
+//   PAYLOAD_DEF    varint id, compact row  (defines one dictionary entry;
+//                  stream/element_serde.h)
 //   ELEMENTS_DICT  one EncodeSequenceDict payload: varint count, then
-//                  varint/delta-coded elements (v2; stream/element_serde.h)
-//   STATS_REQUEST  (empty)              (v3; poll the server's stats)
-//   STATS_RESPONSE server summary + per-input table + metrics snapshot (v3)
-//   CHECKPOINT_REQUEST  (empty)         (v4; standby asks for a snapshot)
-//   CHECKPOINT_CHUNK    u32 index, string bytes (v4; one blob chunk)
+//                  varint/delta-coded elements (stream/element_serde.h),
+//                  then i64 origin_us
+//   STATS_REQUEST  (empty)              (poll the server's stats)
+//   STATS_RESPONSE server summary + per-input table + metrics snapshot,
+//                  then i64 captured_wall_ms, i64 captured_mono_us
+//   CHECKPOINT_REQUEST  (empty)         (standby asks for a snapshot)
+//   CHECKPOINT_CHUNK    u32 index, string bytes (one blob chunk)
 //   CUT_CERT       u8 has_state, u64 checkpoint_bytes, u32 chunk_count,
-//                  cut certificate (src/replica/cut_certificate.h)   (v4)
+//                  cut certificate (src/replica/cut_certificate.h)
 //
-// Version negotiation: HELLO carries the client's highest supported
-// version; WELCOME answers with min(client, server).  The negotiated
-// version governs the session: dictionary frames (PAYLOAD_DEF /
-// ELEMENTS_DICT) may only be sent on v2 sessions; STATS frames and the
-// monitor role require v3; CHECKPOINT_* / CUT_CERT frames and the standby
-// role require v4.  v1 peers keep the inline ELEMENTS encoding and v2
-// peers never see a STATS frame.  The version ladder only spans binaries
-// built from this source: the dictionary frames' varint layout replaced an
-// earlier fixed-width one without a version bump, so dictionary sessions
-// do not interoperate with binaries built before that change.
+// One protocol version, matched exactly: the server answers a HELLO of any
+// other version with a BYE naming both versions, and every client rejects
+// a WELCOME of another version.  The HELLO and WELCOME layouts are frozen,
+// so any build can read that rejection; peers interoperate only when built
+// at the same kProtocolVersion.  Subscribers and standbys receive the
+// merged output only as PAYLOAD_DEF + ELEMENTS_DICT.  Frame tag 3 (the
+// retired single-ELEMENT frame) is never reused.
 //
 // Every Decode* consumes exactly one message and rejects trailing bytes, so
 // a frame is either a whole valid message or a Status error.
@@ -57,31 +56,14 @@
 
 namespace lmerge::net {
 
-// v2 added the session payload dictionary (PAYLOAD_DEF / ELEMENTS_DICT);
-// v3 added STATS_REQUEST / STATS_RESPONSE and the monitor role;
-// v4 added CHECKPOINT_REQUEST / CHECKPOINT_CHUNK / CUT_CERT and the standby
-// role (docs/REPLICATION.md);
-// v5 added the per-batch origin timestamp: on a v5 session every ELEMENTS /
-// ELEMENTS_DICT payload ends with `i64 origin_us` (the sender's steady
-// clock in microseconds at serialization; 0 = unknown), and STATS_RESPONSE
-// ends with the snapshot capture timestamps (`i64 captured_wall_ms`,
-// `i64 captured_mono_us`).  Single-ELEMENT frames stay unstamped at every
-// version.  v4-and-older peers negotiate down and the stamp never appears
-// on their sessions (docs/OBSERVABILITY.md "Latency pipeline").
-inline constexpr uint32_t kProtocolVersion = 5;
-// Oldest version this build still speaks (inline-only encoding).
-inline constexpr uint32_t kMinProtocolVersion = 1;
-// First version allowed to carry dictionary frames.
-inline constexpr uint32_t kPayloadDictVersion = 2;
-// First version allowed to carry STATS frames (and the monitor role).
-inline constexpr uint32_t kStatsVersion = 3;
-// First version allowed to carry CHECKPOINT_* / CUT_CERT frames (and the
-// standby role).
-inline constexpr uint32_t kReplicationVersion = 4;
-// First version whose batch frames carry the origin timestamp.
-inline constexpr uint32_t kLatencyVersion = 5;
+// The one wire version.  Every ELEMENTS / ELEMENTS_DICT payload ends with
+// `i64 origin_us` (the sender's steady clock in microseconds at
+// serialization; 0 = unknown, docs/OBSERVABILITY.md "Latency pipeline").
+// 6 retired the version ladder and the single-ELEMENT frame; a build of an
+// older version fails at HELLO instead of mid-stream.
+inline constexpr uint32_t kProtocolVersion = 6;
 
-// Checkpoint blobs are streamed in chunks of this size so live ELEMENT
+// Checkpoint blobs are streamed in chunks of this size so live element
 // fan-out interleaves with the transfer instead of stalling behind one
 // multi-megabyte frame.
 inline constexpr size_t kCheckpointChunkBytes = 256 * 1024;
@@ -93,11 +75,11 @@ inline constexpr uint8_t kUnknownAlgorithmCase = 0xff;
 enum class PeerRole : uint8_t {
   kPublisher = 0,   // one redundant input replica (Sec. II-2)
   kSubscriber = 1,  // receives the merged output stream
-  // v3: observes stats only — no elements flow in either direction, so a
+  // Observes stats only — no elements flow in either direction, so a
   // dashboard never competes with subscribers for fan-out bandwidth.
   kMonitor = 2,
-  // v4: a subscriber that may additionally request the server's checkpoint
-  // and cut certificate to jumpstart a hot replica (docs/REPLICATION.md).
+  // A subscriber that may additionally request the server's checkpoint and
+  // cut certificate to jumpstart a hot replica (docs/REPLICATION.md).
   kStandby = 3,
 };
 
@@ -191,68 +173,50 @@ struct StatsResponseMessage {
 // Encoders produce a complete frame (header + payload), ready to Send.
 std::string EncodeHelloFrame(const HelloMessage& hello);
 std::string EncodeWelcomeFrame(const WelcomeMessage& welcome);
-std::string EncodeElementFrame(const StreamElement& element);
-std::string EncodeElementsFrame(const ElementSequence& elements);
-// v5 form: the payload ends with the i64 origin stamp.
+// The dictionary-free publisher -> server batch.
 std::string EncodeElementsFrame(const ElementSequence& elements,
                                 int64_t origin_us);
 std::string EncodeFeedbackFrame(const FeedbackMessage& feedback);
 std::string EncodeByeFrame(const ByeMessage& bye);
 std::string EncodePayloadDefFrame(const PayloadDefMessage& def);
 std::string EncodeStatsRequestFrame();
-// `version` is the session's negotiated protocol version: at
-// kLatencyVersion and above the frame carries the metrics snapshot's
-// capture timestamps after the snapshot; older sessions get the v3 layout
-// byte-for-byte.
-std::string EncodeStatsResponseFrame(const StatsResponseMessage& stats,
-                                     uint32_t version = kProtocolVersion);
+std::string EncodeStatsResponseFrame(const StatsResponseMessage& stats);
 std::string EncodeCheckpointRequestFrame();
 std::string EncodeCheckpointChunkFrame(const CheckpointChunkMessage& chunk);
 std::string EncodeCutCertFrame(const CutCertMessage& cut);
 
 // Dictionary-encodes `elements` against `dict`, emitting any PAYLOAD_DEF
-// frames for newly seen payloads followed by one ELEMENTS_DICT frame —
-// all concatenated into one buffer so a single Send keeps definitions
-// ordered before the first reference.  v2 sessions only.
-std::string EncodeElementsDictFrame(const ElementSequence& elements,
-                                    PayloadDictEncoder* dict);
-// v5 form: the ELEMENTS_DICT payload ends with the i64 origin stamp.
+// frames for newly seen payloads followed by one stamped ELEMENTS_DICT
+// frame — all concatenated into one buffer so a single Send keeps
+// definitions ordered before the first reference.
 std::string EncodeElementsDictFrame(const ElementSequence& elements,
                                     PayloadDictEncoder* dict,
                                     int64_t origin_us);
 
-// The shared pieces of one dictionary-coded batch, for senders that must
-// assemble several protocol classes of the same batch (the serialize-once
-// fan-out): exactly one intern pass against `dict` produces the PAYLOAD_DEF
-// frames and the ELEMENTS_DICT payload bytes; v2..v4 and v5 frames are then
-// built from the same parts without re-interning (a second pass would see
+// The pieces of one dictionary-coded batch, for senders that assemble the
+// frame themselves: exactly one intern pass against `dict` produces the
+// PAYLOAD_DEF frames and the ELEMENTS_DICT body (a second pass would see
 // every payload as already defined and emit no PAYLOAD_DEFs).
 struct DictBatchParts {
   std::string defs;  // zero or more complete PAYLOAD_DEF frames
-  std::string body;  // ELEMENTS_DICT payload bytes, unstamped, no header
+  std::string body;  // ELEMENTS_DICT payload bytes before the stamp
 };
 DictBatchParts EncodeDictBatchParts(const ElementSequence& elements,
                                     PayloadDictEncoder* dict);
+// `parts.defs` followed by the stamped ELEMENTS_DICT frame built from
+// `parts.body`.
+std::string AssembleElementsDictFrame(const DictBatchParts& parts,
+                                      int64_t origin_us);
 
 // Decoders parse a frame *payload* (as yielded by FrameAssembler).
 Status DecodeHello(const std::string& payload, HelloMessage* hello);
 Status DecodeWelcome(const std::string& payload, WelcomeMessage* welcome);
-Status DecodeElementPayload(const std::string& payload,
-                            StreamElement* element);
-Status DecodeElementsPayload(const std::string& payload,
-                             ElementSequence* elements);
-// v5 form: the trailing i64 origin stamp is mandatory on the wire (the
-// session version, not sniffing, decides which decoder runs).
 Status DecodeElementsPayload(const std::string& payload,
                              ElementSequence* elements, int64_t* origin_us);
 Status DecodeFeedback(const std::string& payload, FeedbackMessage* feedback);
 Status DecodeBye(const std::string& payload, ByeMessage* bye);
 Status DecodePayloadDefPayload(const std::string& payload,
                                PayloadDefMessage* def);
-Status DecodeElementsDictPayload(const std::string& payload,
-                                 const PayloadDictDecoder& dict,
-                                 ElementSequence* elements);
-// v5 form: the trailing i64 origin stamp is mandatory on the wire.
 Status DecodeElementsDictPayload(const std::string& payload,
                                  const PayloadDictDecoder& dict,
                                  ElementSequence* elements,

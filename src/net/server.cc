@@ -65,7 +65,7 @@ void MergeServer::FanOutSink::OnElement(const StreamElement& element) {
     first_append_us_ = obs::MonotonicMicros();
   }
   // Fold the producing thread's current batch stamp; always, so the origin
-  // keeps flowing to v5 subscribers even with metrics off.
+  // keeps flowing to subscribers even with metrics off.
   batch_stamp_.FoldOldest(obs::CurrentIngestStamp());
   batch_.push_back(element);
   if (batch_.size() >= server_->options_.max_batch) Flush();
@@ -114,54 +114,16 @@ void MergeServer::FanOutBatchLocked(const ElementSequence& batch,
   }
   if (subscribers_.empty()) return;
   fanout_batches_metric_->Increment();
-  // Serialize once per protocol class, share by refcount: every v1
-  // subscriber pins the same inline buffer, every v2..v4 subscriber the
-  // same dictionary buffer, every v5+ subscriber the same stamped
-  // dictionary buffer.  The two dictionary classes share ONE intern pass
-  // (EncodeDictBatchPartsLocked) — only the final frame assembly differs —
-  // so encode cost stays flat in subscriber count and the v5 stamp costs
-  // eight bytes, not a second encoding.
-  std::shared_ptr<const std::string> inline_frame;
-  std::shared_ptr<const std::string> dict_frame;
-  std::shared_ptr<const std::string> dict_frame_v5;
-  bool parts_built = false;
-  DictBatchParts parts;
+  // Serialize once, share by refcount: every subscriber pins the same
+  // buffer (the batch's new PAYLOAD_DEFs + one stamped ELEMENTS_DICT), so
+  // encode cost stays flat in subscriber count.
+  const auto frame = std::make_shared<const std::string>(
+      AssembleElementsDictFrame(EncodeDictBatchPartsLocked(batch), origin_us));
+  const size_t frame_bytes = frame->size();
+  fanout_encoded_frames_metric_->Increment();
+  fanout_encoded_bytes_metric_->Add(static_cast<int64_t>(frame_bytes));
   for (auto it = subscribers_.begin(); it != subscribers_.end();) {
-    std::shared_ptr<const std::string> frame;
-    if (it->version >= kPayloadDictVersion) {
-      if (!parts_built) {
-        parts = EncodeDictBatchPartsLocked(batch);
-        parts_built = true;
-      }
-      std::shared_ptr<const std::string>& slot =
-          it->version >= kLatencyVersion ? dict_frame_v5 : dict_frame;
-      if (slot == nullptr) {
-        std::string body = parts.body;
-        if (it->version >= kLatencyVersion) {
-          Encoder stamp;
-          stamp.WriteI64(origin_us);
-          body += stamp.TakeBytes();
-        }
-        auto built = std::make_shared<std::string>(parts.defs);
-        AppendFrame(FrameType::kElementsDict, body, built.get());
-        slot = std::move(built);
-        fanout_encoded_frames_metric_->Increment();
-        fanout_encoded_bytes_metric_->Add(static_cast<int64_t>(slot->size()));
-      }
-      frame = slot;
-    } else {
-      if (inline_frame == nullptr) {
-        inline_frame = std::make_shared<const std::string>(
-            batch.size() == 1 ? EncodeElementFrame(batch[0])
-                              : EncodeElementsFrame(batch));
-        fanout_encoded_frames_metric_->Increment();
-        fanout_encoded_bytes_metric_->Add(
-            static_cast<int64_t>(inline_frame->size()));
-      }
-      frame = inline_frame;
-    }
-    const size_t frame_bytes = frame->size();
-    const Status sent = it->connection->SendShared(std::move(frame));
+    const Status sent = it->connection->SendShared(frame);
     if (sent.ok()) {
       tx_fanout_frames_metric_->Increment();
       tx_fanout_bytes_metric_->Add(static_cast<int64_t>(frame_bytes));
@@ -188,7 +150,7 @@ DictBatchParts MergeServer::EncodeDictBatchPartsLocked(
   // The tape records every def ever broadcast, in order: replaying it
   // into a fresh decoder of the same capacity reproduces the broadcast
   // dictionary state exactly (including evictions), which is what makes
-  // a late v2+ joiner decodable against the shared id space.
+  // a late joiner decodable against the shared id space.
   defs_tape_ += parts.defs;
   return parts;
 }
@@ -228,8 +190,7 @@ Status MergeServer::OnBytes(int session_id, const char* data, size_t size) {
     rx_bytes_metric_->Add(static_cast<int64_t>(size));
     // Stamp receive time once per socket read (one steady-clock call),
     // before frame reassembly: every batch decoded from these bytes is
-    // charged this rx instant.  Unconditional — v4 peers still get
-    // rx-relative latencies.
+    // charged this rx instant.
     session.last_rx_us = obs::MonotonicMicros();
     const Status status =
         HandleFramesLocked(session, session.assembler.Feed(data, size));
@@ -251,8 +212,8 @@ Status MergeServer::OnBytes(int session_id, const char* data, size_t size) {
     Session& session = it->second;
     session.stats_requested = false;
     const Status status = HandleFramesLocked(
-        session, session.connection->Send(EncodeStatsResponseFrame(
-                     BuildStatsResponseLocked(), session.version)));
+        session, session.connection->Send(
+                     EncodeStatsResponseFrame(BuildStatsResponseLocked())));
     if (!status.ok() || !session.stats_requested) return status;
   }
 }
@@ -287,16 +248,6 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
       if (!status.ok()) return status;
       return HandleHelloLocked(session, hello);
     }
-    case FrameType::kElement: {
-      if (session.state != SessionState::kPublisher) {
-        return Status::FailedPrecondition(
-            "ELEMENT from a non-publisher session");
-      }
-      StreamElement element;
-      Status status = DecodeElementPayload(frame.payload, &element);
-      if (!status.ok()) return status;
-      return DeliverElementLocked(session, element);
-    }
     case FrameType::kElements: {
       if (session.state != SessionState::kPublisher) {
         return Status::FailedPrecondition(
@@ -305,9 +256,7 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
       ElementSequence elements;
       int64_t origin_us = 0;
       Status status =
-          session.version >= kLatencyVersion
-              ? DecodeElementsPayload(frame.payload, &elements, &origin_us)
-              : DecodeElementsPayload(frame.payload, &elements);
+          DecodeElementsPayload(frame.payload, &elements, &origin_us);
       if (!status.ok()) return status;
       return DeliverBatchLocked(session, std::move(elements), origin_us);
     }
@@ -315,10 +264,6 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
       if (session.state != SessionState::kPublisher) {
         return Status::FailedPrecondition(
             "PAYLOAD_DEF from a non-publisher session");
-      }
-      if (session.version < kPayloadDictVersion) {
-        return Status::FailedPrecondition(
-            "PAYLOAD_DEF on a v1-negotiated session");
       }
       PayloadDefMessage def;
       Status status = DecodePayloadDefPayload(frame.payload, &def);
@@ -334,32 +279,20 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
         return Status::FailedPrecondition(
             "ELEMENTS_DICT from a non-publisher session");
       }
-      if (session.version < kPayloadDictVersion) {
-        return Status::FailedPrecondition(
-            "ELEMENTS_DICT on a v1-negotiated session");
-      }
       if (session.dict_in == nullptr) {
         session.dict_in =
             std::make_unique<PayloadDictDecoder>(options_.dict_capacity);
       }
       ElementSequence elements;
       int64_t origin_us = 0;
-      Status status =
-          session.version >= kLatencyVersion
-              ? DecodeElementsDictPayload(frame.payload, *session.dict_in,
-                                          &elements, &origin_us)
-              : DecodeElementsDictPayload(frame.payload, *session.dict_in,
-                                          &elements);
+      Status status = DecodeElementsDictPayload(
+          frame.payload, *session.dict_in, &elements, &origin_us);
       if (!status.ok()) return status;
       return DeliverBatchLocked(session, std::move(elements), origin_us);
     }
     case FrameType::kStatsRequest: {
       if (session.state == SessionState::kAwaitHello) {
         return Status::FailedPrecondition("STATS_REQUEST before HELLO");
-      }
-      if (session.version < kStatsVersion) {
-        return Status::FailedPrecondition(
-            "STATS_REQUEST on a pre-v3 session");
       }
       Status status = DecodeStatsRequest(frame.payload);
       if (!status.ok()) return status;
@@ -449,13 +382,13 @@ Status MergeServer::EnsureAlgorithmLocked(const StreamProperties& first) {
 }
 
 Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hello) {
-  if (hello.version < kMinProtocolVersion) {
+  if (hello.version != kProtocolVersion) {
+    // Exact match only: the BYE this becomes is readable by any build.
     return Status::InvalidArgument(
-        "unsupported protocol version " + std::to_string(hello.version));
+        "protocol version mismatch: peer speaks v" +
+        std::to_string(hello.version) + ", server speaks v" +
+        std::to_string(kProtocolVersion));
   }
-  // Negotiate down to the highest version both sides speak; the WELCOME
-  // echoes it and the session sticks to that encoding from then on.
-  session.version = std::min(hello.version, kProtocolVersion);
   // Quiesce before answering: WELCOME's output_stable, the joiner's join
   // decision, and a new subscriber's registration point must all reflect
   // every delivery that happened-before this HELLO.
@@ -463,21 +396,10 @@ Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hell
   if (!hello.peer_name.empty()) session.name = hello.peer_name;
   WelcomeMessage welcome;
   if (hello.role == PeerRole::kMonitor) {
-    // Monitors only exchange STATS frames; old clients can never have sent
-    // this role (it post-dates v3), so a pre-v3 HELLO carrying it is a
-    // protocol violation rather than something to negotiate down.
-    if (session.version < kStatsVersion) {
-      return Status::InvalidArgument(
-          "monitor role requires protocol v3");
-    }
+    // Monitors only exchange STATS frames.
     session.state = SessionState::kMonitor;
     welcome.stream_id = -1;
   } else if (hello.role == PeerRole::kStandby) {
-    // Like monitors, the standby role post-dates its version gate: a
-    // pre-v4 HELLO carrying it is a protocol violation.
-    if (session.version < kReplicationVersion) {
-      return Status::InvalidArgument("standby role requires protocol v4");
-    }
     session.state = SessionState::kStandby;
     welcome.stream_id = -1;
   } else if (hello.role == PeerRole::kSubscriber) {
@@ -525,7 +447,6 @@ Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hell
     stream_names_[session.stream_id] = session.name;
     welcome.stream_id = session.stream_id;
   }
-  welcome.version = session.version;
   welcome.algorithm_case =
       merger_ == nullptr
           ? kUnknownAlgorithmCase
@@ -545,9 +466,8 @@ Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hell
     Subscriber subscriber;
     subscriber.session_id = session.id;
     subscriber.connection = session.connection;
-    subscriber.version = session.version;
     MutexLock fanout_lock(fanout_mutex_);
-    if (session.version >= kPayloadDictVersion && !defs_tape_.empty()) {
+    if (!defs_tape_.empty()) {
       // Catch the joiner up on the broadcast dictionary before it can see
       // a dict-coded batch referencing ids defined before it arrived.
       // Under fanout_mutex_, so no fan-out interleaves mid-replay.
@@ -626,17 +546,16 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
       const std::string cert_bytes =
           replica::SerializeCutCertificate(cut.cert);
       if (shards.size() == 1) {
-        blob = SaveCheckpoint(*shards[0]->checkpointable(),
-                              kCheckpointVersion, cert_bytes);
+        blob = SaveCheckpoint(*shards[0]->checkpointable(), cert_bytes);
       } else {
         // One ordinary blob per shard, wrapped in the LMPC container; the
         // certificate rides in shard 0's blob (common/checkpoint.h).
         std::vector<std::string> shard_blobs;
         shard_blobs.reserve(shards.size());
         for (size_t k = 0; k < shards.size(); ++k) {
-          shard_blobs.push_back(SaveCheckpoint(
-              *shards[k]->checkpointable(), kCheckpointVersion,
-              k == 0 ? cert_bytes : std::string()));
+          shard_blobs.push_back(
+              SaveCheckpoint(*shards[k]->checkpointable(),
+                             k == 0 ? cert_bytes : std::string()));
         }
         blob = CombinePartitionedCheckpoint(shard_blobs);
       }
@@ -646,7 +565,7 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
   cut.chunk_count = static_cast<uint32_t>(
       (blob.size() + kCheckpointChunkBytes - 1) / kCheckpointChunkBytes);
   // CUT_CERT and every chunk go out under fanout_mutex_ so the merge
-  // thread's live ELEMENT fan-out interleaves between frames, never inside
+  // thread's live fan-out interleaves between frames, never inside
   // one (mutex_ -> fanout_mutex_ is the declared lock order).
   Status sent;
   {
@@ -811,32 +730,14 @@ Status MergeServer::AdoptPartitionedCheckpointLocked(
   return Status::Ok();
 }
 
-Status MergeServer::DeliverElementLocked(Session& session,
-                                   const StreamElement& element) {
-  // Progress watermarks feed the feedback policy even for held-back
-  // elements.
-  session.stats.Observe(element);
-  if (element.is_stable() && !session.joined) {
-    // The joining-stream protocol (Sec. V-B): a stream that declared join
-    // time t may miss events that died before t, so until the output stable
-    // point reaches t its stable() elements must not drive the output
-    // stable point (they could freeze the absence of those events).
-    session.joined = merger_->max_stable() >= session.join_time;
-    if (!session.joined) return Status::Ok();
-  }
-  const Status status = merger_->TryDeliver(session.stream_id, element);
-  if (!status.ok()) return status;
-  NoteProgressLocked(session);
-  MaybeStableAdvanceLocked();
-  return Status::Ok();
-}
-
 Status MergeServer::DeliverBatchLocked(Session& session,
                                        ElementSequence elements,
                                        int64_t origin_us) {
   // Filter in place: every element feeds the progress watermarks, held-back
-  // stables from a not-yet-joined stream are dropped (Sec. V-B, same rule
-  // as the single-element path), and the survivors reach the merge as ONE
+  // stables from a not-yet-joined stream are dropped (Sec. V-B joining
+  // protocol: a stream that declared join time t may miss events that died
+  // before t, so until the output stable point reaches t its stables must
+  // not drive the output stable point), and the survivors reach the merge as ONE
   // ring batch instead of per-element handoffs.
   size_t kept = 0;
   for (size_t i = 0; i < elements.size(); ++i) {
@@ -1059,7 +960,7 @@ obs::MetricsSnapshot MergeServer::MetricsSnapshotLocked() {
     MutexLock fanout_lock(fanout_mutex_);
     registry.GetGauge("net.subscribers")
         ->Set(static_cast<int64_t>(subscribers_.size()));
-    // One broadcast dictionary now serves every v2+ subscriber.
+    // One broadcast dictionary serves every subscriber.
     registry.GetGauge("net.tx.dict.entries")
         ->Set(broadcast_dict_ == nullptr
                   ? 0

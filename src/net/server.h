@@ -5,7 +5,8 @@
 // connections.  Per session it:
 //
 //   * parses frames (net/frame.h) and enforces the handshake state machine
-//     HELLO -> WELCOME -> {ELEMENT|ELEMENTS|BYE};
+//     HELLO -> WELCOME -> {ELEMENTS|PAYLOAD_DEF|ELEMENTS_DICT|BYE}, with
+//     the HELLO's protocol version matched exactly;
 //   * instantiates the merge algorithm on the first publisher HELLO from
 //     the declared stream properties (factory selection, Sec. IV-G) unless
 //     an explicit variant is forced;
@@ -25,10 +26,10 @@
 //   * fans the merged output out to every subscriber and to registered
 //     in-process sinks.  Fan-out is serialize-once: the merger's output
 //     thread buffers each batch and flushes it (after_batch) as ONE encoded
-//     frame buffer per protocol class — a v1 ELEMENT/ELEMENTS frame and a
-//     v2+ dictionary frame built against a server-wide broadcast dictionary
-//     — shared by reference with every same-class subscriber, so encode
-//     cost is independent of subscriber count (PERFORMANCE.md);
+//     frame buffer — a stamped dictionary frame built against a
+//     server-wide broadcast dictionary — shared by reference with every
+//     subscriber, so encode cost is independent of subscriber count
+//     (PERFORMANCE.md);
 //   * pushes FEEDBACK frames carrying the output stable point to lagging
 //     publishers (Sec. V-D), judged by per-session progress watermarks from
 //     properties/runtime_stats.
@@ -88,7 +89,7 @@ struct MergeServerOptions {
   // min-frontier stable-point aggregator (engine/partitioned.h).  The
   // merged output is TDB-equivalent at every stable point either way.
   int merge_threads = 1;
-  // Cap on payload-dictionary entries per v2 session direction; bounds the
+  // Cap on payload-dictionary entries per session direction; bounds the
   // per-session decoder memory and the per-subscriber encoder pin set.
   uint32_t dict_capacity = kDefaultPayloadDictCapacity;
 };
@@ -205,10 +206,8 @@ class MergeServer {
     SessionState state = SessionState::kAwaitHello;
     FrameAssembler assembler;
     std::string name;
-    // Negotiated protocol version: min(peer HELLO, kProtocolVersion).
-    uint32_t version = kProtocolVersion;
-    // Inbound payload dictionary (v2 publishers), built by PAYLOAD_DEF
-    // frames; created on first use.
+    // Inbound payload dictionary, built by PAYLOAD_DEF frames; created on
+    // first use.
     std::unique_ptr<PayloadDictDecoder> dict_in;
     // Monotonic µs when the transport last handed this session bytes — the
     // rx half of the batch ingest stamp (obs/latency.h).
@@ -240,8 +239,8 @@ class MergeServer {
    public:
     explicit FanOutSink(MergeServer* server) : server_(server) {}
     void OnElement(const StreamElement& element) override LM_HOT_PATH;
-    // Encodes the buffered batch once per protocol class and hands the
-    // shared buffers to every subscriber (and sinks).  No-op when empty.
+    // Encodes the buffered batch once and hands the shared buffer to every
+    // subscriber (and sinks).  No-op when empty.
     // Records the fan-out stages of the latency pipeline
     // (latency.{merge_to_fanout,fanout,publish_to_fanout}_us).
     void Flush() LM_HOT_PATH;
@@ -259,7 +258,6 @@ class MergeServer {
   struct Subscriber {
     int session_id = 0;
     Connection* connection = nullptr;
-    uint32_t version = kMinProtocolVersion;
     // Output elements successfully sent on this subscription; the standby's
     // dedup horizon when a cut certificate is taken mid-stream.
     int64_t elements_sent = 0;
@@ -283,11 +281,9 @@ class MergeServer {
   // Refreshes registry-exported state and snapshots it.  The payload-store
   // gauges are not among it: callers refresh them before taking mutex_.
   obs::MetricsSnapshot MetricsSnapshotLocked() LM_REQUIRES(mutex_);
-  Status DeliverElementLocked(Session& session, const StreamElement& element)
-      LM_REQUIRES(mutex_);
-  // ELEMENTS path: observe watermarks, drop held-back stables, hand the
+  // Batch path: observe watermarks, drop held-back stables, hand the
   // survivors to the merge as one batch carrying its ingest stamp
-  // (origin_us from a v5 frame, 0 otherwise; rx from the session).
+  // (origin_us from the frame, rx from the session).
   Status DeliverBatchLocked(Session& session, ElementSequence elements,
                             int64_t origin_us) LM_REQUIRES(mutex_);
   // Instantiates algorithm + merger for the first publisher.
@@ -304,19 +300,16 @@ class MergeServer {
                                           const replica::CutCertificate& cert)
       LM_REQUIRES(mutex_);
   // Delivers one flushed output batch: in-process sinks per element, then
-  // each subscriber gets the shared once-encoded frame buffer for its
-  // protocol class — v1 inline, v2..v4 dictionary, v5 dictionary + origin
-  // stamp — built lazily (a v1-only server never touches the dictionary
-  // and vice versa).  `origin_us` is the batch's folded origin stamp (0 =
-  // unknown), re-broadcast on every v5 subscriber frame so downstream
+  // every subscriber gets the one shared encoded frame buffer (new
+  // PAYLOAD_DEFs + stamped ELEMENTS_DICT).  `origin_us` is the batch's
+  // folded origin stamp (0 = unknown), re-broadcast so downstream
   // `lmerge_subscribe --latency` can price publish→delivery.  Dead
   // subscribers are unregistered inline.
   void FanOutBatchLocked(const ElementSequence& batch, int64_t origin_us)
       LM_REQUIRES(fanout_mutex_) LM_HOT_PATH;
   // Dictionary-encodes `batch` against the server-wide broadcast dictionary
   // in ONE intern pass; new PAYLOAD_DEF frames land in the returned parts
-  // AND on defs_tape_ so later v2+ joiners can be replayed into sync.  The
-  // caller assembles the v2..v4 and v5 frame classes from the same parts.
+  // AND on defs_tape_ so later joiners can be replayed into sync.
   DictBatchParts EncodeDictBatchPartsLocked(const ElementSequence& batch)
       LM_REQUIRES(fanout_mutex_) LM_HOT_PATH;
   // Sends BYE (best effort) and releases the session's resources.
@@ -378,7 +371,7 @@ class MergeServer {
   std::vector<Subscriber> subscribers_ LM_GUARDED_BY(fanout_mutex_);
   std::vector<ElementSink*> output_sinks_ LM_GUARDED_BY(fanout_mutex_);
   // Server-wide outbound payload dictionary: PAYLOAD_DEF interning is paid
-  // once per new payload, not once per subscriber.  All v2+ subscribers
+  // once per new payload, not once per subscriber.  All subscribers
   // decode against the same id space, which is sound because every one of
   // them receives the same frame sequence — late joiners first get
   // defs_tape_ (every def broadcast so far, in order) replayed at

@@ -3,14 +3,13 @@
 // (docs/OBSERVABILITY.md "Latency pipeline").
 //
 // An IngestStamp names two points on the monotonic clock:
-//   origin_us  when the *publisher* serialized the batch (protocol v5 sends
-//              it on the wire; 0 for v4-and-older peers, which negotiate the
-//              stamp away).  Publisher and server clocks are only comparable
+//   origin_us  when the *publisher* serialized the batch (every batch frame
+//              carries it; 0 = unknown).  Publisher and server clocks are
+//              only comparable
 //              on the same host — cross-machine, origin-relative latencies
 //              include the clock offset and should be read as trends.
-//   rx_us      when the server's IO thread read the bytes off the socket.
-//              Always stamped, so rx-relative stage latencies work for every
-//              peer version.
+//   rx_us      when the server's IO thread read the bytes off the socket;
+//              always stamped.
 //
 // The stamp is deliberately NOT a StreamElement field: elements are the hot
 // currency of the whole engine and widening them taxes every ring, index,

@@ -198,7 +198,7 @@ struct MetricsSnapshot {
   // When the snapshot was captured: wall clock (ms since the Unix epoch,
   // for humans and absolute alignment) and the monotonic clock (µs, for
   // honest rate math between two snapshots of the same process — wall time
-  // can step, the monotonic clock cannot).  0 = unknown (pre-v5 wire peer).
+  // can step, the monotonic clock cannot).  0 = unknown.
   int64_t captured_wall_ms = 0;
   int64_t captured_mono_us = 0;
 

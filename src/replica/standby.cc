@@ -37,36 +37,12 @@ Status StandbyReplica::Connect(std::unique_ptr<net::Connection> primary) {
   net::HelloMessage hello;
   hello.role = net::PeerRole::kStandby;
   hello.peer_name = options_.name;
-  Status status = primary_->Send(net::EncodeHelloFrame(hello));
+  std::string bye_reason;
+  const Status status = net::ExchangeHello(primary_.get(), &assembler_, hello,
+                                           /*welcome=*/nullptr, &bye_reason);
   if (!status.ok()) return status;
-  net::Frame frame;
-  status = net::ReceiveFrame(primary_.get(), &assembler_, &frame);
-  if (!status.ok()) return status;
-  if (frame.type == net::FrameType::kBye) {
-    // Pre-v4 primaries reject the standby role with a BYE; surface their
-    // reason instead of a generic decode error.
-    net::ByeMessage bye;
-    (void)net::DecodeBye(frame.payload, &bye);
-    return Status::FailedPrecondition("primary rejected standby session: " +
-                                      bye.reason);
-  }
-  if (frame.type != net::FrameType::kWelcome) {
-    return Status::InvalidArgument(std::string("expected WELCOME, got ") +
-                                   net::FrameTypeName(frame.type));
-  }
-  net::WelcomeMessage welcome;
-  status = net::DecodeWelcome(frame.payload, &welcome);
-  if (!status.ok()) return status;
-  if (welcome.version < net::kReplicationVersion ||
-      welcome.version > net::kProtocolVersion) {
-    return Status::InvalidArgument(
-        "primary negotiated v" + std::to_string(welcome.version) +
-        "; standby needs v" + std::to_string(net::kReplicationVersion));
-  }
-  dict_ = std::make_unique<PayloadDictDecoder>();
-  version_ = welcome.version;
   connected_ = true;
-  Log("connected to primary (v" + std::to_string(welcome.version) + ")");
+  Log("connected to primary");
   return Status::Ok();
 }
 
@@ -75,44 +51,21 @@ Status StandbyReplica::DecodeFeedFrame(const net::Frame& frame,
                                        std::string* bye_reason) {
   *bye = false;
   switch (frame.type) {
-    case net::FrameType::kElement: {
-      StreamElement element;
-      const Status status =
-          net::DecodeElementPayload(frame.payload, &element);
-      if (!status.ok()) return status;
-      out->push_back(element);
-      return Status::Ok();
-    }
-    case net::FrameType::kElements: {
-      // The payload decoders replace their output; decode into a scratch
-      // and append so callers can accumulate across frames.
-      ElementSequence decoded;
-      int64_t origin_us = 0;
-      const Status status =
-          version_ >= net::kLatencyVersion
-              ? net::DecodeElementsPayload(frame.payload, &decoded,
-                                           &origin_us)
-              : net::DecodeElementsPayload(frame.payload, &decoded);
-      if (!status.ok()) return status;
-      out->insert(out->end(), decoded.begin(), decoded.end());
-      return Status::Ok();
-    }
     case net::FrameType::kPayloadDef: {
       net::PayloadDefMessage def;
       const Status status =
           net::DecodePayloadDefPayload(frame.payload, &def);
       if (!status.ok()) return status;
-      return dict_->Define(def.id, std::move(def.payload));
+      return dict_.Define(def.id, std::move(def.payload));
     }
     case net::FrameType::kElementsDict: {
+      // The payload decoders replace their output; decode into a scratch
+      // and append so callers can accumulate across frames.  The origin
+      // stamp is dropped: the standby replays, it does not measure.
       ElementSequence decoded;
       int64_t origin_us = 0;
-      const Status status =
-          version_ >= net::kLatencyVersion
-              ? net::DecodeElementsDictPayload(frame.payload, *dict_,
-                                               &decoded, &origin_us)
-              : net::DecodeElementsDictPayload(frame.payload, *dict_,
-                                               &decoded);
+      const Status status = net::DecodeElementsDictPayload(
+          frame.payload, dict_, &decoded, &origin_us);
       if (!status.ok()) return status;
       out->insert(out->end(), decoded.begin(), decoded.end());
       return Status::Ok();

@@ -13,7 +13,7 @@
 // just the leaving-stream protocol applied to the feed.
 //
 // Jumpstart avoids replaying the primary's whole history.  The standby
-// joins as a v4 `standby` subscriber and sends CHECKPOINT_REQUEST; the
+// joins as a `standby` subscriber and sends CHECKPOINT_REQUEST; the
 // primary answers with a CUT_CERT (cut certificate: variant, policy,
 // output stable point, per-input frontiers, and the number of output
 // elements already sent on this very subscription) followed by the
@@ -73,8 +73,8 @@ class StandbyReplica {
   StandbyReplica(const StandbyReplica&) = delete;
   StandbyReplica& operator=(const StandbyReplica&) = delete;
 
-  // Sends HELLO (role=standby, v4) on `primary` and blocks for WELCOME.
-  // Fails against pre-v4 primaries, which cannot serve checkpoints.
+  // Sends HELLO (role=standby) on `primary` and blocks for WELCOME; fails
+  // on a BYE or on a WELCOME of another protocol version.
   Status Connect(std::unique_ptr<net::Connection> primary);
 
   // Requests the primary's checkpoint, buffers live output that interleaves
@@ -148,11 +148,8 @@ class StandbyReplica {
   // Subscription to the primary (driver thread only).
   std::unique_ptr<net::Connection> primary_;
   net::FrameAssembler assembler_;
-  std::unique_ptr<PayloadDictDecoder> dict_;
+  PayloadDictDecoder dict_;
   bool connected_ = false;
-  // Version negotiated with the primary; v5 feed frames carry a trailing
-  // origin stamp the standby must strip (it replays, it does not measure).
-  uint32_t version_ = net::kMinProtocolVersion;
   bool jumpstarted_ = false;
   bool promoted_ = false;
   ElementSequence pre_cut_;

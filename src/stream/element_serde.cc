@@ -92,7 +92,7 @@ Status DecodeSequence(Decoder* decoder, ElementSequence* elements) {
 uint32_t PayloadDictEncoder::Intern(
     const Row& payload, std::vector<std::pair<uint32_t, Row>>* new_defs) {
   // Process-wide dictionary hit-rate instruments; the hit rate is what
-  // tells an operator whether v2 payload coding is earning its keep.
+  // tells an operator whether dictionary payload coding is earning its keep.
   static obs::Counter* const lookups =
       obs::MetricsRegistry::Global().GetCounter("net.dict.lookups");
   static obs::Counter* const hits =

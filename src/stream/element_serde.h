@@ -3,7 +3,7 @@
 //
 // Two encodings exist for sequences:
 //  - Inline (EncodeSequence): every element carries its full payload.  Used
-//    by checkpoints and by protocol-v1 peers.
+//    by stream files and by the dictionary-free ELEMENTS publisher batch.
 //  - Dictionary-coded (EncodeSequenceDict): element payloads are replaced by
 //    ids into a session-scoped payload dictionary, built up by PAYLOAD_DEF
 //    messages.  Redundant publishers re-send the same payloads constantly
@@ -50,7 +50,7 @@ std::string SerializeSequence(const ElementSequence& elements);
 Status DeserializeSequence(const std::string& bytes,
                            ElementSequence* elements);
 
-// --- Payload dictionary (protocol v2) ---
+// --- Payload dictionary (PAYLOAD_DEF / ELEMENTS_DICT frames) ---
 
 // Id returned by PayloadDictEncoder::Intern for a payload that has no
 // dictionary entry and must be written inline; never a valid wire id.

@@ -414,7 +414,7 @@ TEST(PayloadDictTest, CapacityOverflowFallsBackToInline) {
 }
 
 TEST_P(SerdeFuzzTest, RandomBytesNeverCrashReplicationDecoders) {
-  // v4 replication payloads (CHECKPOINT_CHUNK, CUT_CERT) and the bare cut
+  // Replication payloads (CHECKPOINT_CHUNK, CUT_CERT) and the bare cut
   // certificate: random buffers must yield a Status, never a crash.
   Rng rng(GetParam() * 257 + 11);
   for (int round = 0; round < 200; ++round) {

@@ -338,9 +338,10 @@ TEST(CheckpointTest, JumpstartSeedsFromCheckpointBlob) {
 }
 
 TEST(CheckpointTest, V2PoolsSharedPayloadsAtLeastTwiceSmaller) {
-  // Many index entries sharing one interned payload: v2 writes the rep once
-  // in the pool section and 4-byte references per entry, v1 writes the full
-  // row per entry.  The pooled blob must be at least 2x smaller.
+  // Many index entries sharing one interned payload: the checkpoint writes
+  // the rep once in the pool section and 4-byte references per entry, while
+  // the same SaveState into a pool-less Encoder writes the full row per
+  // entry.  The pooled blob must be at least 2x smaller.
   CollectingSink sink;
   LMergeR3 merge(2, &sink);
   const std::string payload(64, 'p');
@@ -349,55 +350,17 @@ TEST(CheckpointTest, V2PoolsSharedPayloadsAtLeastTwiceSmaller) {
         merge.OnElement(0, Ins(payload, i + 1, i + 100000)).ok());
   }
   const std::string v2 = SaveCheckpoint(merge);
-  const std::string v1 = SaveCheckpoint(merge, kCheckpointVersionV1);
-  EXPECT_GE(v1.size(), 2 * v2.size())
-      << "v1=" << v1.size() << " bytes, v2=" << v2.size() << " bytes";
+  Encoder inline_rows;
+  merge.SaveState(&inline_rows);
+  EXPECT_GE(inline_rows.bytes().size(), 2 * v2.size())
+      << "inline=" << inline_rows.bytes().size() << " bytes, v2="
+      << v2.size() << " bytes";
 
-  // Both formats restore to the same state.
-  CollectingSink sink_v1;
   CollectingSink sink_v2;
-  LMergeR3 from_v1(2, &sink_v1);
   LMergeR3 from_v2(2, &sink_v2);
-  ASSERT_TRUE(LoadCheckpoint(v1, &from_v1).ok());
   ASSERT_TRUE(LoadCheckpoint(v2, &from_v2).ok());
-  EXPECT_EQ(from_v1.index_node_count(), merge.index_node_count());
   EXPECT_EQ(from_v2.index_node_count(), merge.index_node_count());
-  EXPECT_EQ(from_v1.StateBytes(), from_v2.StateBytes());
-}
-
-TEST(CheckpointTest, V1FormatStillRoundTrips) {
-  // Old consumers keep working: a v1 blob (inline payloads) written by this
-  // build restores and the instance continues identically.
-  auto feed_prefix = [](LMergeR3* merge) {
-    LM_CHECK(merge->OnElement(0, Ins("A", 5, 50)).ok());
-    LM_CHECK(merge->OnElement(1, Ins("B", 7, kInfinity)).ok());
-    LM_CHECK(merge->OnElement(0, Stb(10)).ok());
-  };
-  auto feed_suffix = [](LMergeR3* merge) {
-    LM_CHECK(merge->OnElement(1, Ins("A", 5, 50)).ok());
-    LM_CHECK(merge->OnElement(0, Adj("B", 7, kInfinity, 90)).ok());
-    LM_CHECK(merge->OnElement(1, Stb(200)).ok());
-  };
-  CollectingSink reference;
-  LMergeR3 uninterrupted(2, &reference);
-  feed_prefix(&uninterrupted);
-  feed_suffix(&uninterrupted);
-
-  CollectingSink first_half;
-  LMergeR3 original(2, &first_half);
-  feed_prefix(&original);
-  const std::string blob = SaveCheckpoint(original, kCheckpointVersionV1);
-  CollectingSink second_half;
-  LMergeR3 restored(2, &second_half);
-  ASSERT_TRUE(LoadCheckpoint(blob, &restored).ok());
-  EXPECT_EQ(restored.StateBytes(), original.StateBytes());
-  feed_suffix(&restored);
-
-  ElementSequence combined = first_half.elements();
-  for (const StreamElement& e : second_half.elements()) {
-    combined.push_back(e);
-  }
-  EXPECT_EQ(combined, reference.elements());
+  EXPECT_EQ(from_v2.StateBytes(), merge.StateBytes());
 }
 
 TEST(CheckpointTest, EmbeddedCutCertificateRoundTrips) {
@@ -412,8 +375,8 @@ TEST(CheckpointTest, EmbeddedCutCertificateRoundTrips) {
   CollectingSink sink;
   LMergeR3 merge(2, &sink);
   ASSERT_TRUE(merge.OnElement(0, Ins("A", 5, 50)).ok());
-  const std::string blob = SaveCheckpoint(
-      merge, kCheckpointVersion, replica::SerializeCutCertificate(cert));
+  const std::string blob =
+      SaveCheckpoint(merge, replica::SerializeCutCertificate(cert));
 
   CollectingSink sink2;
   LMergeR3 restored(2, &sink2);
@@ -441,8 +404,8 @@ TEST(CheckpointTest, InspectReportsSectionsWithoutRestoring) {
   LMergeR3 merge(1, &sink);
   ASSERT_TRUE(merge.OnElement(0, Ins("A", 5, 50)).ok());
   ASSERT_TRUE(merge.OnElement(0, Ins("B", 6, 60)).ok());
-  const std::string v2 = SaveCheckpoint(
-      merge, kCheckpointVersion, replica::SerializeCutCertificate(cert));
+  const std::string v2 =
+      SaveCheckpoint(merge, replica::SerializeCutCertificate(cert));
 
   CheckpointInfo info;
   ASSERT_TRUE(InspectCheckpoint(v2, &info).ok());
@@ -457,16 +420,15 @@ TEST(CheckpointTest, InspectReportsSectionsWithoutRestoring) {
       replica::ParseCutCertificate(info.cut_certificate, &parsed).ok());
   EXPECT_EQ(parsed.output_stable, 10);
 
-  const std::string v1 = SaveCheckpoint(merge, kCheckpointVersionV1);
-  ASSERT_TRUE(InspectCheckpoint(v1, &info).ok());
-  EXPECT_EQ(info.version, kCheckpointVersionV1);
-  EXPECT_EQ(info.pool_entries, 0u);
-  EXPECT_GT(info.body_bytes, 0u);
-  EXPECT_TRUE(info.cut_certificate.empty());
-
   std::string bad = v2;
   bad[0] = 'X';
   EXPECT_FALSE(InspectCheckpoint(bad, &info).ok());
+  // The retired inline-payload v1 format is refused, not misread.
+  std::string v1 = v2;
+  v1[4] = '\x01';
+  EXPECT_FALSE(InspectCheckpoint(v1, &info).ok());
+  LMergeR3 restored(1, &sink);
+  EXPECT_FALSE(LoadCheckpoint(v1, &restored).ok());
 }
 
 TEST(CheckpointTest, LMergeR0MidMergeRoundTrip) {

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <span>
 #include <thread>
 
 #include "core/factory.h"
+#include "obs/latency.h"
 #include "stream/sink.h"
 #include "temporal/tdb.h"
 #include "test_util.h"
@@ -154,6 +156,60 @@ TEST(ConcurrentMergeTest, BatchDeliveryMatchesElementWise) {
   merger.WaitIdle();
   EXPECT_TRUE(merger.error().ok());
   EXPECT_TRUE(Tdb::Reconstitute(merged.elements()).Equals(reference));
+}
+
+// Records, per merged output element, the ingest stamp the merge thread
+// republished for the drain that produced it.
+class StampRecordingSink : public ElementSink {
+ public:
+  void OnElement(const StreamElement& element) override {
+    (void)element;
+    origins.push_back(obs::CurrentIngestStamp().origin_us);
+  }
+  std::vector<int64_t> origins;  // merge-thread-only until WaitIdle
+};
+
+// Hundreds more one-element stamped batches than 256 queued while the
+// merge thread is held: every drain must still republish a stamp (the
+// stamp ring is sized from the element ring, so it never drops one).
+TEST(ConcurrentMergeTest, OneElementBatchesNeverLoseTheirStamp) {
+  StampRecordingSink sink;
+  auto algo = CreateMergeAlgorithm(MergeVariant::kLMR3Plus, 1, &sink);
+  ConcurrentMergerOptions options;
+  options.ring_capacity = 4096;
+  options.max_batch = 16;  // many small drains, each needing its own stamp
+  ConcurrentMerger merger(algo.get(), options);
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::future<int> held = merger.CallOnMergeThreadAsync([&entered, released] {
+    entered.set_value();
+    released.wait();
+  });
+  entered.get_future().wait();
+
+  constexpr int kBatches = 1000;
+  for (int i = 0; i < kBatches; ++i) {
+    StreamElement element =
+        StreamElement::Insert(Row::OfInt(i), i + 1, i + 100000);
+    obs::IngestStamp stamp;
+    stamp.origin_us = i + 1;
+    ASSERT_TRUE(
+        merger.TryDeliverBatch(0, std::span(&element, 1), stamp).ok());
+  }
+  release.set_value();
+  held.wait();
+  merger.WaitIdle();
+  ASSERT_TRUE(merger.error().ok());
+
+  ASSERT_EQ(sink.origins.size(), static_cast<size_t>(kBatches));
+  for (int i = 0; i < kBatches; ++i) {
+    // A drain folds the oldest stamp it covers, which is never younger
+    // than the element's own.
+    EXPECT_GT(sink.origins[static_cast<size_t>(i)], 0) << "element " << i;
+    EXPECT_LE(sink.origins[static_cast<size_t>(i)], i + 1) << "element " << i;
+  }
 }
 
 // Satellite (c): concurrent AddStream/RemoveStream churn against live

@@ -12,13 +12,13 @@ namespace lmerge::net {
 namespace {
 
 TEST(FrameTest, RoundTripSingleFrame) {
-  const std::string encoded = EncodeFrame(FrameType::kElement, "payload!");
+  const std::string encoded = EncodeFrame(FrameType::kElements, "payload!");
   EXPECT_EQ(encoded.size(), kFrameHeaderBytes + 8);
   FrameAssembler assembler;
   ASSERT_TRUE(assembler.Feed(encoded).ok());
   Frame frame;
   ASSERT_TRUE(assembler.Next(&frame));
-  EXPECT_EQ(frame.type, FrameType::kElement);
+  EXPECT_EQ(frame.type, FrameType::kElements);
   EXPECT_EQ(frame.payload, "payload!");
   EXPECT_FALSE(assembler.Next(&frame));
   EXPECT_EQ(assembler.pending_bytes(), 0u);
@@ -54,7 +54,7 @@ TEST(FrameTest, ByteAtATimeDelivery) {
 TEST(FrameTest, ManyFramesInOneChunk) {
   std::string wire;
   for (int i = 0; i < 100; ++i) {
-    AppendFrame(FrameType::kElement, std::string(static_cast<size_t>(i), 'x'),
+    AppendFrame(FrameType::kElements, std::string(static_cast<size_t>(i), 'x'),
                 &wire);
   }
   FrameAssembler assembler;
@@ -83,20 +83,24 @@ TEST(FrameTest, OversizeLengthPrefixRejectedEagerly) {
 TEST(FrameTest, ConfigurableLimitEnforced) {
   FrameAssembler assembler(/*max_payload=*/16);
   EXPECT_TRUE(
-      assembler.Feed(EncodeFrame(FrameType::kElement, std::string(16, 'a')))
+      assembler.Feed(EncodeFrame(FrameType::kElements, std::string(16, 'a')))
           .ok());
   Frame frame;
   EXPECT_TRUE(assembler.Next(&frame));
   EXPECT_FALSE(
-      assembler.Feed(EncodeFrame(FrameType::kElement, std::string(17, 'a')))
+      assembler.Feed(EncodeFrame(FrameType::kElements, std::string(17, 'a')))
           .ok());
 }
 
 TEST(FrameTest, UnknownFrameTypeRejected) {
-  FrameAssembler assembler;
-  const std::string bytes = std::string("\x00\x00\x00\x00", 4) + "\x63";
-  EXPECT_FALSE(assembler.Feed(bytes).ok());
-  EXPECT_TRUE(assembler.poisoned());
+  // 0x63 is past the known range; 3 (the retired single-ELEMENT frame)
+  // lies inside it but is never accepted.
+  for (const char tag : {'\x63', '\x03'}) {
+    FrameAssembler assembler;
+    const std::string bytes = std::string("\x00\x00\x00\x00", 4) + tag;
+    EXPECT_FALSE(assembler.Feed(bytes).ok()) << static_cast<int>(tag);
+    EXPECT_TRUE(assembler.poisoned());
+  }
 }
 
 TEST(FrameTest, GarbageAfterValidFramePoisonsOnConsumption) {

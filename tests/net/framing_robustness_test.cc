@@ -20,11 +20,13 @@
 #include "obs/metrics.h"
 #include "stream/sink.h"
 #include "test_util.h"
+#include "wire_test_util.h"
 
 namespace lmerge::net {
 namespace {
 
 using ::lmerge::testing_util::Ins;
+using ::lmerge::testing_util::OneElementFrame;
 using ::lmerge::testing_util::Stb;
 
 ElementSequence SmallTape() {
@@ -147,7 +149,7 @@ TEST(FramingRobustnessTest, StallMidFrameHitsIdleTimeout) {
   // The staller: sends a truncated prefix of a legitimate frame, then
   // nothing (seeded prefix lengths, always mid-frame).
   std::mt19937_64 rng(7);
-  const std::string frame = EncodeElementFrame(Ins("stall", 1, 100));
+  const std::string frame = OneElementFrame(Ins("stall", 1, 100));
   std::uniform_int_distribution<size_t> dist(1, frame.size() - 1);
   std::unique_ptr<Connection> stalled = listener.Connect("staller");
   ASSERT_NE(stalled, nullptr);

@@ -1,8 +1,8 @@
-// End-to-end latency pipeline over the loopback transport: the v5 origin
+// End-to-end latency pipeline over the loopback transport: the origin
 // stamp rides publisher frame -> ingest ring -> merge thread -> fan-out,
 // feeding every per-stage histogram; the fan-out republishes the stamp to
-// v5 subscribers and strips it for v4 ones; the merge responsiveness and
-// IO-loop probes behind /readyz answer within their deadlines.
+// subscribers; the merge responsiveness and IO-loop probes behind /readyz
+// answer within their deadlines.
 
 #include <gtest/gtest.h>
 
@@ -52,10 +52,8 @@ TestPeer ConnectPeer(MergeServer* server, const std::string& name) {
 }
 
 WelcomeMessage Handshake(MergeServer* server, TestPeer* peer,
-                         PeerRole role, const std::string& name,
-                         uint32_t version = kProtocolVersion) {
+                         PeerRole role, const std::string& name) {
   HelloMessage hello;
-  hello.version = version;
   hello.role = role;
   hello.peer_name = name;
   EXPECT_TRUE(
@@ -149,7 +147,7 @@ TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
   // The stable-lag gauge exists and is sane once a merger is live.
   EXPECT_GE(after.Value("merge.stable_lag_ms", -1), 0);
 
-  // The origin stamp is republished on the v5 fan-out frames.
+  // The origin stamp is republished on the fan-out frames.
   PayloadDictDecoder dict;
   int64_t delivered = 0;
   int64_t oldest_origin = 0;
@@ -168,85 +166,21 @@ TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
                                               &elements, &origin_us)
                         .ok());
         EXPECT_GT(origin_us, 0)
-            << "v5 fan-out lost the publisher's origin stamp";
+            << "fan-out lost the publisher's origin stamp";
         if (oldest_origin == 0 || origin_us < oldest_origin) {
           oldest_origin = origin_us;
         }
         delivered += static_cast<int64_t>(elements.size());
         break;
       }
-      case FrameType::kElement:
       case FrameType::kElements:
-        FAIL() << "v5 subscriber should receive dictionary batches";
+        FAIL() << "subscribers receive only dictionary batches";
       default:
         break;
     }
   }
   EXPECT_GT(delivered, 0);
   EXPECT_LE(oldest_origin, obs::MonotonicMicros());
-}
-
-TEST_F(LatencyPipelineTest, V4SubscriberGetsUnstampedFrames) {
-  MergeServer server;
-  TestPeer sub_v4 = ConnectPeer(&server, "sub4");
-  const WelcomeMessage welcome =
-      Handshake(&server, &sub_v4, PeerRole::kSubscriber, "sub4",
-                /*version=*/4);
-  EXPECT_EQ(welcome.version, 4u);
-  TestPeer sub_v5 = ConnectPeer(&server, "sub5");
-  Handshake(&server, &sub_v5, PeerRole::kSubscriber, "sub5");
-  TestPeer pub = ConnectPeer(&server, "pub");
-  Handshake(&server, &pub, PeerRole::kPublisher, "pub");
-
-  ElementSequence batch;
-  for (int i = 0; i < 16; ++i) {
-    batch.push_back(Ins("v4-interop-" + std::to_string(i), i + 1, i + 50));
-  }
-  ASSERT_TRUE(
-      server
-          .OnBytes(pub.session_id,
-                   EncodeElementsFrame(batch, obs::MonotonicMicros()))
-          .ok());
-  server.Flush();
-
-  // The v4 session's dict batches must decode with the *unstamped* decoder
-  // — the stamp is negotiated away, not silently appended.
-  PayloadDictDecoder dict_v4;
-  int64_t v4_elements = 0;
-  for (const Frame& frame : sub_v4.DrainFrames()) {
-    if (frame.type == FrameType::kPayloadDef) {
-      PayloadDefMessage def;
-      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-      ASSERT_TRUE(dict_v4.Define(def.id, std::move(def.payload)).ok());
-    } else if (frame.type == FrameType::kElementsDict) {
-      ElementSequence elements;
-      ASSERT_TRUE(
-          DecodeElementsDictPayload(frame.payload, dict_v4, &elements)
-              .ok());
-      v4_elements += static_cast<int64_t>(elements.size());
-    }
-  }
-
-  PayloadDictDecoder dict_v5;
-  int64_t v5_elements = 0;
-  for (const Frame& frame : sub_v5.DrainFrames()) {
-    if (frame.type == FrameType::kPayloadDef) {
-      PayloadDefMessage def;
-      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-      ASSERT_TRUE(dict_v5.Define(def.id, std::move(def.payload)).ok());
-    } else if (frame.type == FrameType::kElementsDict) {
-      ElementSequence elements;
-      int64_t origin_us = 0;
-      ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, dict_v5,
-                                            &elements, &origin_us)
-                      .ok());
-      EXPECT_GT(origin_us, 0);
-      v5_elements += static_cast<int64_t>(elements.size());
-    }
-  }
-  EXPECT_GT(v4_elements, 0);
-  EXPECT_EQ(v4_elements, v5_elements)
-      << "both generations must see the same merged stream";
 }
 
 TEST_F(LatencyPipelineTest, ReadyProbesBothEngines) {

@@ -252,20 +252,6 @@ TEST(PartitionedServerTest, PartitionedSubscriberSeesExactlyTheMergedOutput) {
   ElementSequence received;
   for (const Frame& frame : sub.DrainFrames()) {
     switch (frame.type) {
-      case FrameType::kElement: {
-        StreamElement element;
-        ASSERT_TRUE(DecodeElementPayload(frame.payload, &element).ok());
-        received.push_back(std::move(element));
-        break;
-      }
-      case FrameType::kElements: {
-        ElementSequence batch;
-        ASSERT_TRUE(DecodeElementsPayload(frame.payload, &batch).ok());
-        for (StreamElement& element : batch) {
-          received.push_back(std::move(element));
-        }
-        break;
-      }
       case FrameType::kPayloadDef: {
         PayloadDefMessage def;
         ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());

@@ -79,30 +79,47 @@ TEST(ProtocolTest, SubscriberWelcomeCarriesMinusOne) {
   EXPECT_EQ(decoded.stream_id, -1);
 }
 
-TEST(ProtocolTest, ElementFramesRoundTrip) {
+// A single element travels as a batch of one: every element kind
+// round-trips through both batch frames.
+TEST(ProtocolTest, BatchesOfOneRoundTrip) {
   const StreamElement cases[] = {
       Ins("payload", 10, 500),
       Adj("payload", 10, 500, 700),
       StreamElement::Insert(Row::OfIntAndString(9, "x"), 3, kInfinity),
       Stb(30),
   };
+  PayloadDictEncoder encoder;
+  PayloadDictDecoder decoder_dict;
   for (const StreamElement& element : cases) {
-    StreamElement decoded;
-    ASSERT_TRUE(DecodeElementPayload(PayloadOf(EncodeElementFrame(element)),
-                                     &decoded)
+    ElementSequence decoded;
+    int64_t origin_us = 0;
+    ASSERT_TRUE(DecodeElementsPayload(
+                    PayloadOf(EncodeElementsFrame({element}, 5)), &decoded,
+                    &origin_us)
                     .ok());
-    EXPECT_EQ(decoded, element);
-  }
-}
+    EXPECT_EQ(decoded, ElementSequence{element});
+    EXPECT_EQ(origin_us, 5);
 
-TEST(ProtocolTest, ElementsBatchRoundTrip) {
-  const ElementSequence batch = {Ins("a", 1, 5), Ins("b", 2, 6),
-                                 Adj("a", 1, 5, 9), Stb(3)};
-  ElementSequence decoded;
-  ASSERT_TRUE(
-      DecodeElementsPayload(PayloadOf(EncodeElementsFrame(batch)), &decoded)
-          .ok());
-  EXPECT_EQ(decoded, batch);
+    FrameAssembler assembler;
+    ASSERT_TRUE(
+        assembler.Feed(EncodeElementsDictFrame({element}, &encoder, 6)).ok());
+    Frame frame;
+    decoded.clear();
+    while (assembler.Next(&frame)) {
+      if (frame.type == FrameType::kPayloadDef) {
+        PayloadDefMessage def;
+        ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
+        ASSERT_TRUE(decoder_dict.Define(def.id, def.payload).ok());
+        continue;
+      }
+      ASSERT_EQ(frame.type, FrameType::kElementsDict);
+      ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, decoder_dict,
+                                            &decoded, &origin_us)
+                      .ok());
+    }
+    EXPECT_EQ(decoded, ElementSequence{element});
+    EXPECT_EQ(origin_us, 6);
+  }
 }
 
 TEST(ProtocolTest, FeedbackAndByeRoundTrip) {
@@ -129,10 +146,11 @@ TEST(ProtocolTest, TrailingBytesRejectedOnEveryMessage) {
   EXPECT_FALSE(
       DecodeWelcome(PayloadOf(EncodeWelcomeFrame(welcome)) + "x", &welcome)
           .ok());
-  StreamElement element;
+  ElementSequence elements;
+  int64_t origin_us = 0;
   EXPECT_FALSE(
-      DecodeElementPayload(PayloadOf(EncodeElementFrame(Stb(1))) + "x",
-                           &element)
+      DecodeElementsPayload(PayloadOf(EncodeElementsFrame({Stb(1)}, 1)) + "x",
+                            &elements, &origin_us)
           .ok());
   FeedbackMessage feedback;
   EXPECT_FALSE(
@@ -157,8 +175,8 @@ TEST(ProtocolTest, TruncationsFailCleanly) {
   const std::string payloads[] = {
       PayloadOf(EncodeHelloFrame(hello)),
       PayloadOf(EncodeWelcomeFrame(WelcomeMessage())),
-      PayloadOf(EncodeElementFrame(Ins("abc", 1, 99))),
-      PayloadOf(EncodeElementsFrame({Ins("a", 1, 5), Stb(2)})),
+      PayloadOf(EncodeElementsFrame({Ins("abc", 1, 99)}, 7)),
+      PayloadOf(EncodeElementsFrame({Ins("a", 1, 5), Stb(2)}, 7)),
       PayloadOf(EncodeFeedbackFrame(FeedbackMessage())),
       PayloadOf(EncodeByeFrame(ByeMessage{"reason"})),
   };
@@ -167,14 +185,13 @@ TEST(ProtocolTest, TruncationsFailCleanly) {
       const std::string prefix = payload.substr(0, cut);
       HelloMessage h;
       WelcomeMessage w;
-      StreamElement e;
       ElementSequence es;
+      int64_t origin_us = 0;
       FeedbackMessage f;
       ByeMessage b;
       (void)DecodeHello(prefix, &h);
       (void)DecodeWelcome(prefix, &w);
-      (void)DecodeElementPayload(prefix, &e);
-      (void)DecodeElementsPayload(prefix, &es);
+      (void)DecodeElementsPayload(prefix, &es, &origin_us);
       (void)DecodeFeedback(prefix, &f);
       (void)DecodeBye(prefix, &b);
     }
@@ -213,7 +230,7 @@ TEST(ProtocolTest, ElementsDictFrameRoundTripMatchesInline) {
   int dict_frames = 0;
   for (const ElementSequence* batch : {&batch1, &batch2}) {
     ASSERT_TRUE(
-        assembler.Feed(EncodeElementsDictFrame(*batch, &encoder)).ok());
+        assembler.Feed(EncodeElementsDictFrame(*batch, &encoder, 1)).ok());
     Frame frame;
     while (assembler.Next(&frame)) {
       if (frame.type == FrameType::kPayloadDef) {
@@ -225,9 +242,10 @@ TEST(ProtocolTest, ElementsDictFrameRoundTripMatchesInline) {
         ASSERT_EQ(frame.type, FrameType::kElementsDict);
         ++dict_frames;
         ElementSequence decoded;
-        ASSERT_TRUE(
-            DecodeElementsDictPayload(frame.payload, decoder_dict, &decoded)
-                .ok());
+        int64_t origin_us = 0;
+        ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, decoder_dict,
+                                              &decoded, &origin_us)
+                        .ok());
         got.insert(got.end(), decoded.begin(), decoded.end());
       }
     }
@@ -251,7 +269,8 @@ TEST(ProtocolTest, ElementsDictPayloadWithUnknownIdFails) {
   const ElementSequence batch = {Ins("known-only-to-sender", 1, 10),
                                  Ins("known-only-to-sender", 2, 20)};
   FrameAssembler assembler;
-  ASSERT_TRUE(assembler.Feed(EncodeElementsDictFrame(batch, &encoder)).ok());
+  ASSERT_TRUE(
+      assembler.Feed(EncodeElementsDictFrame(batch, &encoder, 1)).ok());
   Frame frame;
   std::string dict_payload;
   while (assembler.Next(&frame)) {
@@ -260,15 +279,16 @@ TEST(ProtocolTest, ElementsDictPayloadWithUnknownIdFails) {
   ASSERT_FALSE(dict_payload.empty());
   const PayloadDictDecoder empty_dict;
   ElementSequence decoded;
-  const Status status =
-      DecodeElementsDictPayload(dict_payload, empty_dict, &decoded);
+  int64_t origin_us = 0;
+  const Status status = DecodeElementsDictPayload(dict_payload, empty_dict,
+                                                  &decoded, &origin_us);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("undefined payload id"),
             std::string::npos);
 }
 
-// The varint layout behind the frame decoders: hostile payloads on a v5
-// session (trailing stamp present) fail with a Status, never a crash.
+// The varint layout behind the frame decoders: hostile payloads (trailing
+// stamp present) fail with a Status, never a crash.
 TEST(ProtocolTest, HostileDictPayloadsFailCleanly) {
   PayloadDictDecoder dict;
   ASSERT_TRUE(dict.Define(0, Row::OfString("zero")).ok());
@@ -354,20 +374,56 @@ TEST(ProtocolTest, HostileDictPayloadsFailCleanly) {
       DecodePayloadDefPayload(eleven + std::string(2, '\0'), &def).ok());
 }
 
-TEST(ProtocolTest, VersionNegotiationBounds) {
-  // The wire preserves whatever version the sender claims — negotiation is
-  // the server's min() against its own version, so decode must not clamp.
+TEST(ProtocolTest, HandshakeCarriesAnyVersionVerbatim) {
+  // The wire preserves whatever version the sender claims — the exact-match
+  // check belongs to the receiver, so decode must not clamp or reject.
   HelloMessage hello;
   hello.version = 99;
   HelloMessage decoded;
   ASSERT_TRUE(
       DecodeHello(PayloadOf(EncodeHelloFrame(hello)), &decoded).ok());
   EXPECT_EQ(decoded.version, 99u);
-  // A default-constructed HELLO advertises the compiled-in version.
+  WelcomeMessage welcome;
+  welcome.version = 1;
+  WelcomeMessage welcome_decoded;
+  ASSERT_TRUE(DecodeWelcome(PayloadOf(EncodeWelcomeFrame(welcome)),
+                            &welcome_decoded)
+                  .ok());
+  EXPECT_EQ(welcome_decoded.version, 1u);
+  // Default-constructed handshake messages carry the compiled-in version.
   EXPECT_EQ(HelloMessage().version, kProtocolVersion);
-  static_assert(kMinProtocolVersion <= kProtocolVersion);
-  static_assert(kPayloadDictVersion <= kProtocolVersion,
-                "dictionary frames must be within the advertised version");
+  EXPECT_EQ(WelcomeMessage().version, kProtocolVersion);
+}
+
+// The HELLO and WELCOME layouts never change, so a build at any protocol
+// version can read the other side's version and the rejection.
+TEST(ProtocolTest, HandshakeLayoutsAreFrozen) {
+  HelloMessage hello;
+  hello.version = 0x01020304;
+  hello.role = PeerRole::kSubscriber;
+  hello.join_time = 0x0a;
+  hello.peer_name = "ab";
+  EXPECT_EQ(EncodeHelloFrame(hello),
+            std::string("\x14\x00\x00\x00\x01"      // header: 20 B, HELLO
+                        "\x04\x03\x02\x01"          // u32 version
+                        "\x01"                      // u8 role
+                        "\x00"                      // u8 property bits
+                        "\x0a\x00\x00\x00\x00\x00\x00\x00"  // i64 join_time
+                        "\x02\x00\x00\x00"          // string length
+                        "ab",
+                        25));
+  WelcomeMessage welcome;
+  welcome.version = 0x01020304;
+  welcome.stream_id = -1;
+  welcome.algorithm_case = 2;
+  welcome.output_stable = 0x0b;
+  EXPECT_EQ(EncodeWelcomeFrame(welcome),
+            std::string("\x11\x00\x00\x00\x02"      // header: 17 B, WELCOME
+                        "\x04\x03\x02\x01"          // u32 version
+                        "\xff\xff\xff\xff"          // i32 stream_id
+                        "\x02"                      // u8 algorithm_case
+                        "\x0b\x00\x00\x00\x00\x00\x00\x00",  // i64 stable
+                        22));
 }
 
 TEST(ProtocolTest, StatsRequestIsEmptyAndStrict) {
@@ -431,19 +487,11 @@ TEST(ProtocolTest, StatsResponseRoundTrip) {
 TEST(ProtocolTest, StatsResponseTruncationsFailCleanly) {
   const std::string payload =
       PayloadOf(EncodeStatsResponseFrame(SampleStats()));
-  // The v5 payload is a v4 payload plus a 16-byte capture-timestamp
-  // trailer; truncating exactly the trailer yields a well-formed v4
-  // payload, which MUST keep decoding (that is the interop contract).
-  const size_t v4_len = payload.size() - 16;
+  // The capture-timestamp tail is mandatory: even cutting exactly the tail
+  // fails.
   for (size_t len = 0; len < payload.size(); ++len) {
     const std::string prefix = payload.substr(0, len);
     StatsResponseMessage decoded;
-    if (len == v4_len) {
-      EXPECT_TRUE(DecodeStatsResponse(prefix, &decoded).ok());
-      EXPECT_EQ(decoded.metrics.captured_wall_ms, 0);
-      EXPECT_EQ(decoded.metrics.captured_mono_us, 0);
-      continue;
-    }
     EXPECT_FALSE(DecodeStatsResponse(prefix, &decoded).ok())
         << "truncated to " << len;
   }
@@ -466,12 +514,7 @@ TEST(ProtocolTest, StatsResponseHostileRowCountRejected) {
   EXPECT_NE(status.ToString().find("row count"), std::string::npos);
 }
 
-TEST(ProtocolTest, StatsConstantsGateTheFeature) {
-  // STATS frames are a v3 feature: a v2-negotiated session must never carry
-  // them, which the server enforces against kStatsVersion.
-  static_assert(kStatsVersion <= kProtocolVersion);
-  static_assert(kPayloadDictVersion < kStatsVersion,
-                "dictionary support predates stats");
+TEST(ProtocolTest, StatsFrameAndRoleNames) {
   EXPECT_STREQ(FrameTypeName(FrameType::kStatsRequest), "STATS_REQUEST");
   EXPECT_STREQ(FrameTypeName(FrameType::kStatsResponse), "STATS_RESPONSE");
   EXPECT_STREQ(PeerRoleName(PeerRole::kMonitor), "monitor");
@@ -486,8 +529,8 @@ TEST_P(ProtocolFuzzTest, MutatedPayloadsNeverCrashDecoders) {
   const std::string valid_payloads[] = {
       PayloadOf(EncodeHelloFrame(hello)),
       PayloadOf(EncodeWelcomeFrame(WelcomeMessage())),
-      PayloadOf(EncodeElementFrame(Ins("payload-string", 10, 500))),
-      PayloadOf(EncodeElementsFrame({Ins("a", 1, 5), Adj("a", 1, 5, 9)})),
+      PayloadOf(EncodeElementsFrame({Ins("payload-string", 10, 500)}, 3)),
+      PayloadOf(EncodeElementsFrame({Ins("a", 1, 5), Adj("a", 1, 5, 9)}, 3)),
       PayloadOf(EncodeByeFrame(ByeMessage{"bye-bye"})),
       PayloadOf(EncodeStatsResponseFrame(SampleStats())),
   };
@@ -503,15 +546,14 @@ TEST_P(ProtocolFuzzTest, MutatedPayloadsNeverCrashDecoders) {
       }
       HelloMessage h;
       WelcomeMessage w;
-      StreamElement e;
       ElementSequence es;
+      int64_t origin_us = 0;
       FeedbackMessage f;
       ByeMessage b;
       StatsResponseMessage sr;
       (void)DecodeHello(mutated, &h);
       (void)DecodeWelcome(mutated, &w);
-      (void)DecodeElementPayload(mutated, &e);
-      (void)DecodeElementsPayload(mutated, &es);
+      (void)DecodeElementsPayload(mutated, &es, &origin_us);
       (void)DecodeFeedback(mutated, &f);
       (void)DecodeBye(mutated, &b);
       (void)DecodeStatsResponse(mutated, &sr);
@@ -522,7 +564,7 @@ TEST_P(ProtocolFuzzTest, MutatedPayloadsNeverCrashDecoders) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
-// --- v4 replication frames (CHECKPOINT_REQUEST / CHECKPOINT_CHUNK /
+// --- Replication frames (CHECKPOINT_REQUEST / CHECKPOINT_CHUNK /
 // CUT_CERT) ---
 
 replica::CutCertificate SampleCert() {
@@ -623,9 +665,7 @@ TEST(ProtocolTest, ReplicationTruncationsFailCleanly) {
   }
 }
 
-TEST(ProtocolTest, ReplicationConstantsGateTheFeature) {
-  EXPECT_EQ(kReplicationVersion, 4u);
-  EXPECT_GE(kProtocolVersion, kReplicationVersion);
+TEST(ProtocolTest, ReplicationFrameAndRoleNames) {
   EXPECT_TRUE(IsKnownFrameType(
       static_cast<uint8_t>(FrameType::kCheckpointRequest)));
   EXPECT_TRUE(
@@ -637,11 +677,6 @@ TEST(ProtocolTest, ReplicationConstantsGateTheFeature) {
   EXPECT_STREQ(FrameTypeName(FrameType::kCheckpointChunk),
                "CHECKPOINT_CHUNK");
   EXPECT_STREQ(PeerRoleName(PeerRole::kStandby), "standby");
-}
-
-TEST(ProtocolTest, LatencyConstantsGateTheFeature) {
-  EXPECT_EQ(kLatencyVersion, 5u);
-  EXPECT_GE(kProtocolVersion, kLatencyVersion);
 }
 
 TEST(ProtocolTest, StampedElementsRoundTrip) {
@@ -684,29 +719,39 @@ TEST(ProtocolTest, StampedElementsDictRoundTrip) {
   EXPECT_EQ(origin_us, 987654);
 }
 
-TEST(ProtocolTest, StampedDecodersRejectUnstampedPayloads) {
-  // On a v5 wire the trailing stamp is mandatory: the session version picks
-  // the decoder, the decoder never sniffs.  A v4-shaped (unstamped) payload
-  // handed to the stamped decoder must fail cleanly, and vice versa the
-  // unstamped decoder must reject the 8 trailing stamp bytes.
+TEST(ProtocolTest, DecodersRejectUnstampedPayloads) {
+  // The trailing stamp is mandatory: a payload that ends at the last
+  // element fails cleanly in both batch decoders.
   const ElementSequence batch = {Ins("a", 1, 5), Stb(3)};
+  Encoder inline_body;
+  EncodeSequence(batch, &inline_body);
   ElementSequence decoded;
   int64_t origin_us = 0;
-  EXPECT_FALSE(DecodeElementsPayload(PayloadOf(EncodeElementsFrame(batch)),
-                                     &decoded, &origin_us)
+  EXPECT_FALSE(
+      DecodeElementsPayload(inline_body.bytes(), &decoded, &origin_us).ok());
+  PayloadDictEncoder encoder;
+  PayloadDictDecoder decoder_dict;
+  const DictBatchParts parts = EncodeDictBatchParts(batch, &encoder);
+  FrameAssembler assembler;
+  ASSERT_TRUE(assembler.Feed(parts.defs).ok());
+  Frame frame;
+  while (assembler.Next(&frame)) {
+    PayloadDefMessage def;
+    ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
+    ASSERT_TRUE(decoder_dict.Define(def.id, def.payload).ok());
+  }
+  EXPECT_FALSE(DecodeElementsDictPayload(parts.body, decoder_dict, &decoded,
+                                         &origin_us)
                    .ok());
-  EXPECT_FALSE(DecodeElementsPayload(
-                   PayloadOf(EncodeElementsFrame(batch, /*origin_us=*/7)),
-                   &decoded)
-                   .ok());
+  EXPECT_TRUE(DecodeElementsDictPayload(parts.body + std::string(8, '\0'),
+                                        decoder_dict, &decoded, &origin_us)
+                  .ok());
+  EXPECT_EQ(decoded, batch);
 }
 
 TEST(ProtocolTest, StampedElementsTruncationsFailCleanly) {
   const std::string payload = PayloadOf(
       EncodeElementsFrame({Ins("a", 1, 5), Stb(3)}, /*origin_us=*/4242));
-  // Dropping exactly the 8-byte stamp yields the valid v4 payload; every
-  // other prefix must fail.
-  const size_t v4_len = payload.size() - 8;
   for (size_t len = 0; len < payload.size(); ++len) {
     ElementSequence decoded;
     int64_t origin_us = 0;
@@ -714,11 +759,6 @@ TEST(ProtocolTest, StampedElementsTruncationsFailCleanly) {
                                        &origin_us)
                      .ok())
         << "truncated to " << len;
-    if (len != v4_len) {
-      EXPECT_FALSE(
-          DecodeElementsPayload(payload.substr(0, len), &decoded).ok())
-          << "truncated to " << len;
-    }
   }
 }
 
@@ -732,18 +772,6 @@ TEST(ProtocolTest, StatsResponseCarriesCaptureTimestamps) {
                   .ok());
   EXPECT_EQ(decoded.metrics.captured_wall_ms, 1700000000123);
   EXPECT_EQ(decoded.metrics.captured_mono_us, 55667788);
-
-  // A v4-negotiated session gets the v4 encoding: no trailer, and the
-  // decoder reports the timestamps as unknown.
-  StatsResponseMessage v4_decoded;
-  ASSERT_TRUE(
-      DecodeStatsResponse(
-          PayloadOf(EncodeStatsResponseFrame(stats, /*version=*/4)),
-          &v4_decoded)
-          .ok());
-  EXPECT_EQ(v4_decoded.metrics.captured_wall_ms, 0);
-  EXPECT_EQ(v4_decoded.metrics.captured_mono_us, 0);
-  EXPECT_EQ(v4_decoded.publishers, decoded.publishers);
 }
 
 }  // namespace

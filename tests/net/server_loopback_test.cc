@@ -15,12 +15,15 @@
 #include "stream/validate.h"
 #include "temporal/tdb.h"
 #include "test_util.h"
+#include "wire_test_util.h"
 #include "workload/generator.h"
 
 namespace lmerge::net {
 namespace {
 
 using ::lmerge::testing_util::Ins;
+using ::lmerge::testing_util::kTestOriginUs;
+using ::lmerge::testing_util::OneElementFrame;
 using ::lmerge::testing_util::Stb;
 using workload::GeneratorConfig;
 using workload::GeneratePhysicalVariant;
@@ -119,7 +122,7 @@ TEST(ServerLoopbackTest, ElementBeforeHelloIsRejectedWithBye) {
   MergeServer server;
   TestPeer peer = ConnectPeer(&server, "rogue");
   const Status status =
-      server.OnBytes(peer.session_id, EncodeElementFrame(Ins("x", 1, 2)));
+      server.OnBytes(peer.session_id, OneElementFrame(Ins("x", 1, 2)));
   EXPECT_FALSE(status.ok());
   const std::vector<Frame> frames = peer.DrainFrames();
   ASSERT_EQ(frames.size(), 1u);
@@ -133,19 +136,30 @@ TEST(ServerLoopbackTest, ElementBeforeHelloIsRejectedWithBye) {
 TEST(ServerLoopbackTest, GarbageBytesTearDownOnlyThatSession) {
   MergeServer server;
   TestPeer good = ConnectPeer(&server, "good");
-  TestPeer evil = ConnectPeer(&server, "evil");
   Handshake(&server, &good, PublisherHello("good"));
 
+  // A hostile length prefix before HELLO, and a frame with the retired
+  // tag 3 (the old single-ELEMENT frame) from a handshaked publisher.
+  TestPeer garbage = ConnectPeer(&server, "garbage");
   EXPECT_FALSE(
-      server.OnBytes(evil.session_id, "\xff\xff\xff\xff garbage").ok());
-  const std::vector<Frame> frames = evil.DrainFrames();
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].type, FrameType::kBye);
+      server.OnBytes(garbage.session_id, "\xff\xff\xff\xff garbage").ok());
+  TestPeer retired = ConnectPeer(&server, "retired");
+  Handshake(&server, &retired, PublisherHello("retired"));
+  EXPECT_EQ(server.active_publishers(), 2);
+  EXPECT_FALSE(server
+                   .OnBytes(retired.session_id,
+                            std::string("\x01\x00\x00\x00\x03x", 6))
+                   .ok());
+  for (TestPeer* evil : {&garbage, &retired}) {
+    const std::vector<Frame> frames = evil->DrainFrames();
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0].type, FrameType::kBye);
+  }
 
   // The good publisher is unaffected.
   EXPECT_TRUE(server
                   .OnBytes(good.session_id,
-                           EncodeElementFrame(Ins("still-alive", 1, 10)))
+                           OneElementFrame(Ins("still-alive", 1, 10)))
                   .ok());
   EXPECT_EQ(server.active_publishers(), 1);
 }
@@ -159,48 +173,68 @@ TEST(ServerLoopbackTest, ClientSendingServerOnlyFrameIsRejected) {
       server.OnBytes(peer.session_id, EncodeFeedbackFrame(feedback)).ok());
 }
 
-TEST(ServerLoopbackTest, TooOldProtocolVersionIsRejected) {
+// Exact match only: a HELLO one version off either way is answered with a
+// BYE naming both versions, and no WELCOME.
+TEST(ServerLoopbackTest, HelloAtAnotherVersionGetsByeNamingBoth) {
   MergeServer server;
-  TestPeer peer = ConnectPeer(&server, "ancient");
-  HelloMessage hello = PublisherHello("ancient");
-  hello.version = kMinProtocolVersion - 1;
-  EXPECT_FALSE(
-      server.OnBytes(peer.session_id, EncodeHelloFrame(hello)).ok());
+  for (const uint32_t version : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    for (const PeerRole role : {PeerRole::kPublisher, PeerRole::kSubscriber,
+                                PeerRole::kMonitor, PeerRole::kStandby}) {
+      TestPeer peer = ConnectPeer(&server, PeerRoleName(role));
+      HelloMessage hello = PublisherHello(PeerRoleName(role));
+      hello.role = role;
+      hello.version = version;
+      EXPECT_FALSE(
+          server.OnBytes(peer.session_id, EncodeHelloFrame(hello)).ok());
+      const std::vector<Frame> frames = peer.DrainFrames();
+      ASSERT_EQ(frames.size(), 1u);
+      ASSERT_EQ(frames[0].type, FrameType::kBye);
+      ByeMessage bye;
+      ASSERT_TRUE(DecodeBye(frames[0].payload, &bye).ok());
+      EXPECT_NE(bye.reason.find("v" + std::to_string(version)),
+                std::string::npos)
+          << bye.reason;
+      EXPECT_NE(bye.reason.find("v" + std::to_string(kProtocolVersion)),
+                std::string::npos)
+          << bye.reason;
+    }
+  }
+  EXPECT_EQ(server.publishers_seen(), 0);
+  EXPECT_EQ(server.subscriber_count(), 0);
 }
 
-TEST(ServerLoopbackTest, NewerPeerIsNegotiatedDownToServerVersion) {
-  // A client from the future offers a higher version; the server answers
-  // with its own (the min), and the session proceeds normally.
-  MergeServer server;
-  TestPeer peer = ConnectPeer(&server, "future");
-  HelloMessage hello = PublisherHello("future");
-  hello.version = kProtocolVersion + 7;
-  const WelcomeMessage welcome = Handshake(&server, &peer, hello);
-  EXPECT_EQ(welcome.version, kProtocolVersion);
-  EXPECT_TRUE(server
-                  .OnBytes(peer.session_id,
-                           EncodeElementFrame(Ins("hello", 1, 10)))
-                  .ok());
-}
-
-TEST(ServerLoopbackTest, V1PeerIsNegotiatedDownAndDictFramesRejected) {
-  MergeServer server;
-  TestPeer peer = ConnectPeer(&server, "v1");
-  HelloMessage hello = PublisherHello("v1");
-  hello.version = 1;
-  const WelcomeMessage welcome = Handshake(&server, &peer, hello);
-  EXPECT_EQ(welcome.version, 1u);
-  // Inline frames still work...
-  EXPECT_TRUE(server
-                  .OnBytes(peer.session_id,
-                           EncodeElementFrame(Ins("inline", 1, 10)))
-                  .ok());
-  // ...but v2 dictionary frames on a v1 session are a protocol violation.
-  PayloadDefMessage def;
-  def.id = 0;
-  def.payload = Row::OfString("sneaky");
-  EXPECT_FALSE(
-      server.OnBytes(peer.session_id, EncodePayloadDefFrame(def)).ok());
+// Every client rejects a WELCOME of another version, whichever way off.
+TEST(ServerLoopbackTest, ClientsRejectWelcomeOfAnotherVersion) {
+  for (const uint32_t version : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    WelcomeMessage welcome;
+    welcome.version = version;
+    const std::string welcome_frame = EncodeWelcomeFrame(welcome);
+    const auto connect = [&welcome_frame] {
+      auto [client, server_end] = CreateLoopbackPair();
+      EXPECT_TRUE(server_end->Send(welcome_frame).ok());
+      return std::make_pair(std::move(client), std::move(server_end));
+    };
+    const auto is_mismatch = [](const Status& status) {
+      return !status.ok() &&
+             status.ToString().find("version mismatch") != std::string::npos;
+    };
+    {
+      auto [client, server_end] = connect();
+      PublisherClient publisher(std::move(client));
+      EXPECT_TRUE(is_mismatch(publisher.Handshake(StreamProperties(),
+                                                  kMinTimestamp, "pub")));
+    }
+    {
+      auto [client, server_end] = connect();
+      SubscriberClient subscriber(std::move(client));
+      EXPECT_TRUE(is_mismatch(subscriber.Handshake("sub")));
+    }
+    {
+      auto [client, server_end] = connect();
+      StatsClient monitor(std::move(client));
+      EXPECT_TRUE(is_mismatch(monitor.Handshake("mon")));
+    }
+  }
 }
 
 HelloMessage MonitorHello(const std::string& name) {
@@ -333,30 +367,6 @@ TEST(ServerLoopbackTest, InBandStatsKeepFrameOrderWithinOneRead) {
   EXPECT_EQ(mon_frames.back().type, FrameType::kBye);
 }
 
-TEST(ServerLoopbackTest, V2PeerNeverSeesStatsAndMonitorNeedsV3) {
-  MergeServer server;
-  // A v2 publisher negotiates down and must not be able to poll stats.
-  TestPeer v2 = ConnectPeer(&server, "v2");
-  HelloMessage hello = PublisherHello("v2-replica");
-  hello.version = 2;
-  const WelcomeMessage welcome = Handshake(&server, &v2, hello);
-  EXPECT_EQ(welcome.version, 2u);
-  EXPECT_FALSE(
-      server.OnBytes(v2.session_id, EncodeStatsRequestFrame()).ok());
-
-  // A monitor HELLO claiming v2 is a protocol violation, not a downgrade.
-  TestPeer old_monitor = ConnectPeer(&server, "old-mon");
-  HelloMessage mon_hello = MonitorHello("old-dashboard");
-  mon_hello.version = 2;
-  EXPECT_FALSE(
-      server.OnBytes(old_monitor.session_id, EncodeHelloFrame(mon_hello))
-          .ok());
-  // The protocol violation cost the v2 publisher its session, and the
-  // rejected monitor never became a peer of any kind.
-  EXPECT_EQ(server.active_publishers(), 0);
-  EXPECT_EQ(server.subscriber_count(), 0);
-}
-
 TEST(ServerLoopbackTest, StatsClientPollsOverLoopback) {
   // The StatsClient handshake needs a live responder on the server end of
   // the loopback pair, so pump its bytes into the server from a thread.
@@ -457,12 +467,12 @@ TEST(ServerLoopbackTest, SubscriberReceivesExactlyTheMergedOutput) {
                                 Ins("c", 5, 20), Stb(30)};
   for (const StreamElement& element : tape) {
     ASSERT_TRUE(
-        server.OnBytes(pub.session_id, EncodeElementFrame(element)).ok());
+        server.OnBytes(pub.session_id, OneElementFrame(element)).ok());
   }
 
   server.Flush();  // delivery is enqueue-only; quiesce before reading
-  // A default (v2) subscriber receives dictionary-coded output: PAYLOAD_DEF
-  // frames defining each first-seen payload, then ELEMENTS_DICT batches.
+  // A subscriber receives dictionary-coded output: PAYLOAD_DEF frames
+  // defining each first-seen payload, then stamped ELEMENTS_DICT batches.
   PayloadDictDecoder dict;
   ElementSequence received;
   for (const Frame& frame : sub.DrainFrames()) {
@@ -478,50 +488,11 @@ TEST(ServerLoopbackTest, SubscriberReceivesExactlyTheMergedOutput) {
     ASSERT_TRUE(
         DecodeElementsDictPayload(frame.payload, dict, &batch, &origin_us)
             .ok());
-    // The publisher sent unstamped single-ELEMENT frames, so the v5
-    // fan-out carries the stamp trailer with an unknown (0) origin.
-    EXPECT_EQ(origin_us, 0);
+    // Every publisher frame carried the same origin; the fan-out
+    // republishes it.
+    EXPECT_EQ(origin_us, kTestOriginUs);
     for (StreamElement& element : batch) {
       received.push_back(std::move(element));
-    }
-  }
-  EXPECT_EQ(received, merged.elements());
-  EXPECT_FALSE(received.empty());
-}
-
-TEST(ServerLoopbackTest, V1SubscriberReceivesInlineElementFrames) {
-  MergeServer server;
-  CollectingSink merged;
-  server.AddOutputSink(&merged);
-  TestPeer sub = ConnectPeer(&server, "old-sub");
-  HelloMessage sub_hello;
-  sub_hello.role = PeerRole::kSubscriber;
-  sub_hello.version = 1;
-  Handshake(&server, &sub, sub_hello);
-
-  TestPeer pub = ConnectPeer(&server, "pub");
-  Handshake(&server, &pub, PublisherHello("pub"));
-  const ElementSequence tape = {Ins("a", 1, 10), Stb(4), Ins("a", 5, 20),
-                                Stb(30)};
-  for (const StreamElement& element : tape) {
-    ASSERT_TRUE(
-        server.OnBytes(pub.session_id, EncodeElementFrame(element)).ok());
-  }
-
-  server.Flush();
-  ElementSequence received;
-  for (const Frame& frame : sub.DrainFrames()) {
-    // v1 fan-out is batched: a flush of one element goes out as ELEMENT,
-    // anything larger as one ELEMENTS frame — never dictionary frames.
-    if (frame.type == FrameType::kElement) {
-      StreamElement element;
-      ASSERT_TRUE(DecodeElementPayload(frame.payload, &element).ok());
-      received.push_back(element);
-    } else {
-      ASSERT_EQ(frame.type, FrameType::kElements);
-      ElementSequence batch;
-      ASSERT_TRUE(DecodeElementsPayload(frame.payload, &batch).ok());
-      received.insert(received.end(), batch.begin(), batch.end());
     }
   }
   EXPECT_EQ(received, merged.elements());
@@ -539,14 +510,14 @@ TEST(ServerLoopbackTest, LaggingPublisherReceivesFeedback) {
   // stabilizes 50: the server must push the new horizon to the laggard.
   ASSERT_TRUE(server
                   .OnBytes(slow.session_id,
-                           EncodeElementFrame(Ins("early", 1, 100)))
+                           OneElementFrame(Ins("early", 1, 100)))
                   .ok());
   ASSERT_TRUE(server
                   .OnBytes(fast.session_id,
-                           EncodeElementFrame(Ins("early", 1, 100)))
+                           OneElementFrame(Ins("early", 1, 100)))
                   .ok());
   ASSERT_TRUE(
-      server.OnBytes(fast.session_id, EncodeElementFrame(Stb(50))).ok());
+      server.OnBytes(fast.session_id, OneElementFrame(Stb(50))).ok());
   ASSERT_EQ(server.output_stable(), 50);
 
   bool got_feedback = false;
@@ -573,7 +544,7 @@ TEST(ServerLoopbackTest, FeedbackCanBeDisabled) {
   Handshake(&server, &fast, PublisherHello("fast"));
   Handshake(&server, &slow, PublisherHello("slow"));
   ASSERT_TRUE(
-      server.OnBytes(fast.session_id, EncodeElementFrame(Stb(50))).ok());
+      server.OnBytes(fast.session_id, OneElementFrame(Stb(50))).ok());
   for (const Frame& frame : slow.DrainFrames()) {
     EXPECT_NE(frame.type, FrameType::kFeedback);
   }
@@ -638,7 +609,7 @@ TEST_P(ServerChurnTest, RandomDetachPointsNeverCorruptOutput) {
       if (cursor < std::min(limit, tape.size())) {
         ASSERT_TRUE(server
                         .OnBytes(peer.session_id,
-                                 EncodeElementFrame(tape[cursor++]))
+                                 OneElementFrame(tape[cursor++]))
                         .ok());
         any = true;
       } else if (s != 2 && peer.session_id >= 0) {
@@ -689,7 +660,7 @@ TEST_P(ServerChurnTest, MidRunJoinerCatchesUpAndTakesOver) {
   for (size_t i = 0; i < handoff; ++i) {
     ASSERT_TRUE(server
                     .OnBytes(first.session_id,
-                             EncodeElementFrame(original[i]))
+                             OneElementFrame(original[i]))
                     .ok());
   }
 

@@ -1,4 +1,4 @@
-// v4 standby session behaviour on the MergeServer, driven byte-by-byte
+// Standby session behaviour on the MergeServer, driven byte-by-byte
 // over loopback pairs: role gating, checkpoint serving, chunked transfer
 // under live traffic, and the cut certificate's dedup horizon.
 
@@ -46,10 +46,8 @@ TestPeer ConnectPeer(MergeServer* server, const std::string& name) {
   return peer;
 }
 
-HelloMessage StandbyHello(const std::string& name,
-                          uint32_t version = kProtocolVersion) {
+HelloMessage StandbyHello(const std::string& name) {
   HelloMessage hello;
-  hello.version = version;
   hello.role = PeerRole::kStandby;
   hello.peer_name = name;
   return hello;
@@ -69,18 +67,6 @@ int64_t CountElements(const std::vector<Frame>& frames,
   int64_t count = 0;
   for (const Frame& frame : frames) {
     switch (frame.type) {
-      case FrameType::kElement: {
-        StreamElement element;
-        EXPECT_TRUE(DecodeElementPayload(frame.payload, &element).ok());
-        ++count;
-        break;
-      }
-      case FrameType::kElements: {
-        ElementSequence elements;
-        EXPECT_TRUE(DecodeElementsPayload(frame.payload, &elements).ok());
-        count += static_cast<int64_t>(elements.size());
-        break;
-      }
       case FrameType::kPayloadDef: {
         PayloadDefMessage def;
         EXPECT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
@@ -101,21 +87,6 @@ int64_t CountElements(const std::vector<Frame>& frames,
     }
   }
   return count;
-}
-
-TEST(CheckpointWireTest, StandbyRoleRequiresV4) {
-  MergeServer server;
-  TestPeer standby = ConnectPeer(&server, "old-standby");
-  const Status status = server.OnBytes(
-      standby.session_id,
-      EncodeHelloFrame(StandbyHello("old-standby", /*version=*/3)));
-  EXPECT_FALSE(status.ok());
-  const std::vector<Frame> frames = standby.DrainFrames();
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].type, FrameType::kBye);
-  ByeMessage bye;
-  ASSERT_TRUE(DecodeBye(frames[0].payload, &bye).ok());
-  EXPECT_NE(bye.reason.find("v4"), std::string::npos);
 }
 
 TEST(CheckpointWireTest, CheckpointRequestFromNonStandbyRejected) {
@@ -285,8 +256,7 @@ TEST(CheckpointWireTest, AdoptCheckpointRefusedAfterPublishers) {
   CollectingSink sink;
   LMergeR4 donor(1, &sink);
   const std::string blob =
-      SaveCheckpoint(donor, kCheckpointVersion,
-                     replica::SerializeCutCertificate(cert));
+      SaveCheckpoint(donor, replica::SerializeCutCertificate(cert));
   EXPECT_FALSE(server.AdoptCheckpoint(blob, cert).ok());
 }
 

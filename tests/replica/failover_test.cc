@@ -234,6 +234,24 @@ TEST(FailoverTest, PartitionedR3PlusSeed2) {
   RunFailover(MergeVariant::kLMR3Plus, 2, /*merge_threads=*/3);
 }
 
+// The standby needs a primary at exactly its own protocol version: a
+// WELCOME of another version fails Connect, and nothing is jumpstarted.
+TEST(FailoverTest, StandbyRejectsWelcomeOfAnotherVersion) {
+  for (const uint32_t version :
+       {net::kProtocolVersion - 1, net::kProtocolVersion + 1}) {
+    auto [client, primary_end] = net::CreateLoopbackPair();
+    net::WelcomeMessage welcome;
+    welcome.version = version;
+    ASSERT_TRUE(primary_end->Send(net::EncodeWelcomeFrame(welcome)).ok());
+    StandbyReplica standby;
+    const Status status = standby.Connect(std::move(client));
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("version mismatch"), std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(standby.Jumpstart().ok());
+  }
+}
+
 TEST(FailoverTest, JumpstartBeforeFirstPublisher) {
   // A standby that attaches before the primary has any state simply
   // subscribes from scratch: has_state=false, nothing deduped, and the

@@ -44,10 +44,6 @@ int InspectCheckpointFile(const std::string& path) {
   }
   std::printf("%s: checkpoint v%u (magic LMCG), %zu bytes\n", path.c_str(),
               info.version, info.total_bytes);
-  if (info.version == kCheckpointVersionV1) {
-    std::printf("  body: %zu bytes (payloads inline)\n", info.body_bytes);
-    return 0;
-  }
   std::printf("  flags: 0x%02x%s\n", info.flags,
               (info.flags & kCheckpointFlagCutCertificate) != 0
                   ? " (cut certificate)"

@@ -11,10 +11,10 @@
 // attempt — so scripts start publisher and server concurrently instead of
 // sleeping and hoping (scripts/demo_net.sh).
 //
-// --batch=N (default 64) packs N elements into one ELEMENTS frame; the
-// server hands each decoded frame to the merge as a single batch, so larger
-// values amortize framing and ring-handoff overhead at the cost of delivery
-// latency (--batch=1 sends one ELEMENT frame per element).
+// --batch=N (default 64) packs N elements into one dictionary-coded batch
+// frame; the server hands each decoded frame to the merge as a single
+// batch, so larger values amortize framing and ring-handoff overhead at the
+// cost of delivery latency (--batch=1 sends batches of one).
 // --kill-after=N drops the connection (no BYE) after N elements, modelling
 // a crashed replica; re-running the tool afterwards models the rejoin
 // (Sec. V-B).  Unless --ignore-feedback is given, FEEDBACK frames from the
@@ -39,7 +39,7 @@ int Usage() {
                "                      [--join-time=T] [--batch=N]\n"
                "                      [--kill-after=N] [--ignore-feedback]\n"
                "                      [--connect-timeout-ms=N] [--retry=N]\n"
-               "  --batch=N  elements per ELEMENTS frame (default 64);\n"
+               "  --batch=N  elements per batch frame (default 64);\n"
                "             the server merges each frame as one batch\n");
   return 2;
 }
@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
   ElementSequence batch;
   auto flush = [&]() -> Status {
     if (batch.empty()) return Status::Ok();
-    const Status s = batch.size() == 1 ? publisher.Publish(batch[0])
-                                       : publisher.PublishBatch(batch);
+    const Status s = publisher.PublishBatch(batch);
     batch.clear();
     return s;
   };

@@ -7,7 +7,7 @@
 //                  [--metrics-interval=SEC] [--metrics-out=FILE]
 //                  [--connect-timeout-ms=N] [--retry=N]
 //
-// Connects to the primary as a v4 standby, jumpstarts from its checkpoint
+// Connects to the primary as a standby, jumpstarts from its checkpoint
 // (CHECKPOINT_REQUEST -> CUT_CERT -> chunks, under live traffic), then
 // shadows the primary by feeding its merged output into a local
 // MergeServer listening on --port.  When the primary goes away the standby

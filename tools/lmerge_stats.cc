@@ -1,4 +1,4 @@
-// lmerge_stats — poll a live lmerge_served daemon over the v3 monitor role
+// lmerge_stats — poll a live lmerge_served daemon over the monitor role
 // and render its merge stats: per-input element counts, contribution to the
 // merged output, stable-point lag behind the leading replica, and
 // between-poll throughput.
@@ -13,11 +13,10 @@
 // table, for scripting (scripts/demo_net.sh asserts on it).
 //
 // Rates are computed from the *server's* snapshot capture timestamps
-// (snapshot.captured_mono_us, v5 servers): the divisor is the time between
-// the two snapshots being captured, not between this tool observing them,
-// so a stalled monitor link cannot flatter or inflate el/s.  Against a v4
-// server the tool falls back to its own clock.  Each tick also renders the
-// server's latency.* stage histograms as p50/p99 columns.
+// (snapshot.captured_mono_us): the divisor is the time between the two
+// snapshots being captured, not between this tool observing them, so a
+// stalled monitor link cannot flatter or inflate el/s.  Each tick also
+// renders the server's latency.* stage histograms as p50/p99 columns.
 
 #include <algorithm>
 #include <chrono>
@@ -228,7 +227,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<int64_t> previous_in;
-  auto previous_time = std::chrono::steady_clock::now();
   int64_t previous_mono_us = 0;
   for (int64_t polls = 0; count <= 0 || polls < count; ++polls) {
     if (polls > 0) {
@@ -242,23 +240,17 @@ int main(int argc, char** argv) {
                    status.ToString().c_str());
       return count > 0 ? 1 : 0;
     }
-    const auto now = std::chrono::steady_clock::now();
-    // Prefer the interval between the server's own snapshot captures: it is
-    // exactly the window the counter deltas accumulated over.  Local clocks
-    // only when the server predates the capture stamps (v4).
-    double elapsed =
-        std::chrono::duration<double>(now - previous_time).count();
-    if (stats.metrics.captured_mono_us != 0 && previous_mono_us != 0) {
-      elapsed = static_cast<double>(stats.metrics.captured_mono_us -
-                                    previous_mono_us) /
-                1e6;
-    }
+    // The interval between the server's own snapshot captures: exactly the
+    // window the counter deltas accumulated over.
+    const double elapsed = static_cast<double>(
+                               stats.metrics.captured_mono_us -
+                               previous_mono_us) /
+                           1e6;
     if (json) {
       PrintJson(stats);
     } else {
       PrintTable(stats, previous_in, polls == 0 ? 0.0 : elapsed);
     }
-    previous_time = now;
     previous_mono_us = stats.metrics.captured_mono_us;
     previous_in.clear();
     for (const net::StatsInputRow& row : stats.inputs) {

@@ -14,7 +14,7 @@
 // publishers connect to capture the whole stream.
 //
 // --latency measures end-to-end publish->delivery latency from the wire:
-// v5 batches carry the publisher's send stamp, and this tool diffs it
+// batches carry the publisher's send stamp, and this tool diffs it
 // against its own steady clock at delivery — an EXTERNAL measurement the
 // server cannot flatter.  Per-element samples weight each batch by its
 // element count; percentiles print at exit.  Meaningful when publisher and
@@ -110,8 +110,7 @@ int main(int argc, char** argv) {
   if (flags.Has("latency")) {
     if (latency_us.empty()) {
       std::fprintf(stderr,
-                   "[lmerge_subscribe] latency: no stamped batches "
-                   "(pre-v5 server or publishers?)\n");
+                   "[lmerge_subscribe] latency: no stamped batches\n");
     } else {
       std::sort(latency_us.begin(), latency_us.end());
       const auto pct = [&latency_us](double q) {
