@@ -14,11 +14,14 @@
 //                              per-node-copy model, for the before/after
 //                              comparison (expected >= 2x for LMR3+).
 //
-// Reported counter: state_bytes (peak, sampled every 512 deliveries).
+// Reported counters: state_bytes (peak, sampled every 512 deliveries) and
+// checkpoint_bytes (SaveCheckpoint size of the final state; 0 for LMR3-,
+// which keeps no checkpointable state).
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "common/checkpoint.h"
 #include "stream/sink.h"
 
 namespace lmerge::bench {
@@ -81,14 +84,22 @@ PeakBytes RoundRobinPeakBoth(MergeAlgorithm* algo,
 void StateBytesBench(benchmark::State& state, MergeVariant variant,
                      bool unshared) {
   PeakBytes peak;
+  size_t checkpoint_bytes = 0;
   for (auto _ : state) {
     NullSink sink;
     auto algo = CreateMergeAlgorithm(variant, kNumReplicas, &sink);
     peak = RoundRobinPeakBoth(algo.get(), Replicas());
     benchmark::DoNotOptimize(peak);
+    state.PauseTiming();
+    if (algo->checkpointable() != nullptr) {
+      checkpoint_bytes = SaveCheckpoint(*algo->checkpointable()).size();
+    }
+    state.ResumeTiming();
   }
   state.counters["state_bytes"] = benchmark::Counter(
       static_cast<double>(unshared ? peak.unshared : peak.shared));
+  state.counters["checkpoint_bytes"] =
+      benchmark::Counter(static_cast<double>(checkpoint_bytes));
   state.counters["inputs"] = benchmark::Counter(kNumReplicas);
 }
 

@@ -109,12 +109,14 @@ inline int64_t RoundRobinDeliver(MergeAlgorithm* algo,
 // Machine-readable results (--json) for the CI bench-smoke job.
 //
 // Benchmarks publish optional metrics through counters named "p50_us",
-// "p99_us", and "state_bytes"; RunBenchmarksWithJson tees every run into a
-// JSON array written to the path given by `--json PATH` (or `--json=PATH`)
-// alongside the normal console output.  Schema per entry:
+// "p99_us", "state_bytes" and "checkpoint_bytes"; RunBenchmarksWithJson
+// tees every run into a JSON array written to the path given by
+// `--json PATH` (or `--json=PATH`) alongside the normal console output.
+// Schema per entry:
 //   {"name", "elems_per_sec", "p50_latency_us", "p99_latency_us",
-//    "state_bytes", "encoded_bytes", "tx_fanout_bytes",
-//    "host_nproc", "build_type", "git_sha"}
+//    "state_bytes", "checkpoint_bytes", "encoded_bytes", "tx_fanout_bytes",
+//    "encoded_frames", "fanout_batches", "host_nproc", "build_type",
+//    "git_sha"}
 // The last three describe the host and build that produced the row, so a
 // before/after pair can be checked to come from the same host.
 // ---------------------------------------------------------------------------
@@ -157,6 +159,8 @@ struct BenchJsonEntry {
   double p50_latency_us = 0;
   double p99_latency_us = 0;
   int64_t state_bytes = 0;
+  // SaveCheckpoint size of the final state (bench_state_bytes).
+  int64_t checkpoint_bytes = 0;
   // Fan-out accounting (bench_fanout_scale): bytes the server serialized
   // once per merged batch vs. bytes actually sent across all subscribers.
   int64_t encoded_bytes = 0;
@@ -186,6 +190,8 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       entry.p50_latency_us = counter("p50_us");
       entry.p99_latency_us = counter("p99_us");
       entry.state_bytes = static_cast<int64_t>(counter("state_bytes"));
+      entry.checkpoint_bytes =
+          static_cast<int64_t>(counter("checkpoint_bytes"));
       entry.encoded_bytes = static_cast<int64_t>(counter("encoded_bytes"));
       entry.tx_fanout_bytes =
           static_cast<int64_t>(counter("tx_fanout_bytes"));
@@ -228,6 +234,8 @@ inline bool WriteBenchJson(const std::string& path,
     writer.Double(e.p99_latency_us);
     writer.Key("state_bytes");
     writer.Int(e.state_bytes);
+    writer.Key("checkpoint_bytes");
+    writer.Int(e.checkpoint_bytes);
     writer.Key("encoded_bytes");
     writer.Int(e.encoded_bytes);
     writer.Key("tx_fanout_bytes");

@@ -103,7 +103,7 @@ echo "== verifying: standby output equivalent to a single input tape =="
 echo "== verifying: archived checkpoint inspects cleanly =="
 "$TOOLS/lmerge_inspect" --checkpoint "$WORK/snapshot.lmck" \
     | tee "$WORK/snapshot_inspect.txt"
-grep -q "checkpoint v2" "$WORK/snapshot_inspect.txt"
+grep -q "checkpoint v3" "$WORK/snapshot_inspect.txt"
 grep -q "cut:" "$WORK/snapshot_inspect.txt"
 
 echo "== verifying: replication metrics tell the jumpstart story =="

@@ -38,14 +38,14 @@ Status ReadSections(Decoder* decoder, uint8_t* flags_out,
   if (flags_out != nullptr) *flags_out = flags;
   std::string cut;
   if ((flags & kCheckpointFlagCutCertificate) != 0) {
-    if (!(status = decoder->ReadString(&cut)).ok()) return status;
+    if (!(status = decoder->ReadVarString(&cut)).ok()) return status;
   }
   if (cut_certificate != nullptr) *cut_certificate = std::move(cut);
   std::string pool;
-  if (!(status = decoder->ReadString(&pool)).ok()) return status;
+  if (!(status = decoder->ReadVarString(&pool)).ok()) return status;
   if (pool_section != nullptr) *pool_section = std::move(pool);
   std::string state;
-  if (!(status = decoder->ReadString(&state)).ok()) return status;
+  if (!(status = decoder->ReadVarString(&state)).ok()) return status;
   if (body != nullptr) *body = std::move(state);
   if (!decoder->AtEnd()) {
     return Status::InvalidArgument("trailing bytes after checkpoint");
@@ -68,15 +68,16 @@ std::string SaveCheckpoint(const Checkpointable& target,
   pool.EncodeTo(&pool_section);
 
   Encoder out;
-  out.Reserve(body.bytes().size() + pool_section.bytes().size() + 32);
+  out.Reserve(body.bytes().size() + pool_section.bytes().size() +
+              cut_certificate.size() + 40);
   out.WriteU32(kCheckpointMagic);
   out.WriteU32(kCheckpointVersion);
   const uint8_t flags =
       cut_certificate.empty() ? 0 : kCheckpointFlagCutCertificate;
   out.WriteU8(flags);
-  if (!cut_certificate.empty()) out.WriteString(cut_certificate);
-  out.WriteString(pool_section.bytes());
-  out.WriteString(body.bytes());
+  if (!cut_certificate.empty()) out.WriteVarString(cut_certificate);
+  out.WriteVarString(pool_section.bytes());
+  out.WriteVarString(body.bytes());
   return out.TakeBytes();
 }
 
@@ -131,7 +132,7 @@ Status InspectCheckpoint(const std::string& bytes, CheckpointInfo* info) {
   info->body_bytes = body.size();
 
   Decoder pool_decoder(pool_section);
-  status = pool_decoder.ReadU32(&info->pool_entries);
+  status = pool_decoder.ReadVarU32(&info->pool_entries);
   if (!status.ok()) return status;
   return Status::Ok();
 }

@@ -7,16 +7,26 @@
 // carry a magic and version so stale or foreign blobs are rejected rather
 // than misinterpreted.
 //
-// Format (v2): u32 magic, u32 version, u8 flags,
-//             [string cut_certificate]   (iff flags bit 0)
-//             string pool_section        (u32 count, rows in id order)
-//             string body                (SaveState bytes with WriteRowRef
-//                                         emitting u32 pool references)
-// Each distinct interned rep is written exactly once: index entries carry
-// 4-byte references into the pool section instead of a full row each — the
+// Format (v3):
+//   u32 magic, u32 version, u8 flags            (fixed width: any build can
+//                                                name the version it refuses)
+//   [varstring cut_certificate]                 (iff flags bit 0; the
+//                                                certificate itself is
+//                                                fixed width)
+//   varstring pool_section                      (varint count, then each
+//                                                distinct payload rep as a
+//                                                compact row, in id order)
+//   varstring body                              (SaveState bytes)
+// where a varstring is a LEB128 length and the bytes.  Inside the pool
+// section and the body every integer is a varint and every timestamp a
+// zigzag delta (Encoder::WriteTimeDelta) from a nearby one — the previous
+// node's Vs, the node's own Vs, the previous Ve — so a live node costs
+// ~17 B instead of v2's 64.  Each distinct interned rep is written exactly
+// once: index entries carry varint references (pool id + 1; 0 marks a row
+// written inline) into the pool section instead of a full row each — the
 // shared-ledger ratio of BENCH_state_bytes.json, applied to snapshots.
-// Version 2 is the only one written or loaded; the inline-payload v1
-// format is rejected as unsupported.
+// Version 3 is the only one written or loaded; the fixed-width v2 and the
+// inline-payload v1 formats are rejected as unsupported.
 
 #ifndef LMERGE_COMMON_CHECKPOINT_H_
 #define LMERGE_COMMON_CHECKPOINT_H_
@@ -41,7 +51,7 @@ class Checkpointable {
 };
 
 inline constexpr uint32_t kCheckpointMagic = 0x4c4d4347;  // "LMCG"
-inline constexpr uint32_t kCheckpointVersion = 2;
+inline constexpr uint32_t kCheckpointVersion = 3;
 
 // Flags byte: bit 0 marks an embedded cut-certificate section (the
 // replication subsystem's virtual-cut descriptor, src/replica/).

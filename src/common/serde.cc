@@ -31,6 +31,11 @@ void Encoder::WriteString(const std::string& s) {
   bytes_.append(s);
 }
 
+void Encoder::WriteVarString(const std::string& s) {
+  WriteVarU64(s.size());
+  bytes_.append(s);
+}
+
 void Encoder::WriteVarU64(uint64_t v) {
   char buf[10];
   size_t n = 0;
@@ -62,8 +67,7 @@ void Encoder::WriteValueAs(const Value& value, bool compact) {
       break;
     case ValueType::kString:
       if (compact) {
-        WriteVarU64(value.AsString().size());
-        bytes_.append(value.AsString());
+        WriteVarString(value.AsString());
       } else {
         WriteString(value.AsString());
       }
@@ -142,6 +146,18 @@ Status Decoder::ReadString(std::string* s) {
   return Status::Ok();
 }
 
+Status Decoder::ReadVarString(std::string* s) {
+  uint64_t len = 0;
+  Status status = ReadVarU64(&len);
+  if (!status.ok()) return status;
+  if (len > remaining()) {
+    return Status::OutOfRange("decode past end of buffer");
+  }
+  s->assign(bytes_, offset_, static_cast<size_t>(len));
+  offset_ += static_cast<size_t>(len);
+  return Status::Ok();
+}
+
 Status Decoder::ReadVarU64(uint64_t* v) {
   uint64_t result = 0;
   for (int shift = 0; shift < 64; shift += 7) {
@@ -181,6 +197,26 @@ Status Decoder::ReadVarU32(uint32_t* v) {
   return Status::Ok();
 }
 
+Status Decoder::ReadTimeDelta(Timestamp base, Timestamp* t) {
+  int64_t delta = 0;
+  Status status = ReadVarI64(&delta);
+  if (!status.ok()) return status;
+  *t = static_cast<Timestamp>(static_cast<uint64_t>(base) +
+                              static_cast<uint64_t>(delta));
+  return Status::Ok();
+}
+
+Status Decoder::ReadCount(size_t min_item_bytes, uint32_t* count) {
+  LM_DCHECK(min_item_bytes >= 1);
+  Status status = ReadVarU32(count);
+  if (!status.ok()) return status;
+  if (*count > remaining() / min_item_bytes) {
+    return Status::InvalidArgument("count " + std::to_string(*count) +
+                                   " exceeds buffer");
+  }
+  return Status::Ok();
+}
+
 Status Decoder::ReadValueAs(Value* value, bool compact) {
   uint8_t tag = 0;
   Status status = ReadU8(&tag);
@@ -212,19 +248,7 @@ Status Decoder::ReadValueAs(Value* value, bool compact) {
     }
     case ValueType::kString: {
       std::string s;
-      if (compact) {
-        uint64_t len = 0;
-        status = ReadVarU64(&len);
-        if (status.ok() && len > remaining()) {
-          status = Status::OutOfRange("decode past end of buffer");
-        }
-        if (status.ok()) {
-          s.assign(bytes_, offset_, static_cast<size_t>(len));
-          offset_ += static_cast<size_t>(len);
-        }
-      } else {
-        status = ReadString(&s);
-      }
+      status = compact ? ReadVarString(&s) : ReadString(&s);
       if (!status.ok()) return status;
       *value = Value(std::move(s));
       return Status::Ok();
@@ -235,24 +259,24 @@ Status Decoder::ReadValueAs(Value* value, bool compact) {
 
 void Encoder::WriteRowRef(const Row& row) {
   if (row_pool_ == nullptr) {
-    WriteRow(row);
+    WriteCompactRow(row);
     return;
   }
   if (row.identity() == nullptr) {
-    WriteU32(kInlineRowRef);
-    WriteRow(row);
+    WriteVarU64(0);
+    WriteCompactRow(row);
     return;
   }
-  WriteU32(row_pool_->Intern(row));
+  WriteVarU64(uint64_t{row_pool_->Intern(row)} + 1);
 }
 
 Status Decoder::ReadRowRef(Row* row) {
-  if (row_pool_ == nullptr) return ReadRow(row);
-  uint32_t id = 0;
-  Status status = ReadU32(&id);
+  if (row_pool_ == nullptr) return ReadCompactRow(row);
+  uint64_t ref = 0;
+  Status status = ReadVarU64(&ref);
   if (!status.ok()) return status;
-  if (id == kInlineRowRef) return ReadRow(row);
-  return row_pool_->Resolve(id, row);
+  if (ref == 0) return ReadCompactRow(row);
+  return row_pool_->Resolve(ref - 1, row);
 }
 
 uint32_t RowPoolEncoder::Intern(const Row& row) {
@@ -264,31 +288,27 @@ uint32_t RowPoolEncoder::Intern(const Row& row) {
 }
 
 void RowPoolEncoder::EncodeTo(Encoder* encoder) const {
-  encoder->WriteU32(static_cast<uint32_t>(rows_.size()));
-  for (const Row& row : rows_) encoder->WriteRow(row);
+  encoder->WriteVarU64(rows_.size());
+  for (const Row& row : rows_) encoder->WriteCompactRow(row);
 }
 
 Status RowPoolDecoder::DecodeFrom(Decoder* decoder) {
   uint32_t count = 0;
-  Status status = decoder->ReadU32(&count);
+  // Each pooled row takes at least its one-byte field count.
+  Status status = decoder->ReadCount(1, &count);
   if (!status.ok()) return status;
-  // Each pooled row takes at least its 4-byte field count; reject counts
-  // the buffer cannot hold (hostile-input bound).
-  if (count > decoder->remaining() / 4 + 1) {
-    return Status::InvalidArgument("row pool count exceeds buffer");
-  }
   rows_.clear();
   rows_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     Row row;
-    status = decoder->ReadRow(&row);
+    status = decoder->ReadCompactRow(&row);
     if (!status.ok()) return status;
     rows_.push_back(std::move(row));
   }
   return Status::Ok();
 }
 
-Status RowPoolDecoder::Resolve(uint32_t id, Row* row) const {
+Status RowPoolDecoder::Resolve(uint64_t id, Row* row) const {
   if (id >= rows_.size()) {
     return Status::InvalidArgument("row pool reference " + std::to_string(id) +
                                    " out of range");

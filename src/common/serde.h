@@ -1,17 +1,19 @@
 // Binary serialization of the library's value types.
 //
-// Used by the checkpoint facility (engine/checkpoint.h) that backs the
+// Used by the checkpoint facility (common/checkpoint.h) that backs the
 // query-jumpstart application (Sec. II-4: "seed query state using checkpoint
 // information stored on disk"), and usable as a wire format for shipping
 // stream elements between processes.
 //
 // Format: little-endian, length-prefixed, no alignment.  Two integer
 // codings share one buffer type:
-//  - fixed width (WriteU32/WriteI64/WriteRow ...): the checkpoint format
-//    and every control frame;
+//  - fixed width (WriteU32/WriteI64/WriteRow ...): control frames, the
+//    inline ELEMENTS batch, and the fixed envelopes around variable data
+//    (checkpoint magic/version, the cut certificate, the LMPC container);
 //  - LEB128 varints, zigzag-mapped when signed (WriteVarU64/WriteVarI64,
-//    WriteCompactRow): the dictionary-coded element frames, where most
-//    fields are small ids, deltas and lifetimes.
+//    WriteTimeDelta, WriteCompactRow, WriteRowRef): the dictionary-coded
+//    element frames and every checkpoint's pool section and body, where
+//    most fields are small ids, counts, deltas and lifetimes.
 // Every Decode validates bounds and returns a Status instead of crashing on
 // corrupt input.
 
@@ -34,10 +36,6 @@ namespace lmerge {
 class RowPoolEncoder;
 class RowPoolDecoder;
 
-// Sentinel id on the wire for a row written inline after the reference
-// (rows without a rep identity — the empty row — cannot be pooled).
-inline constexpr uint32_t kInlineRowRef = 0xffffffffu;
-
 // An append-only byte buffer with typed writers.
 class Encoder {
  public:
@@ -51,12 +49,21 @@ class Encoder {
   void WriteI64(int64_t v) { WriteU64(static_cast<uint64_t>(v)); }
   void WriteDouble(double v);
   void WriteString(const std::string& s);
+  // A varint length, then the bytes.
+  void WriteVarString(const std::string& s);
 
   // Unsigned LEB128: seven bits per byte, low group first, the high bit
   // set on every byte but the last (1 byte below 128, at most 10).
   void WriteVarU64(uint64_t v);
   // Zigzag-mapped signed varint: small magnitudes of either sign stay short.
   void WriteVarI64(int64_t v) { WriteVarU64(ZigZagEncode(v)); }
+  // `t` as a zigzag varint of its wrapping (mod 2^64) difference from
+  // `base`, so any pair of timestamps, kInfinity and kMinTimestamp
+  // included, has a delta; a time close to its base costs a byte or two.
+  void WriteTimeDelta(Timestamp t, Timestamp base) {
+    WriteVarI64(static_cast<int64_t>(static_cast<uint64_t>(t) -
+                                     static_cast<uint64_t>(base)));
+  }
 
   void WriteValue(const Value& value);
   void WriteRow(const Row& row);
@@ -65,12 +72,13 @@ class Encoder {
   // 8-byte double.
   void WriteCompactRow(const Row& row);
 
-  // Pooled row references (checkpoint format v2): with a pool attached,
-  // WriteRowRef emits a u32 — the row's pool id, or kInlineRowRef followed
-  // by the row inline when it has no rep identity.  Each distinct rep is
-  // then serialized exactly once, in the pool section, no matter how many
-  // index entries reference it.  Without a pool it degrades to WriteRow,
-  // so the same SaveState code produces the inline encoding unchanged.
+  // Pooled row references (checkpoint format v3): with a pool attached,
+  // WriteRowRef emits a varint — the row's pool id plus one, or 0 followed
+  // by the row as a compact row when it has no rep identity (the empty
+  // row).  Each distinct rep is then serialized exactly once, in the pool
+  // section, no matter how many index entries reference it.  Without a
+  // pool it degrades to WriteCompactRow, so the same SaveState code
+  // produces the inline encoding.
   void set_row_pool(RowPoolEncoder* pool) { row_pool_ = pool; }
   void WriteRowRef(const Row& row);
 
@@ -104,6 +112,7 @@ class Decoder {
   }
   Status ReadDouble(double* v);
   Status ReadString(std::string* s);
+  Status ReadVarString(std::string* s);
 
   // Counterparts of the varint writers.  Truncated input, a varint longer
   // than 10 bytes and one that overflows 64 bits are errors.
@@ -111,14 +120,20 @@ class Decoder {
   Status ReadVarI64(int64_t* v);
   // ReadVarU64 restricted to values that fit in 32 bits.
   Status ReadVarU32(uint32_t* v);
+  // Counterpart of WriteTimeDelta.
+  Status ReadTimeDelta(Timestamp base, Timestamp* t);
+  // A varint item count, rejected when the bytes left cannot hold that many
+  // items of at least `min_item_bytes` (>= 1) each — the hostile-input
+  // bound that keeps a corrupt count from sizing an allocation.
+  Status ReadCount(size_t min_item_bytes, uint32_t* count);
 
   Status ReadValue(Value* value) { return ReadValueAs(value, false); }
   Status ReadRow(Row* row) { return ReadRowAs(row, false); }
   Status ReadCompactRow(Row* row) { return ReadRowAs(row, true); }
 
   // Counterpart of Encoder::WriteRowRef.  With a pool attached, resolves
-  // u32 references against it (kInlineRowRef reads the row inline); without
-  // one it degrades to ReadRow, matching the poolless encoding.
+  // varint references against it (0 reads a compact row inline); without
+  // one it degrades to ReadCompactRow, matching the poolless encoding.
   void set_row_pool(const RowPoolDecoder* pool) { row_pool_ = pool; }
   Status ReadRowRef(Row* row);
 
@@ -150,7 +165,8 @@ class RowPoolEncoder {
 
   int64_t entries() const { return static_cast<int64_t>(rows_.size()); }
 
-  // The pool section: u32 entry count, then each row inline in id order.
+  // The pool section: varint entry count, then each row as a compact row
+  // in id order.
   void EncodeTo(Encoder* encoder) const;
 
  private:
@@ -164,7 +180,7 @@ class RowPoolDecoder {
   Status DecodeFrom(Decoder* decoder);
 
   // Resolves a pool id from a row reference; fails on out-of-range ids.
-  Status Resolve(uint32_t id, Row* row) const;
+  Status Resolve(uint64_t id, Row* row) const;
 
   int64_t entries() const { return static_cast<int64_t>(rows_.size()); }
 

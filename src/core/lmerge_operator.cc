@@ -82,13 +82,13 @@ void LMergeOperator::MaybeSendFeedback() {
 }
 
 void LMergeOperator::SaveState(Encoder* encoder) const {
-  encoder->WriteU32(static_cast<uint32_t>(inputs_.size()));
+  encoder->WriteVarU64(inputs_.size());
   for (const InputState& state : inputs_) {
     encoder->WriteU8(state.joined ? 1 : 0);
     encoder->WriteU8(state.detached ? 1 : 0);
-    encoder->WriteI64(state.join_time);
+    encoder->WriteTimeDelta(state.join_time, 0);
   }
-  encoder->WriteI64(last_feedback_sent_);
+  encoder->WriteTimeDelta(last_feedback_sent_, 0);
   const Checkpointable* inner = algorithm_->checkpointable();
   LM_CHECK_MSG(inner != nullptr,
                "algorithm variant does not support checkpointing");
@@ -97,7 +97,7 @@ void LMergeOperator::SaveState(Encoder* encoder) const {
 
 Status LMergeOperator::RestoreState(Decoder* decoder) {
   uint32_t input_count_saved = 0;
-  Status status = decoder->ReadU32(&input_count_saved);
+  Status status = ReadCheckpointStreamCount(decoder, &input_count_saved);
   if (!status.ok()) return status;
   std::vector<InputState> inputs(input_count_saved);
   for (uint32_t i = 0; i < input_count_saved; ++i) {
@@ -105,13 +105,15 @@ Status LMergeOperator::RestoreState(Decoder* decoder) {
     uint8_t detached = 0;
     if (!(status = decoder->ReadU8(&joined)).ok()) return status;
     if (!(status = decoder->ReadU8(&detached)).ok()) return status;
-    if (!(status = decoder->ReadI64(&inputs[i].join_time)).ok()) {
+    if (!(status = decoder->ReadTimeDelta(0, &inputs[i].join_time)).ok()) {
       return status;
     }
     inputs[i].joined = joined != 0;
     inputs[i].detached = detached != 0;
   }
-  if (!(status = decoder->ReadI64(&last_feedback_sent_)).ok()) return status;
+  if (!(status = decoder->ReadTimeDelta(0, &last_feedback_sent_)).ok()) {
+    return status;
+  }
   Checkpointable* inner = algorithm_->checkpointable();
   if (inner == nullptr) {
     return Status::FailedPrecondition(

@@ -65,20 +65,20 @@ Status LMergeR0::ValidateElement(const StreamElement& element) const {
 }
 
 void LMergeR0::SaveState(Encoder* encoder) const {
-  encoder->WriteU32(static_cast<uint32_t>(stream_count()));
-  encoder->WriteI64(max_stable_);
-  encoder->WriteI64(max_vs_);
+  encoder->WriteVarU64(static_cast<uint64_t>(stream_count()));
+  encoder->WriteTimeDelta(max_stable_, 0);
+  encoder->WriteTimeDelta(max_vs_, max_stable_);
 }
 
 Status LMergeR0::RestoreState(Decoder* decoder) {
   uint32_t streams = 0;
-  Status status = decoder->ReadU32(&streams);
+  Status status = ReadCheckpointStreamCount(decoder, &streams);
   if (!status.ok()) return status;
   while (stream_count() < static_cast<int>(streams)) {
     MergeAlgorithm::AddStream();
   }
-  if (!(status = decoder->ReadI64(&max_stable_)).ok()) return status;
-  return decoder->ReadI64(&max_vs_);
+  if (!(status = decoder->ReadTimeDelta(0, &max_stable_)).ok()) return status;
+  return decoder->ReadTimeDelta(max_stable_, &max_vs_);
 }
 
 }  // namespace lmerge

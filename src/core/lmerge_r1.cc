@@ -89,23 +89,27 @@ Status LMergeR1::ValidateElement(const StreamElement& element) const {
 }
 
 void LMergeR1::SaveState(Encoder* encoder) const {
-  encoder->WriteU32(static_cast<uint32_t>(stream_count()));
-  encoder->WriteI64(max_stable_);
-  encoder->WriteI64(max_vs_);
-  encoder->WriteI64(max_count_);
-  for (const int64_t count : same_vs_count_) encoder->WriteI64(count);
+  encoder->WriteVarU64(static_cast<uint64_t>(stream_count()));
+  encoder->WriteTimeDelta(max_stable_, 0);
+  encoder->WriteTimeDelta(max_vs_, max_stable_);
+  encoder->WriteVarI64(max_count_);
+  for (const int64_t count : same_vs_count_) encoder->WriteVarI64(count);
 }
 
 Status LMergeR1::RestoreState(Decoder* decoder) {
   uint32_t streams = 0;
-  Status status = decoder->ReadU32(&streams);
+  Status status = ReadCheckpointStreamCount(decoder, &streams);
   if (!status.ok()) return status;
   while (stream_count() < static_cast<int>(streams)) AddStream();
-  if (!(status = decoder->ReadI64(&max_stable_)).ok()) return status;
-  if (!(status = decoder->ReadI64(&max_vs_)).ok()) return status;
-  if (!(status = decoder->ReadI64(&max_count_)).ok()) return status;
+  if (!(status = decoder->ReadTimeDelta(0, &max_stable_)).ok()) return status;
+  if (!(status = decoder->ReadTimeDelta(max_stable_, &max_vs_)).ok()) {
+    return status;
+  }
+  if (!(status = decoder->ReadVarI64(&max_count_)).ok()) return status;
   for (uint32_t s = 0; s < streams; ++s) {
-    if (!(status = decoder->ReadI64(&same_vs_count_[s])).ok()) return status;
+    if (!(status = decoder->ReadVarI64(&same_vs_count_[s])).ok()) {
+      return status;
+    }
   }
   return Status::Ok();
 }

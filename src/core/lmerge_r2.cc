@@ -38,10 +38,10 @@ void LMergeR2::OnStable(int stream, Timestamp t) {
 }
 
 void LMergeR2::SaveState(Encoder* encoder) const {
-  encoder->WriteU32(static_cast<uint32_t>(stream_count()));
-  encoder->WriteI64(max_stable_);
-  encoder->WriteI64(max_vs_);
-  encoder->WriteU32(static_cast<uint32_t>(seen_.size()));
+  encoder->WriteVarU64(static_cast<uint64_t>(stream_count()));
+  encoder->WriteTimeDelta(max_stable_, 0);
+  encoder->WriteTimeDelta(max_vs_, max_stable_);
+  encoder->WriteVarU64(seen_.size());
   seen_.ForEach([encoder](const Row& payload, char) {
     encoder->WriteRowRef(payload);
   });
@@ -49,18 +49,18 @@ void LMergeR2::SaveState(Encoder* encoder) const {
 
 Status LMergeR2::RestoreState(Decoder* decoder) {
   uint32_t streams = 0;
-  Status status = decoder->ReadU32(&streams);
+  Status status = ReadCheckpointStreamCount(decoder, &streams);
   if (!status.ok()) return status;
   while (stream_count() < static_cast<int>(streams)) {
     MergeAlgorithm::AddStream();
   }
-  if (!(status = decoder->ReadI64(&max_stable_)).ok()) return status;
-  if (!(status = decoder->ReadI64(&max_vs_)).ok()) return status;
-  uint32_t count = 0;
-  if (!(status = decoder->ReadU32(&count)).ok()) return status;
-  if (count > decoder->remaining() / 4 + 1) {
-    return Status::InvalidArgument("seen-set count exceeds buffer");
+  if (!(status = decoder->ReadTimeDelta(0, &max_stable_)).ok()) return status;
+  if (!(status = decoder->ReadTimeDelta(max_stable_, &max_vs_)).ok()) {
+    return status;
   }
+  uint32_t count = 0;
+  // Each row reference takes at least one byte.
+  if (!(status = decoder->ReadCount(1, &count)).ok()) return status;
   seen_.Clear();
   payload_bytes_ = 0;
   for (uint32_t i = 0; i < count; ++i) {

@@ -294,56 +294,79 @@ void LMergeR3::OnStable(int stream, Timestamp t) {
 }
 
 void LMergeR3::SaveState(Encoder* encoder) const {
-  encoder->WriteI64(max_stable_);
-  encoder->WriteU32(static_cast<uint32_t>(last_stable_.size()));
-  for (const Timestamp t : last_stable_) encoder->WriteI64(t);
-  encoder->WriteU32(static_cast<uint32_t>(index_.node_count()));
+  encoder->WriteTimeDelta(max_stable_, 0);
+  encoder->WriteVarU64(last_stable_.size());
+  for (const Timestamp t : last_stable_) {
+    encoder->WriteTimeDelta(t, max_stable_);
+  }
+  encoder->WriteVarU64(static_cast<uint64_t>(index_.node_count()));
+  // Nodes in index (Vs) order: each Vs is a delta from the previous node's,
+  // each Ve a delta from the previous Ve of the same node (starting at its
+  // Vs), so entries that agree cost a byte.  Stream ids are written + 1,
+  // which maps kOutputStream to 0.
+  Timestamp prev_vs = 0;
   for (auto it = index_.begin(); it != index_.end(); ++it) {
-    encoder->WriteI64(it.key().vs);
+    const Timestamp vs = it.key().vs;
+    encoder->WriteTimeDelta(vs, prev_vs);
+    prev_vs = vs;
     encoder->WriteRowRef(it.key().payload);
-    encoder->WriteU32(static_cast<uint32_t>(it.value().size()));
-    it.value().ForEach([encoder](int32_t stream, Timestamp ve) {
-      encoder->WriteU32(static_cast<uint32_t>(stream));
-      encoder->WriteI64(ve);
+    encoder->WriteVarU64(static_cast<uint64_t>(it.value().size()));
+    Timestamp prev_ve = vs;
+    it.value().ForEach([encoder, &prev_ve](int32_t stream, Timestamp ve) {
+      encoder->WriteVarU64(static_cast<uint64_t>(stream + 1));
+      encoder->WriteTimeDelta(ve, prev_ve);
+      prev_ve = ve;
     });
   }
 }
 
 Status LMergeR3::RestoreState(Decoder* decoder) {
-  Status status = decoder->ReadI64(&max_stable_);
+  Status status = decoder->ReadTimeDelta(0, &max_stable_);
   if (!status.ok()) return status;
   uint32_t stream_count_saved = 0;
-  if (!(status = decoder->ReadU32(&stream_count_saved)).ok()) return status;
+  if (!(status = ReadCheckpointStreamCount(decoder, &stream_count_saved))
+           .ok()) {
+    return status;
+  }
   last_stable_.assign(stream_count_saved, kMinTimestamp);
   for (uint32_t s = 0; s < stream_count_saved; ++s) {
-    if (!(status = decoder->ReadI64(&last_stable_[s])).ok()) return status;
+    if (!(status = decoder->ReadTimeDelta(max_stable_, &last_stable_[s]))
+             .ok()) {
+      return status;
+    }
   }
-  // Grow the stream registry to match the snapshot.
+  // Grow the stream registry to match the snapshot; streams this instance
+  // already had beyond it start with no stable point.
   while (stream_count() < static_cast<int>(stream_count_saved)) {
     MergeAlgorithm::AddStream();
   }
+  last_stable_.resize(static_cast<size_t>(stream_count()), kMinTimestamp);
   index_ = In2t();
   uint32_t node_count = 0;
-  if (!(status = decoder->ReadU32(&node_count)).ok()) return status;
+  // A node takes at least a Vs delta, a row reference and an entry count.
+  if (!(status = decoder->ReadCount(3, &node_count)).ok()) return status;
+  Timestamp vs = 0;
   for (uint32_t n = 0; n < node_count; ++n) {
-    int64_t vs = 0;
     Row payload;
-    if (!(status = decoder->ReadI64(&vs)).ok()) return status;
+    if (!(status = decoder->ReadTimeDelta(vs, &vs)).ok()) return status;
     if (!(status = decoder->ReadRowRef(&payload)).ok()) return status;
+    if (index_.SameVsPayload(vs, payload) != index_.end()) {
+      return Status::InvalidArgument("checkpoint repeats an index node");
+    }
     In2t::Iterator node = index_.AddNode(vs, payload);
     uint32_t entries = 0;
-    if (!(status = decoder->ReadU32(&entries)).ok()) return status;
+    // An entry takes at least a stream id and a Ve delta.
+    if (!(status = decoder->ReadCount(2, &entries)).ok()) return status;
+    Timestamp ve = vs;
     for (uint32_t e = 0; e < entries; ++e) {
-      uint32_t stream = 0;
-      int64_t ve = 0;
-      if (!(status = decoder->ReadU32(&stream)).ok()) return status;
-      if (!(status = decoder->ReadI64(&ve)).ok()) return status;
-      if (static_cast<int32_t>(stream) != kOutputStream &&
-          stream >= stream_count_saved) {
-        return Status::InvalidArgument("checkpoint entry for unknown stream " +
-                                       std::to_string(stream));
+      int32_t stream = 0;
+      if (!(status = ReadCheckpointEntryStream(decoder, stream_count_saved,
+                                               &stream))
+               .ok()) {
+        return status;
       }
-      node.value().Insert(static_cast<int32_t>(stream), ve);
+      if (!(status = decoder->ReadTimeDelta(ve, &ve)).ok()) return status;
+      node.value().Insert(stream, ve);
     }
   }
   // Rebuild the incremental byte counters and scan frontiers.

@@ -335,69 +335,86 @@ void LMergeR4::OnStable(int stream, Timestamp t) {
 }
 
 void LMergeR4::SaveState(Encoder* encoder) const {
-  encoder->WriteI64(max_stable_);
-  encoder->WriteI64(inconsistencies_);
-  encoder->WriteU32(static_cast<uint32_t>(stream_count()));
-  encoder->WriteU32(static_cast<uint32_t>(index_.node_count()));
+  encoder->WriteTimeDelta(max_stable_, 0);
+  encoder->WriteVarI64(inconsistencies_);
+  encoder->WriteVarU64(static_cast<uint64_t>(stream_count()));
+  encoder->WriteVarU64(static_cast<uint64_t>(index_.node_count()));
+  // The LMergeR3 layout with a multiset per entry: its distinct-Ve count,
+  // then each (Ve delta from the previous Ve of the node, multiplicity).
+  Timestamp prev_vs = 0;
   for (auto it = index_.begin(); it != index_.end(); ++it) {
-    encoder->WriteI64(it.key().vs);
+    const Timestamp vs = it.key().vs;
+    encoder->WriteTimeDelta(vs, prev_vs);
+    prev_vs = vs;
     encoder->WriteRowRef(it.key().payload);
-    encoder->WriteU32(static_cast<uint32_t>(it.value().size()));
-    it.value().ForEach([encoder](int32_t stream, const VeMultiset& ends) {
-      encoder->WriteU32(static_cast<uint32_t>(stream));
-      int32_t distinct = 0;
+    encoder->WriteVarU64(static_cast<uint64_t>(it.value().size()));
+    Timestamp prev_ve = vs;
+    it.value().ForEach([encoder, &prev_ve](int32_t stream,
+                                           const VeMultiset& ends) {
+      encoder->WriteVarU64(static_cast<uint64_t>(stream + 1));
+      uint64_t distinct = 0;
       ends.ForEach([&distinct](Timestamp, int64_t) { ++distinct; });
-      encoder->WriteU32(static_cast<uint32_t>(distinct));
-      ends.ForEach([encoder](Timestamp ve, int64_t count) {
-        encoder->WriteI64(ve);
-        encoder->WriteI64(count);
+      encoder->WriteVarU64(distinct);
+      ends.ForEach([encoder, &prev_ve](Timestamp ve, int64_t count) {
+        encoder->WriteTimeDelta(ve, prev_ve);
+        prev_ve = ve;
+        encoder->WriteVarU64(static_cast<uint64_t>(count));
       });
     });
   }
 }
 
 Status LMergeR4::RestoreState(Decoder* decoder) {
-  Status status = decoder->ReadI64(&max_stable_);
+  Status status = decoder->ReadTimeDelta(0, &max_stable_);
   if (!status.ok()) return status;
-  if (!(status = decoder->ReadI64(&inconsistencies_)).ok()) return status;
+  if (!(status = decoder->ReadVarI64(&inconsistencies_)).ok()) return status;
   uint32_t stream_count_saved = 0;
-  if (!(status = decoder->ReadU32(&stream_count_saved)).ok()) return status;
+  if (!(status = ReadCheckpointStreamCount(decoder, &stream_count_saved))
+           .ok()) {
+    return status;
+  }
   while (stream_count() < static_cast<int>(stream_count_saved)) {
     MergeAlgorithm::AddStream();
   }
   index_ = In3t();
   uint32_t node_count = 0;
-  if (!(status = decoder->ReadU32(&node_count)).ok()) return status;
+  // A node takes at least a Vs delta, a row reference and an entry count.
+  if (!(status = decoder->ReadCount(3, &node_count)).ok()) return status;
+  Timestamp vs = 0;
   for (uint32_t n = 0; n < node_count; ++n) {
-    int64_t vs = 0;
     Row payload;
-    if (!(status = decoder->ReadI64(&vs)).ok()) return status;
+    if (!(status = decoder->ReadTimeDelta(vs, &vs)).ok()) return status;
     if (!(status = decoder->ReadRowRef(&payload)).ok()) return status;
+    if (index_.SameVsPayload(vs, payload) != index_.end()) {
+      return Status::InvalidArgument("checkpoint repeats an index node");
+    }
     In3t::Iterator node = index_.AddNode(vs, payload);
     uint32_t entries = 0;
-    if (!(status = decoder->ReadU32(&entries)).ok()) return status;
+    // An entry takes at least a stream id and a distinct-Ve count.
+    if (!(status = decoder->ReadCount(2, &entries)).ok()) return status;
+    Timestamp ve = vs;
     for (uint32_t e = 0; e < entries; ++e) {
-      uint32_t stream = 0;
+      int32_t stream = 0;
       uint32_t distinct = 0;
-      if (!(status = decoder->ReadU32(&stream)).ok()) return status;
-      if (!(status = decoder->ReadU32(&distinct)).ok()) return status;
-      if (static_cast<int32_t>(stream) != kOutputStream &&
-          stream >= stream_count_saved) {
-        return Status::InvalidArgument("checkpoint entry for unknown stream " +
-                                       std::to_string(stream));
+      if (!(status = ReadCheckpointEntryStream(decoder, stream_count_saved,
+                                               &stream))
+               .ok()) {
+        return status;
       }
+      // A distinct Ve takes at least its delta and its multiplicity.
+      if (!(status = decoder->ReadCount(2, &distinct)).ok()) return status;
       VeMultiset ends;
       for (uint32_t d = 0; d < distinct; ++d) {
-        int64_t ve = 0;
-        int64_t count = 0;
-        if (!(status = decoder->ReadI64(&ve)).ok()) return status;
-        if (!(status = decoder->ReadI64(&count)).ok()) return status;
-        if (count <= 0) {
+        uint64_t count = 0;
+        if (!(status = decoder->ReadTimeDelta(ve, &ve)).ok()) return status;
+        if (!(status = decoder->ReadVarU64(&count)).ok()) return status;
+        // Zero, and anything past INT64_MAX, would not be a positive count.
+        if (static_cast<int64_t>(count) <= 0) {
           return Status::InvalidArgument("non-positive multiset count");
         }
-        ends.Increment(ve, count);
+        ends.Increment(ve, static_cast<int64_t>(count));
       }
-      node.value().Insert(static_cast<int32_t>(stream), std::move(ends));
+      node.value().Insert(stream, std::move(ends));
     }
   }
   // Rebuild the incremental byte counters and scan frontiers.

@@ -3,9 +3,36 @@
 #include <algorithm>
 #include <string>
 
+#include "common/serde.h"
+#include "core/in2t.h"
 #include "obs/metrics.h"
 
 namespace lmerge {
+
+Status ReadCheckpointStreamCount(Decoder* decoder, uint32_t* count) {
+  Status status = decoder->ReadVarU32(count);
+  if (!status.ok()) return status;
+  if (*count > kMaxStreams) {
+    return Status::InvalidArgument(
+        "checkpoint names " + std::to_string(*count) +
+        " streams; at most " + std::to_string(kMaxStreams) + " are supported");
+  }
+  return Status::Ok();
+}
+
+Status ReadCheckpointEntryStream(Decoder* decoder, uint32_t stream_count,
+                                 int32_t* stream) {
+  uint64_t id_plus_one = 0;
+  Status status = decoder->ReadVarU64(&id_plus_one);
+  if (!status.ok()) return status;
+  if (id_plus_one > stream_count) {
+    return Status::InvalidArgument("checkpoint entry for unknown stream " +
+                                   std::to_string(id_plus_one - 1));
+  }
+  *stream = static_cast<int32_t>(id_plus_one) - 1;
+  static_assert(kOutputStream == -1);
+  return Status::Ok();
+}
 
 void MergeAlgorithm::ExportMetrics(obs::MetricsRegistry* registry) const {
   registry->GetExportedCounter("merge.in.inserts")->Set(stats_.inserts_in);

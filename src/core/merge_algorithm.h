@@ -27,10 +27,26 @@
 namespace lmerge {
 
 class Checkpointable;
+class Decoder;
 
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
+
+// The most input streams one merge may have.  The concurrent mergers
+// pre-reserve their producer-visible slot vectors to it, and a checkpoint
+// naming more is rejected at restore (ReadCheckpointStreamCount).
+inline constexpr size_t kMaxStreams = 1024;
+
+// Reads a checkpoint body's stream count (a varint), failing with a Status
+// on one above kMaxStreams before anything is sized by it.
+Status ReadCheckpointStreamCount(Decoder* decoder, uint32_t* count);
+
+// Reads an in2t/in3t bottom-tier entry's stream id, written as a varint of
+// id + 1 so the output entry (kOutputStream, -1) is 0.  Fails on an id at
+// or past `stream_count`.
+Status ReadCheckpointEntryStream(Decoder* decoder, uint32_t stream_count,
+                                 int32_t* stream);
 
 // Counts of elements emitted by the algorithm; the paper's "output size"
 // metric and the quantity bounded by Theorem 1.

@@ -240,13 +240,11 @@ class ConcurrentMerger : public Merger {
   size_t ProcessControlOps();
   void RecordError(const Status& status);
 
-  // The slot vector is append-only and pre-reserved to kMaxStreams so
-  // producers may index it without locks while AddStream appends.
-  static constexpr size_t kMaxStreams = 1024;
-
   MergeAlgorithm* algorithm_;
   ConcurrentMergerOptions options_;
 
+  // Append-only and pre-reserved to kMaxStreams (core/merge_algorithm.h)
+  // so producers may index it without locks while AddStream appends.
   std::vector<std::unique_ptr<InputSlot>> slots_;
   std::atomic<int> slot_count_{0};
 

@@ -270,9 +270,8 @@ class PartitionedMerger : public Merger {
   std::vector<MergeAlgorithm*> algorithms_;  // shards_[i]->algorithm.get()
 
   // Producer-visible stream registry (mirrors every shard's; the slot
-  // vector is append-only and pre-reserved so producers index it without
-  // locks while AddStream appends).
-  static constexpr size_t kMaxStreams = 1024;
+  // vector is append-only and pre-reserved to kMaxStreams so producers
+  // index it without locks while AddStream appends).
   std::vector<std::unique_ptr<std::atomic<bool>>> active_;
   std::atomic<int> stream_count_{0};
 

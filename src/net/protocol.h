@@ -59,9 +59,11 @@ namespace lmerge::net {
 // The one wire version.  Every ELEMENTS / ELEMENTS_DICT payload ends with
 // `i64 origin_us` (the sender's steady clock in microseconds at
 // serialization; 0 = unknown, docs/OBSERVABILITY.md "Latency pipeline").
-// 6 retired the version ladder and the single-ELEMENT frame; a build of an
-// older version fails at HELLO instead of mid-stream.
-inline constexpr uint32_t kProtocolVersion = 6;
+// 6 retired the version ladder and the single-ELEMENT frame; 7 carries
+// checkpoint format v3 (common/checkpoint.h) in CHECKPOINT_CHUNK frames.  A
+// build of an older version fails at HELLO instead of mid-stream or at
+// jumpstart.
+inline constexpr uint32_t kProtocolVersion = 7;
 
 // Checkpoint blobs are streamed in chunks of this size so live element
 // fan-out interleaves with the transfer instead of stalling behind one

@@ -592,6 +592,21 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
   return Status::Ok();
 }
 
+namespace {
+
+// The dead primary's output joins a restored merge as one more stream, so a
+// snapshot already at kMaxStreams leaves no room for it.
+Status CheckRoomForFeedStream(int restored_streams) {
+  if (static_cast<size_t>(restored_streams) >= kMaxStreams) {
+    return Status::InvalidArgument(
+        "checkpoint holds " + std::to_string(restored_streams) +
+        " streams; no room for the feed stream");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Status MergeServer::AdoptCheckpoint(const std::string& blob,
                                     const replica::CutCertificate& cert) {
   MutexLock lock(mutex_);
@@ -614,6 +629,8 @@ Status MergeServer::AdoptCheckpoint(const std::string& blob,
   // merger constructed below sizes its rings and seeds its stable point
   // from the restored state.
   Status status = LoadCheckpoint(blob, checkpointable);
+  if (!status.ok()) return status;
+  status = CheckRoomForFeedStream(algorithm->stream_count());
   if (!status.ok()) return status;
   if (algorithm->max_stable() != cert.output_stable) {
     return Status::InvalidArgument(
@@ -666,8 +683,11 @@ Status MergeServer::AdoptPartitionedCheckpointLocked(
   // thread does not exist yet at that point, and nothing is delivered until
   // the constructor returns, so the restore is race-free.  Restore failures
   // are latched and checked after construction (the factory signature
-  // cannot return a Status).
+  // cannot return a Status).  The constructor requires every shard at one
+  // width, so a failed or skipped restore yields a fresh algorithm as wide
+  // as shard 0's.
   Status restore_status = Status::Ok();
+  int width = 1;
   std::vector<Timestamp> restored_stables(shard_blobs.size(), kMinTimestamp);
   PartitionedMergerOptions merger_options;
   merger_options.shards = static_cast<int>(shard_blobs.size());
@@ -678,16 +698,30 @@ Status MergeServer::AdoptPartitionedCheckpointLocked(
       [&](int shard, ElementSink* sink) {
         std::unique_ptr<MergeAlgorithm> algorithm = CreateMergeAlgorithm(
             cert.variant, /*num_streams=*/1, sink, cert.policy);
-        if (!restore_status.ok()) return algorithm;
         Checkpointable* checkpointable = algorithm->checkpointable();
-        if (checkpointable == nullptr) {
+        if (restore_status.ok() && checkpointable == nullptr) {
           restore_status = Status::InvalidArgument(
               std::string("variant ") + MergeVariantName(cert.variant) +
               " does not support checkpoints");
-          return algorithm;
         }
-        restore_status = LoadCheckpoint(
-            shard_blobs[static_cast<size_t>(shard)], checkpointable);
+        if (restore_status.ok()) {
+          restore_status = LoadCheckpoint(
+              shard_blobs[static_cast<size_t>(shard)], checkpointable);
+        }
+        if (restore_status.ok()) {
+          restore_status = CheckRoomForFeedStream(algorithm->stream_count());
+        }
+        if (restore_status.ok() && shard > 0 &&
+            algorithm->stream_count() != width) {
+          restore_status = Status::InvalidArgument(
+              "shard " + std::to_string(shard) + " restores " +
+              std::to_string(algorithm->stream_count()) +
+              " streams, shard 0 " + std::to_string(width));
+        }
+        if (!restore_status.ok()) {
+          return CreateMergeAlgorithm(cert.variant, width, sink, cert.policy);
+        }
+        width = algorithm->stream_count();
         restored_stables[static_cast<size_t>(shard)] =
             algorithm->max_stable();
         return algorithm;

@@ -160,46 +160,55 @@ void GroupedAggregate::OnElement(int port, const StreamElement& element) {
 }
 
 void GroupedAggregate::SaveState(Encoder* encoder) const {
-  encoder->WriteI64(out_stable_);
-  encoder->WriteI64(spec_horizon_);
-  encoder->WriteU32(static_cast<uint32_t>(windows_.size()));
+  encoder->WriteTimeDelta(out_stable_, 0);
+  encoder->WriteTimeDelta(spec_horizon_, out_stable_);
+  encoder->WriteVarU64(windows_.size());
+  // Windows in start order, each a delta from the previous one.
+  Timestamp prev_window = 0;
   for (const auto& [window, groups] : windows_) {
-    encoder->WriteI64(window);
-    encoder->WriteU32(static_cast<uint32_t>(groups.size()));
+    encoder->WriteTimeDelta(window, prev_window);
+    prev_window = window;
+    encoder->WriteVarU64(groups.size());
     for (const auto& [group, state] : groups) {
-      encoder->WriteRow(group);
-      encoder->WriteI64(state.count);
-      encoder->WriteI64(state.sum);
+      encoder->WriteCompactRow(group);
+      encoder->WriteVarI64(state.count);
+      encoder->WriteVarI64(state.sum);
       encoder->WriteU8(state.emitted ? 1 : 0);
-      encoder->WriteI64(state.emitted_value);
+      encoder->WriteVarI64(state.emitted_value);
     }
   }
 }
 
 Status GroupedAggregate::RestoreState(Decoder* decoder) {
-  Status status = decoder->ReadI64(&out_stable_);
+  Status status = decoder->ReadTimeDelta(0, &out_stable_);
   if (!status.ok()) return status;
-  if (!(status = decoder->ReadI64(&spec_horizon_)).ok()) return status;
+  if (!(status = decoder->ReadTimeDelta(out_stable_, &spec_horizon_)).ok()) {
+    return status;
+  }
   windows_.clear();
   state_bytes_ = 0;
   uint32_t window_count = 0;
-  if (!(status = decoder->ReadU32(&window_count)).ok()) return status;
+  // A window takes at least its start delta and its group count.
+  if (!(status = decoder->ReadCount(2, &window_count)).ok()) return status;
+  Timestamp window = 0;
   for (uint32_t w = 0; w < window_count; ++w) {
-    int64_t window = 0;
-    if (!(status = decoder->ReadI64(&window)).ok()) return status;
+    if (!(status = decoder->ReadTimeDelta(window, &window)).ok()) {
+      return status;
+    }
     uint32_t group_count = 0;
-    if (!(status = decoder->ReadU32(&group_count)).ok()) return status;
+    // A group takes at least a row, three varints and the emitted flag.
+    if (!(status = decoder->ReadCount(5, &group_count)).ok()) return status;
     auto& groups = windows_[window];
     for (uint32_t g = 0; g < group_count; ++g) {
       Row group;
       GroupState state;
       uint8_t emitted = 0;
-      if (!(status = decoder->ReadRow(&group)).ok()) return status;
-      if (!(status = decoder->ReadI64(&state.count)).ok()) return status;
-      if (!(status = decoder->ReadI64(&state.sum)).ok()) return status;
+      if (!(status = decoder->ReadCompactRow(&group)).ok()) return status;
+      if (!(status = decoder->ReadVarI64(&state.count)).ok()) return status;
+      if (!(status = decoder->ReadVarI64(&state.sum)).ok()) return status;
       if (!(status = decoder->ReadU8(&emitted)).ok()) return status;
       state.emitted = emitted != 0;
-      if (!(status = decoder->ReadI64(&state.emitted_value)).ok()) {
+      if (!(status = decoder->ReadVarI64(&state.emitted_value)).ok()) {
         return status;
       }
       state_bytes_ += group.DeepSizeBytes() +

@@ -161,15 +161,12 @@ namespace {
 constexpr uint8_t kInlinePayloadBit = 0x80;
 
 // Delta bases shared by the encoder and decoder of one sequence.  Times are
-// differenced as uint64 (mod 2^64), so any pair of timestamps has a delta.
+// differenced as uint64 (mod 2^64; Encoder::WriteTimeDelta), so any pair of
+// timestamps has a delta.
 struct DictDeltaState {
   int64_t prev_id = -1;
-  uint64_t prev_time = 0;
+  Timestamp prev_time = 0;
 };
-
-int64_t TimeDelta(Timestamp t, uint64_t base) {
-  return static_cast<int64_t>(static_cast<uint64_t>(t) - base);
-}
 
 void EncodeElementDict(const StreamElement& element, PayloadDictEncoder* dict,
                        std::vector<std::pair<uint32_t, Row>>* new_defs,
@@ -177,8 +174,8 @@ void EncodeElementDict(const StreamElement& element, PayloadDictEncoder* dict,
   const uint8_t kind = static_cast<uint8_t>(element.kind());
   if (element.kind() == ElementKind::kStable) {
     encoder->WriteU8(kind);
-    encoder->WriteVarI64(TimeDelta(element.stable_time(), state->prev_time));
-    state->prev_time = static_cast<uint64_t>(element.stable_time());
+    encoder->WriteTimeDelta(element.stable_time(), state->prev_time);
+    state->prev_time = element.stable_time();
     return;
   }
   const uint32_t id = dict->Intern(element.payload(), new_defs);
@@ -191,12 +188,12 @@ void EncodeElementDict(const StreamElement& element, PayloadDictEncoder* dict,
     state->prev_id = id;
   }
   const Timestamp vs = element.vs();
-  encoder->WriteVarI64(TimeDelta(vs, state->prev_time));
-  state->prev_time = static_cast<uint64_t>(vs);
+  encoder->WriteTimeDelta(vs, state->prev_time);
+  state->prev_time = vs;
   if (element.kind() == ElementKind::kAdjust) {
-    encoder->WriteVarI64(TimeDelta(element.v_old(), vs));
+    encoder->WriteTimeDelta(element.v_old(), vs);
   }
-  encoder->WriteVarI64(TimeDelta(element.ve(), vs));
+  encoder->WriteTimeDelta(element.ve(), vs);
 }
 
 Status DecodePayloadRef(Decoder* decoder, const PayloadDictDecoder& dict,
@@ -218,15 +215,6 @@ Status DecodePayloadRef(Decoder* decoder, const PayloadDictDecoder& dict,
   return Status::Ok();
 }
 
-// Reads one zigzag time delta against `base` (the inverse of TimeDelta).
-Status ReadTime(Decoder* decoder, uint64_t base, Timestamp* t) {
-  int64_t delta = 0;
-  Status status = decoder->ReadVarI64(&delta);
-  if (!status.ok()) return status;
-  *t = static_cast<Timestamp>(base + static_cast<uint64_t>(delta));
-  return Status::Ok();
-}
-
 Status DecodeElementDict(Decoder* decoder, const PayloadDictDecoder& dict,
                          DictDeltaState* state, StreamElement* element) {
   uint8_t tag = 0;
@@ -236,10 +224,10 @@ Status DecodeElementDict(Decoder* decoder, const PayloadDictDecoder& dict,
   const uint8_t kind = static_cast<uint8_t>(tag & ~kInlinePayloadBit);
   if (kind == static_cast<uint8_t>(ElementKind::kStable) && !inline_payload) {
     Timestamp t = 0;
-    if (!(status = ReadTime(decoder, state->prev_time, &t)).ok()) {
+    if (!(status = decoder->ReadTimeDelta(state->prev_time, &t)).ok()) {
       return status;
     }
-    state->prev_time = static_cast<uint64_t>(t);
+    state->prev_time = t;
     *element = StreamElement::Stable(t);
     return Status::Ok();
   }
@@ -257,15 +245,14 @@ Status DecodeElementDict(Decoder* decoder, const PayloadDictDecoder& dict,
            .ok()) {
     return status;
   }
-  if (!(status = ReadTime(decoder, state->prev_time, &vs)).ok()) {
+  if (!(status = decoder->ReadTimeDelta(state->prev_time, &vs)).ok()) {
     return status;
   }
-  state->prev_time = static_cast<uint64_t>(vs);
-  const uint64_t base = static_cast<uint64_t>(vs);
+  state->prev_time = vs;
   if (kind == static_cast<uint8_t>(ElementKind::kAdjust)) {
-    if (!(status = ReadTime(decoder, base, &v_old)).ok()) return status;
+    if (!(status = decoder->ReadTimeDelta(vs, &v_old)).ok()) return status;
   }
-  if (!(status = ReadTime(decoder, base, &ve)).ok()) return status;
+  if (!(status = decoder->ReadTimeDelta(vs, &ve)).ok()) return status;
   *element = kind == static_cast<uint8_t>(ElementKind::kInsert)
                  ? StreamElement::Insert(std::move(payload), vs, ve)
                  : StreamElement::Adjust(std::move(payload), vs, v_old, ve);

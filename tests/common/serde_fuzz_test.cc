@@ -5,8 +5,11 @@
 
 #include <limits>
 
+#include "common/checkpoint.h"
 #include "common/random.h"
 #include "common/serde.h"
+#include "core/lmerge_r3.h"
+#include "core/lmerge_r4.h"
 #include "net/protocol.h"
 #include "replica/cut_certificate.h"
 #include "stream/element_serde.h"
@@ -472,6 +475,61 @@ TEST_P(SerdeFuzzTest, MutatedReplicationBuffersFailCleanly) {
                     net::kMaxFramePayload);
     }
   }
+}
+
+// A checkpoint of `Merge` mid-merge: several nodes, divergent Ve values,
+// an identity-less (inline) payload, and an embedded cut certificate.
+template <typename Merge>
+std::string CheckpointBlob() {
+  CollectingSink sink;
+  Merge merge(3, &sink);
+  for (int i = 0; i < 12; ++i) {
+    const Timestamp vs = 1000 + i * 250;
+    const std::string payload = "key-" + std::to_string(i % 5);
+    LM_CHECK(merge.OnElement(0, Ins(payload, vs, vs + 2000)).ok());
+    LM_CHECK(merge.OnElement(1, Ins(payload, vs, vs + 2000 + i)).ok());
+    if (i % 3 == 0) {
+      LM_CHECK(merge.OnElement(2, Ins(payload, vs, kInfinity)).ok());
+    }
+  }
+  LM_CHECK(merge.OnElement(2, StreamElement::Insert(Row(), 4000, 4100)).ok());
+  LM_CHECK(merge.OnElement(0, Stb(1600)).ok());
+  replica::CutCertificate cert;
+  cert.variant = MergeVariant::kLMR3Plus;
+  cert.output_stable = merge.max_stable();
+  cert.inputs.push_back({0, true, 1600, 13});
+  return SaveCheckpoint(merge, replica::SerializeCutCertificate(cert));
+}
+
+template <typename Merge>
+void FlipBytesAndLoad(uint64_t seed) {
+  Rng rng(seed);
+  const std::string valid = CheckpointBlob<Merge>();
+  CollectingSink sink;
+  {
+    Merge sanity(1, &sink);
+    ASSERT_TRUE(LoadCheckpoint(valid, &sanity).ok());
+  }
+  for (int round = 0; round < 300; ++round) {
+    std::string mutated = valid;
+    const int mutations = static_cast<int>(rng.UniformInt(1, 4));
+    for (int m = 0; m < mutations; ++m) {
+      const size_t pos = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
+      mutated[pos] = static_cast<char>(rng.UniformInt(0, 255));
+    }
+    // May succeed (a benign flip) or fail; must never crash, read out of
+    // bounds or size an allocation by a corrupt count.
+    Merge target(1, &sink);
+    (void)LoadCheckpoint(mutated, &target);
+    CheckpointInfo info;
+    (void)InspectCheckpoint(mutated, &info);
+  }
+}
+
+TEST_P(SerdeFuzzTest, MutatedCheckpointBlobsFailCleanly) {
+  FlipBytesAndLoad<LMergeR3>(GetParam() * 65537 + 13);
+  FlipBytesAndLoad<LMergeR4>(GetParam() * 524287 + 29);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerdeFuzzTest,

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.h"
 #include "core/lmerge_operator.h"
 #include "core/lmerge_r0.h"
 #include "core/lmerge_r1.h"
@@ -213,66 +214,75 @@ TEST(CheckpointTest, OperatorRejectsNonCheckpointableVariant) {
   EXPECT_FALSE(lm.SupportsCheckpoint());
   // RestoreState must fail cleanly rather than crash.
   Encoder encoder;
-  encoder.WriteU32(0);
-  encoder.WriteI64(kMinTimestamp);
+  encoder.WriteVarU64(0);  // inputs
+  encoder.WriteTimeDelta(kMinTimestamp, 0);
   Decoder payload(encoder.bytes());
   EXPECT_FALSE(lm.RestoreState(&payload).ok());
 }
 
-// A poolless R3 state blob for two streams holding one node whose bottom
-// tier has a single entry for `stream`.
-std::string R3StateWithEntryFor(uint32_t stream) {
+// A poolless R3 state body for two streams holding one node whose bottom
+// tier has a single entry, written as `stream_plus_one` (0 = the output).
+std::string R3StateWithEntryFor(uint64_t stream_plus_one) {
   Encoder encoder;
-  encoder.WriteI64(kMinTimestamp);  // max stable
-  encoder.WriteU32(2);              // streams
-  encoder.WriteI64(kMinTimestamp);
-  encoder.WriteI64(kMinTimestamp);
-  encoder.WriteU32(1);  // nodes
-  encoder.WriteI64(5);
+  encoder.WriteTimeDelta(kMinTimestamp, 0);  // max stable
+  encoder.WriteVarU64(2);                    // streams
+  encoder.WriteTimeDelta(kMinTimestamp, kMinTimestamp);
+  encoder.WriteTimeDelta(kMinTimestamp, kMinTimestamp);
+  encoder.WriteVarU64(1);        // nodes
+  encoder.WriteTimeDelta(5, 0);  // Vs
   encoder.WriteRowRef(Row::OfString("A"));
-  encoder.WriteU32(1);  // entries
-  encoder.WriteU32(stream);
-  encoder.WriteI64(50);
+  encoder.WriteVarU64(1);  // entries
+  encoder.WriteVarU64(stream_plus_one);
+  encoder.WriteTimeDelta(50, 5);
   return encoder.TakeBytes();
 }
 
 TEST(CheckpointTest, R3RestoreRejectsEntryForUnknownStream) {
   CollectingSink sink;
-  for (const uint32_t stream :
-       {0u, 1u, static_cast<uint32_t>(kOutputStream)}) {
+  for (const uint64_t stream_plus_one : {0u, 1u, 2u}) {
     LMergeR3 merge(2, &sink);
-    const std::string blob = R3StateWithEntryFor(stream);
+    const std::string blob = R3StateWithEntryFor(stream_plus_one);
     Decoder decoder(blob);
-    EXPECT_TRUE(merge.RestoreState(&decoder).ok()) << stream;
+    EXPECT_TRUE(merge.RestoreState(&decoder).ok()) << stream_plus_one;
   }
-  // Stream 2 does not exist, and 0x80000000 would alias the bottom tier's
-  // vacant-slot marker.
-  for (const uint32_t stream : {2u, 0x80000000u}) {
+  // Stream 2 does not exist; 0x80000001 would alias the bottom tier's
+  // vacant-slot marker once narrowed to 32 bits, and 2^40 overflows them.
+  for (const uint64_t stream_plus_one :
+       {uint64_t{3}, uint64_t{0x80000001u}, uint64_t{1} << 40}) {
     LMergeR3 merge(2, &sink);
-    const std::string blob = R3StateWithEntryFor(stream);
+    const std::string blob = R3StateWithEntryFor(stream_plus_one);
     Decoder decoder(blob);
-    EXPECT_FALSE(merge.RestoreState(&decoder).ok()) << stream;
+    EXPECT_FALSE(merge.RestoreState(&decoder).ok()) << stream_plus_one;
   }
 }
 
 TEST(CheckpointTest, R4RestoreRejectsEntryForUnknownStream) {
   CollectingSink sink;
-  for (const uint32_t stream : {1u, 2u}) {
+  // (stream + 1, multiplicity) -> restores?  Non-positive multiplicities
+  // are refused too.
+  const struct {
+    uint64_t stream_plus_one;
+    uint64_t count;
+    bool ok;
+  } cases[] = {{2, 1, true},  {3, 1, false}, {2, 0, false},
+               {0, 7, true},  {1, uint64_t{1} << 63, false}};
+  for (const auto& c : cases) {
     Encoder encoder;
-    encoder.WriteI64(kMinTimestamp);  // max stable
-    encoder.WriteI64(0);              // inconsistencies
-    encoder.WriteU32(2);              // streams
-    encoder.WriteU32(1);              // nodes
-    encoder.WriteI64(5);
+    encoder.WriteTimeDelta(kMinTimestamp, 0);  // max stable
+    encoder.WriteVarI64(0);                    // inconsistencies
+    encoder.WriteVarU64(2);                    // streams
+    encoder.WriteVarU64(1);                    // nodes
+    encoder.WriteTimeDelta(5, 0);
     encoder.WriteRowRef(Row::OfString("A"));
-    encoder.WriteU32(1);  // entries
-    encoder.WriteU32(stream);
-    encoder.WriteU32(1);  // distinct Ve
-    encoder.WriteI64(50);
-    encoder.WriteI64(1);
+    encoder.WriteVarU64(1);  // entries
+    encoder.WriteVarU64(c.stream_plus_one);
+    encoder.WriteVarU64(1);  // distinct Ve
+    encoder.WriteTimeDelta(50, 5);
+    encoder.WriteVarU64(c.count);
     LMergeR4 merge(2, &sink);
     Decoder decoder(encoder.bytes());
-    EXPECT_EQ(merge.RestoreState(&decoder).ok(), stream < 2) << stream;
+    EXPECT_EQ(merge.RestoreState(&decoder).ok(), c.ok)
+        << c.stream_plus_one << " x" << c.count;
   }
 }
 
@@ -337,11 +347,11 @@ TEST(CheckpointTest, JumpstartSeedsFromCheckpointBlob) {
   EXPECT_EQ(out.CountOf(Event(Row::OfString("proc-1"), 100, 9000)), 1);
 }
 
-TEST(CheckpointTest, V2PoolsSharedPayloadsAtLeastTwiceSmaller) {
+TEST(CheckpointTest, PoolSharesPayloadsAtLeastTwiceSmaller) {
   // Many index entries sharing one interned payload: the checkpoint writes
-  // the rep once in the pool section and 4-byte references per entry, while
-  // the same SaveState into a pool-less Encoder writes the full row per
-  // entry.  The pooled blob must be at least 2x smaller.
+  // the rep once in the pool section and a short reference per entry,
+  // while the same SaveState into a pool-less Encoder writes the full row
+  // per entry.  The pooled blob must be at least 2x smaller.
   CollectingSink sink;
   LMergeR3 merge(2, &sink);
   const std::string payload(64, 'p');
@@ -349,18 +359,50 @@ TEST(CheckpointTest, V2PoolsSharedPayloadsAtLeastTwiceSmaller) {
     ASSERT_TRUE(
         merge.OnElement(0, Ins(payload, i + 1, i + 100000)).ok());
   }
-  const std::string v2 = SaveCheckpoint(merge);
+  const std::string pooled = SaveCheckpoint(merge);
   Encoder inline_rows;
   merge.SaveState(&inline_rows);
-  EXPECT_GE(inline_rows.bytes().size(), 2 * v2.size())
-      << "inline=" << inline_rows.bytes().size() << " bytes, v2="
-      << v2.size() << " bytes";
+  EXPECT_GE(inline_rows.bytes().size(), 2 * pooled.size())
+      << "inline=" << inline_rows.bytes().size() << " bytes, pooled="
+      << pooled.size() << " bytes";
 
-  CollectingSink sink_v2;
-  LMergeR3 from_v2(2, &sink_v2);
-  ASSERT_TRUE(LoadCheckpoint(v2, &from_v2).ok());
-  EXPECT_EQ(from_v2.index_node_count(), merge.index_node_count());
-  EXPECT_EQ(from_v2.StateBytes(), merge.StateBytes());
+  CollectingSink sink_pooled;
+  LMergeR3 from_pooled(2, &sink_pooled);
+  ASSERT_TRUE(LoadCheckpoint(pooled, &from_pooled).ok());
+  EXPECT_EQ(from_pooled.index_node_count(), merge.index_node_count());
+  EXPECT_EQ(from_pooled.StateBytes(), merge.StateBytes());
+}
+
+TEST(CheckpointTest, R3BodyCostsAtMost24BytesPerLiveNode) {
+  // The shape of a live LMR3+ merge: three inputs, microsecond timestamps
+  // about a millisecond apart, ~2 s lifetimes, every input agreeing on most
+  // events.  v3 writes each node as small deltas (v2 spent 64 B on one).
+  CollectingSink sink;
+  LMergeR3 merge(3, &sink);
+  const Timestamp base = 1'700'000'000'000'000;  // µs since the epoch
+  constexpr int kNodes = 1200;
+  for (int i = 0; i < kNodes; ++i) {
+    const Timestamp vs = base + i * 1000 + (i * 37) % 400;
+    const Timestamp ve = vs + 2'000'000 + (i % 5) * 1000;
+    const std::string payload = "event-" + std::to_string(i);
+    for (int stream = 0; stream < 3; ++stream) {
+      // Every seventh event is still open on the last input.
+      const Timestamp stream_ve = stream == 2 && i % 7 == 0 ? ve + 500 : ve;
+      ASSERT_TRUE(merge.OnElement(stream, Ins(payload, vs, stream_ve)).ok());
+    }
+  }
+  ASSERT_EQ(merge.index_node_count(), kNodes);
+  const std::string blob = SaveCheckpoint(merge);
+  CheckpointInfo info;
+  ASSERT_TRUE(InspectCheckpoint(blob, &info).ok());
+  EXPECT_LE(info.body_bytes, 24u * kNodes)
+      << static_cast<double>(info.body_bytes) / kNodes << " B/node";
+
+  CollectingSink restored_sink;
+  LMergeR3 restored(3, &restored_sink);
+  ASSERT_TRUE(LoadCheckpoint(blob, &restored).ok());
+  EXPECT_EQ(restored.index_node_count(), merge.index_node_count());
+  EXPECT_EQ(restored.StateBytes(), merge.StateBytes());
 }
 
 TEST(CheckpointTest, EmbeddedCutCertificateRoundTrips) {
@@ -404,14 +446,14 @@ TEST(CheckpointTest, InspectReportsSectionsWithoutRestoring) {
   LMergeR3 merge(1, &sink);
   ASSERT_TRUE(merge.OnElement(0, Ins("A", 5, 50)).ok());
   ASSERT_TRUE(merge.OnElement(0, Ins("B", 6, 60)).ok());
-  const std::string v2 =
+  const std::string blob =
       SaveCheckpoint(merge, replica::SerializeCutCertificate(cert));
 
   CheckpointInfo info;
-  ASSERT_TRUE(InspectCheckpoint(v2, &info).ok());
+  ASSERT_TRUE(InspectCheckpoint(blob, &info).ok());
   EXPECT_EQ(info.version, kCheckpointVersion);
   EXPECT_EQ(info.flags, kCheckpointFlagCutCertificate);
-  EXPECT_EQ(info.total_bytes, v2.size());
+  EXPECT_EQ(info.total_bytes, blob.size());
   EXPECT_EQ(info.pool_entries, 2u);
   EXPECT_GT(info.pool_bytes, 0u);
   EXPECT_GT(info.body_bytes, 0u);
@@ -420,15 +462,21 @@ TEST(CheckpointTest, InspectReportsSectionsWithoutRestoring) {
       replica::ParseCutCertificate(info.cut_certificate, &parsed).ok());
   EXPECT_EQ(parsed.output_stable, 10);
 
-  std::string bad = v2;
+  std::string bad = blob;
   bad[0] = 'X';
   EXPECT_FALSE(InspectCheckpoint(bad, &info).ok());
-  // The retired inline-payload v1 format is refused, not misread.
-  std::string v1 = v2;
-  v1[4] = '\x01';
-  EXPECT_FALSE(InspectCheckpoint(v1, &info).ok());
-  LMergeR3 restored(1, &sink);
-  EXPECT_FALSE(LoadCheckpoint(v1, &restored).ok());
+  // The retired fixed-width v2 and inline-payload v1 formats are refused,
+  // not misread.
+  for (const char retired : {'\x01', '\x02'}) {
+    std::string old_version = blob;
+    old_version[4] = retired;
+    const Status inspect = InspectCheckpoint(old_version, &info);
+    EXPECT_FALSE(inspect.ok());
+    EXPECT_NE(inspect.message().find("unsupported checkpoint version"),
+              std::string::npos);
+    LMergeR3 restored(1, &sink);
+    EXPECT_FALSE(LoadCheckpoint(old_version, &restored).ok());
+  }
 }
 
 TEST(CheckpointTest, LMergeR0MidMergeRoundTrip) {
@@ -499,7 +547,7 @@ TEST(CheckpointTest, LMergeR1MidMergeRoundTrip) {
 }
 
 TEST(CheckpointTest, LMergeR2MidMergeRoundTrip) {
-  // R2's seen-set (with pooled payload rows in v2) must survive: the
+  // R2's seen-set (with pooled payload rows) must survive: the
   // suffix replays prefix payloads, which only dedup against restored state.
   auto feed_prefix = [](LMergeR2* merge) {
     LM_CHECK(merge->OnElement(0, Ins("A", 5, 50)).ok());
@@ -532,6 +580,235 @@ TEST(CheckpointTest, LMergeR2MidMergeRoundTrip) {
     combined.push_back(e);
   }
   EXPECT_EQ(combined, reference.elements());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile v3 blobs: each must fail LoadCheckpoint with a Status, never crash
+// or allocate by a corrupt count.
+
+// A v3 blob around hand-built pool and body sections.
+std::string BlobWithSections(const std::string& pool,
+                             const std::string& body) {
+  Encoder out;
+  out.WriteU32(kCheckpointMagic);
+  out.WriteU32(kCheckpointVersion);
+  out.WriteU8(0);
+  out.WriteVarString(pool);
+  out.WriteVarString(body);
+  return out.TakeBytes();
+}
+
+// A pool section declaring `count` entries and holding one compact row.
+std::string PoolSection(uint64_t count) {
+  Encoder pool;
+  pool.WriteVarU64(count);
+  pool.WriteCompactRow(Row::OfString("A"));
+  return pool.TakeBytes();
+}
+
+// An R3 body for two streams: `nodes` declared, one written, whose payload
+// is the pool reference `ref` and whose bottom tier declares `entries` and
+// holds one output entry.
+std::string R3Body(uint64_t nodes, uint64_t ref, uint64_t entries) {
+  Encoder body;
+  body.WriteTimeDelta(0, 0);  // max stable
+  body.WriteVarU64(2);        // streams
+  body.WriteTimeDelta(0, 0);
+  body.WriteTimeDelta(0, 0);
+  body.WriteVarU64(nodes);
+  body.WriteTimeDelta(5, 0);
+  body.WriteVarU64(ref);
+  body.WriteVarU64(entries);
+  body.WriteVarU64(0);  // the output entry
+  body.WriteTimeDelta(50, 5);
+  return body.TakeBytes();
+}
+
+Status LoadR3(const std::string& blob) {
+  CollectingSink sink;
+  LMergeR3 target(2, &sink);
+  return LoadCheckpoint(blob, &target);
+}
+
+TEST(CheckpointHostileTest, HandBuiltBlobSanityLoads) {
+  // The builders above produce a loadable blob when nothing is corrupt.
+  ASSERT_TRUE(LoadR3(BlobWithSections(PoolSection(1), R3Body(1, 1, 1))).ok());
+  // Reference 0 reads an inline compact row instead of a pool entry.
+  Encoder inline_ref;
+  inline_ref.WriteVarU64(0);
+  inline_ref.WriteCompactRow(Row::OfString("B"));
+  std::string body = R3Body(1, 0, 1);
+  const size_t ref_at = 6;  // after max stable, streams, 2 stables, nodes, Vs
+  body.replace(ref_at, 1, inline_ref.bytes());
+  ASSERT_TRUE(LoadR3(BlobWithSections(PoolSection(1), body)).ok());
+}
+
+TEST(CheckpointHostileTest, OverlongAndOverflowingVarintsFail) {
+  const std::string eleven = std::string(10, '\x80') + std::string(1, '\0');
+  const std::string overflow =
+      std::string(9, '\xff') + std::string(1, '\x02');
+  for (const std::string& bad : {eleven, overflow}) {
+    // As the pool count, as the node count, and as a section length.
+    EXPECT_FALSE(LoadR3(BlobWithSections(bad, R3Body(1, 1, 1))).ok());
+    std::string body = R3Body(1, 1, 1);
+    body.replace(4, 1, bad);  // the node count
+    EXPECT_FALSE(LoadR3(BlobWithSections(PoolSection(1), body)).ok());
+    Encoder header;
+    header.WriteU32(kCheckpointMagic);
+    header.WriteU32(kCheckpointVersion);
+    header.WriteU8(0);
+    EXPECT_FALSE(LoadR3(header.TakeBytes() + bad).ok());
+  }
+}
+
+TEST(CheckpointHostileTest, CountsPastTheBufferFail) {
+  const std::string pool = PoolSection(1);
+  EXPECT_FALSE(LoadR3(BlobWithSections(PoolSection(1000), R3Body(1, 1, 1)))
+                   .ok());
+  EXPECT_FALSE(
+      LoadR3(BlobWithSections(PoolSection(~uint64_t{0} >> 32), R3Body(1, 1, 1)))
+          .ok());
+  EXPECT_FALSE(LoadR3(BlobWithSections(pool, R3Body(1000, 1, 1))).ok());
+  EXPECT_FALSE(LoadR3(BlobWithSections(pool, R3Body(1, 1, 1000))).ok());
+  // A section length past the end of the blob.
+  std::string blob = BlobWithSections(pool, R3Body(1, 1, 1));
+  blob[9] = '\x7f';  // the pool section's one-byte length
+  EXPECT_FALSE(LoadR3(blob).ok());
+
+  // R2's seen set and R4's distinct-Ve count.
+  Encoder r2;
+  r2.WriteVarU64(2);  // streams
+  r2.WriteTimeDelta(0, 0);
+  r2.WriteTimeDelta(0, 0);
+  r2.WriteVarU64(1000);  // seen payloads
+  r2.WriteVarU64(1);
+  CollectingSink sink;
+  LMergeR2 r2_target(2, &sink);
+  EXPECT_FALSE(
+      LoadCheckpoint(BlobWithSections(pool, r2.TakeBytes()), &r2_target).ok());
+  Encoder r4;
+  r4.WriteTimeDelta(0, 0);  // max stable
+  r4.WriteVarI64(0);        // inconsistencies
+  r4.WriteVarU64(2);        // streams
+  r4.WriteVarU64(1);        // nodes
+  r4.WriteTimeDelta(5, 0);
+  r4.WriteVarU64(1);  // payload: pool id 0
+  r4.WriteVarU64(1);  // entries
+  r4.WriteVarU64(1);  // stream 0
+  r4.WriteVarU64(1000);  // distinct Ve
+  r4.WriteTimeDelta(50, 5);
+  r4.WriteVarU64(1);
+  LMergeR4 r4_target(2, &sink);
+  EXPECT_FALSE(
+      LoadCheckpoint(BlobWithSections(pool, r4.TakeBytes()), &r4_target).ok());
+}
+
+TEST(CheckpointHostileTest, PoolReferenceOnePastThePoolFails) {
+  const std::string pool = PoolSection(1);
+  ASSERT_TRUE(LoadR3(BlobWithSections(pool, R3Body(1, 1, 1))).ok());
+  const Status status = LoadR3(BlobWithSections(pool, R3Body(1, 2, 1)));
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("out of range"), std::string::npos);
+}
+
+TEST(CheckpointHostileTest, EntryNamingAnUnknownStreamFails) {
+  std::string body = R3Body(1, 1, 1);
+  body[body.size() - 2] = '\x03';  // stream + 1 = 3: stream 2 of 2
+  const Status status = LoadR3(BlobWithSections(PoolSection(1), body));
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unknown stream 2"), std::string::npos);
+}
+
+TEST(CheckpointHostileTest, RepeatedIndexNodeFails) {
+  // Two nodes with the same (Vs, payload): the second Vs delta is 0.
+  Encoder body;
+  body.WriteTimeDelta(0, 0);
+  body.WriteVarU64(1);  // streams
+  body.WriteTimeDelta(0, 0);
+  body.WriteVarU64(2);  // nodes
+  for (int n = 0; n < 2; ++n) {
+    body.WriteTimeDelta(5, n == 0 ? 0 : 5);
+    body.WriteVarU64(1);  // pool id 0
+    body.WriteVarU64(0);  // no entries
+  }
+  EXPECT_FALSE(LoadR3(BlobWithSections(PoolSection(1), body.TakeBytes())).ok());
+}
+
+// Real R3 and R4 states with an inline (identity-less) payload and a cut
+// certificate, for the prefix and byte-flip checks.
+std::string CutCertificateBytes() {
+  replica::CutCertificate cert;
+  cert.variant = MergeVariant::kLMR3Plus;
+  cert.output_stable = 10;
+  cert.inputs.push_back({0, true, 10, 4});
+  cert.inputs.push_back({1, true, 9, 3});
+  return replica::SerializeCutCertificate(cert);
+}
+
+template <typename Merge>
+std::string RealBlob() {
+  CollectingSink sink;
+  Merge merge(2, &sink);
+  LM_CHECK(merge.OnElement(0, Ins("A", 5, 50)).ok());
+  LM_CHECK(merge.OnElement(1, Ins("A", 5, 60)).ok());
+  LM_CHECK(merge.OnElement(0, Ins("B", 7, kInfinity)).ok());
+  LM_CHECK(merge.OnElement(1, Ins("B", 7, kInfinity)).ok());
+  LM_CHECK(merge.OnElement(1, StreamElement::Insert(Row(), 8, 80)).ok());
+  LM_CHECK(merge.OnElement(0, Stb(6)).ok());
+  LM_CHECK(merge.OnElement(1, Stb(6)).ok());
+  return SaveCheckpoint(merge, CutCertificateBytes());
+}
+
+TEST(CheckpointHostileTest, EveryProperPrefixOfR3AndR4BlobsFails) {
+  const std::string r3 = RealBlob<LMergeR3>();
+  const std::string r4 = RealBlob<LMergeR4>();
+  CollectingSink sink;
+  {
+    LMergeR3 whole(2, &sink);
+    ASSERT_TRUE(LoadCheckpoint(r3, &whole).ok());
+    LMergeR4 whole4(2, &sink);
+    ASSERT_TRUE(LoadCheckpoint(r4, &whole4).ok());
+  }
+  CheckpointInfo info;
+  for (size_t len = 0; len < r3.size(); ++len) {
+    LMergeR3 target(2, &sink);
+    EXPECT_FALSE(LoadCheckpoint(r3.substr(0, len), &target).ok()) << len;
+    EXPECT_FALSE(InspectCheckpoint(r3.substr(0, len), &info).ok()) << len;
+  }
+  for (size_t len = 0; len < r4.size(); ++len) {
+    LMergeR4 target(2, &sink);
+    EXPECT_FALSE(LoadCheckpoint(r4.substr(0, len), &target).ok()) << len;
+  }
+}
+
+TEST(CheckpointTest, RestoreRejectsMoreThanMaxStreams) {
+  CollectingSink sink;
+  const int too_many = static_cast<int>(kMaxStreams) + 1;
+  for (const MergeVariant variant :
+       {MergeVariant::kLMR0, MergeVariant::kLMR1, MergeVariant::kLMR2,
+        MergeVariant::kLMR3Plus, MergeVariant::kLMR4}) {
+    std::unique_ptr<MergeAlgorithm> wide =
+        CreateMergeAlgorithm(variant, too_many, &sink);
+    const std::string blob = SaveCheckpoint(*wide->checkpointable());
+    std::unique_ptr<MergeAlgorithm> target =
+        CreateMergeAlgorithm(variant, 1, &sink);
+    const Status status = LoadCheckpoint(blob, target->checkpointable());
+    EXPECT_FALSE(status.ok()) << MergeVariantName(variant);
+    EXPECT_NE(status.message().find("1025 streams"), std::string::npos)
+        << status.ToString();
+    // Rejected before any stream was added.
+    EXPECT_EQ(target->stream_count(), 1) << MergeVariantName(variant);
+  }
+  // The limit itself restores.
+  LMergeR0 widest(static_cast<int>(kMaxStreams), &sink);
+  LMergeR0 restored(1, &sink);
+  ASSERT_TRUE(LoadCheckpoint(SaveCheckpoint(widest), &restored).ok());
+  EXPECT_EQ(restored.stream_count(), static_cast<int>(kMaxStreams));
+  // The operator's own input registry is bounded the same way.
+  LMergeOperator wide_op("wide", too_many, MergeVariant::kLMR3Plus);
+  LMergeOperator narrow_op("narrow", 1, MergeVariant::kLMR3Plus);
+  EXPECT_FALSE(LoadCheckpoint(SaveCheckpoint(wide_op), &narrow_op).ok());
+  EXPECT_EQ(narrow_op.input_count(), 1);
 }
 
 }  // namespace

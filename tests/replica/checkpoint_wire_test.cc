@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "common/checkpoint.h"
+#include "core/lmerge_r0.h"
+#include "core/lmerge_r3.h"
 #include "core/lmerge_r4.h"
 #include "net/loopback.h"
 #include "net/protocol.h"
@@ -134,7 +136,7 @@ TEST(CheckpointWireTest, NoStateYieldsEmptyCutCert) {
 
 TEST(CheckpointWireTest, ServedCheckpointRestoresAndCertifiesTheCut) {
   // Publisher state flows in; the standby's transfer must reassemble into a
-  // loadable v2 blob whose certificate matches the server's state and the
+  // loadable v3 blob whose certificate matches the server's state and the
   // standby's own subscription ("elements sent at cut" == what the standby
   // had received before the CUT_CERT frame).
   MergeServerOptions options;
@@ -224,7 +226,7 @@ TEST(CheckpointWireTest, ServedCheckpointRestoresAndCertifiesTheCut) {
   EXPECT_TRUE(cut.cert.inputs[0].active);
   EXPECT_EQ(cut.cert.inputs[0].elements_in, sent);
 
-  // The reassembled blob is a loadable v2 checkpoint with the same
+  // The reassembled blob is a loadable v3 checkpoint with the same
   // certificate embedded.
   CheckpointInfo info;
   ASSERT_TRUE(InspectCheckpoint(blob, &info).ok());
@@ -258,6 +260,60 @@ TEST(CheckpointWireTest, AdoptCheckpointRefusedAfterPublishers) {
   const std::string blob =
       SaveCheckpoint(donor, replica::SerializeCutCertificate(cert));
   EXPECT_FALSE(server.AdoptCheckpoint(blob, cert).ok());
+}
+
+TEST(CheckpointWireTest, AdoptCheckpointRejectsTooManyStreams) {
+  // A blob naming more streams than one merge may have is refused with a
+  // Status before any merger (and its merge thread) is built, on the
+  // single and the partitioned restore path.
+  CollectingSink sink;
+  LMergeR0 wide(static_cast<int>(kMaxStreams) + 1, &sink);
+  replica::CutCertificate cert;
+  cert.variant = MergeVariant::kLMR0;
+  const std::string blob =
+      SaveCheckpoint(wide, replica::SerializeCutCertificate(cert));
+  {
+    MergeServer server;
+    const Status status = server.AdoptCheckpoint(blob, cert);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("1025 streams"), std::string::npos)
+        << status.ToString();
+  }
+  {
+    MergeServer server;
+    EXPECT_FALSE(
+        server.AdoptCheckpoint(CombinePartitionedCheckpoint({blob}), cert)
+            .ok());
+  }
+  // A snapshot already at the limit leaves no stream for the primary's
+  // output to join as.
+  LMergeR3 full(static_cast<int>(kMaxStreams), &sink);
+  cert.variant = MergeVariant::kLMR3Plus;
+  const std::string full_blob =
+      SaveCheckpoint(full, replica::SerializeCutCertificate(cert));
+  for (const std::string& candidate :
+       {full_blob, CombinePartitionedCheckpoint({full_blob})}) {
+    MergeServer server;
+    const Status status = server.AdoptCheckpoint(candidate, cert);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("no room for the feed stream"),
+              std::string::npos)
+        << status.ToString();
+  }
+  // A partitioned container whose later shard is corrupt or of another
+  // width than shard 0 is an error too, not an abort in the constructor.
+  LMergeR3 two(2, &sink);
+  LMergeR3 three(3, &sink);
+  const std::string two_blob =
+      SaveCheckpoint(two, replica::SerializeCutCertificate(cert));
+  for (const std::string& second :
+       {SaveCheckpoint(three), std::string("corrupt")}) {
+    MergeServer server;
+    EXPECT_FALSE(server
+                     .AdoptCheckpoint(
+                         CombinePartitionedCheckpoint({two_blob, second}), cert)
+                     .ok());
+  }
 }
 
 }  // namespace
