@@ -9,11 +9,16 @@
 // the rep's bytes exactly once — on the first reference — releasing them on
 // the last.  (The LMR3- baseline bypasses the ledger entirely: its indexes
 // hold private deep copies, so per-copy accounting stays honest.)
+//
+// An entry is only a 32-bit reference count keyed by the rep pointer — a
+// 16-byte table slot.  The bytes charged come from the rep's immutable
+// `deep_bytes`, so the ledger stores no size of its own.
 
 #ifndef LMERGE_COMMON_PAYLOAD_LEDGER_H_
 #define LMERGE_COMMON_PAYLOAD_LEDGER_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -32,23 +37,22 @@ class SharedPayloadLedger {
   // (the rep's shared size on the first reference, 0 on repeats).
   int64_t AddRef(const Row& payload) {
     if (payload.identity() == nullptr) return 0;  // empty row holds nothing
-    auto [entry, inserted] = refs_.Insert(payload.identity(), Entry{});
-    if (entry->count++ == 0) {
-      entry->bytes = payload.SharedSizeBytes();
-      bytes_ += entry->bytes;
-      return entry->bytes;
-    }
-    return 0;
+    auto [count, inserted] = refs_.Insert(payload.identity(), 0);
+    LM_CHECK(*count < std::numeric_limits<uint32_t>::max());
+    if ((*count)++ > 0) return 0;
+    const int64_t charged = payload.SharedSizeBytes();
+    bytes_ += charged;
+    return charged;
   }
 
   // Drops one reference; returns the bytes released (the rep's shared size
   // when this was the last reference, 0 otherwise).
   int64_t Release(const Row& payload) {
     if (payload.identity() == nullptr) return 0;
-    Entry* entry = refs_.Find(payload.identity());
-    LM_DCHECK(entry != nullptr && entry->count > 0);
-    if (--entry->count > 0) return 0;
-    const int64_t released = entry->bytes;
+    uint32_t* count = refs_.Find(payload.identity());
+    LM_DCHECK(count != nullptr && *count > 0);
+    if (--*count > 0) return 0;
+    const int64_t released = payload.SharedSizeBytes();
     bytes_ -= released;
     refs_.Erase(payload.identity());
     return released;
@@ -66,12 +70,8 @@ class SharedPayloadLedger {
   }
 
  private:
-  struct Entry {
-    int64_t count = 0;
-    int64_t bytes = 0;
-  };
-
-  HashTable<const void*, Entry, PayloadIdentityHash> refs_;
+  // Rep identity -> number of references from this structure.
+  HashTable<const void*, uint32_t, PayloadIdentityHash> refs_;
   int64_t bytes_ = 0;
 };
 

@@ -1,5 +1,10 @@
 #include "common/payload_store.h"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <memory>
+
 #include "common/check.h"
 #include "common/mutex.h"
 
@@ -29,23 +34,50 @@ PayloadStore& PayloadStore::Global() {
   return *store;
 }
 
-int64_t PayloadStore::RepDeepBytes(const std::vector<Value>& fields) {
-  int64_t bytes = static_cast<int64_t>(sizeof(RowRep)) +
-                  static_cast<int64_t>(fields.capacity() * sizeof(Value));
+RowRep* PayloadStore::NewRep(std::span<const Value> fields, uint64_t hash,
+                             PayloadStore* store) {
+  size_t bytes = sizeof(RowRep) + fields.size() * sizeof(Value);
   for (const Value& v : fields) {
-    bytes += v.DeepSizeBytes() - static_cast<int64_t>(sizeof(Value));
+    if (v.type() == ValueType::kString) bytes += v.AsString().size();
   }
-  return bytes;
+  LM_CHECK(bytes <= std::numeric_limits<uint32_t>::max());
+  RowRep* rep =
+      std::construct_at(static_cast<RowRep*>(::operator new(bytes)));
+  rep->hash = hash;
+  rep->store = store;
+  rep->field_count = static_cast<uint32_t>(fields.size());
+  rep->deep_bytes = static_cast<uint32_t>(bytes);
+  auto* out = reinterpret_cast<Value*>(rep + 1);
+  char* tail = reinterpret_cast<char*>(out + fields.size());
+  for (const Value& v : fields) {
+    if (v.type() == ValueType::kString) {
+      const std::string_view s = v.AsString();
+      if (!s.empty()) std::memcpy(tail, s.data(), s.size());
+      std::construct_at(out++, Value::Borrowed({tail, s.size()}));
+      tail += s.size();
+    } else {
+      std::construct_at(out++, v);  // scalars copy without allocating
+    }
+  }
+  return rep;
 }
 
-RowRep* PayloadStore::Intern(std::vector<Value> fields, uint64_t hash) {
+void PayloadStore::DeleteRep(RowRep* rep) {
+  // The fields are borrowed Values and free nothing; end the lifetimes of
+  // everything in the block, then return it.
+  std::destroy_n(reinterpret_cast<Value*>(rep + 1), rep->field_count);
+  rep->~RowRep();
+  ::operator delete(static_cast<void*>(rep));
+}
+
+RowRep* PayloadStore::Intern(std::span<const Value> fields, uint64_t hash) {
   Shard& shard = ShardFor(hash);
   MutexLock lock(shard.mu);
   ++shard.intern_calls;
   auto [begin, end] = shard.map.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
     RowRep* rep = it->second;
-    if (rep->fields == fields) {
+    if (std::ranges::equal(rep->fields(), fields)) {
       // Revival is safe: eviction decrements under this same lock, so a rep
       // reachable from the map has not been deleted and an in-flight
       // evictor will observe the revived count and back off.
@@ -55,23 +87,15 @@ RowRep* PayloadStore::Intern(std::vector<Value> fields, uint64_t hash) {
       return rep;
     }
   }
-  RowRep* rep = new RowRep();
-  rep->fields = std::move(fields);
-  rep->hash = hash;
-  rep->deep_bytes = RepDeepBytes(rep->fields);
-  rep->store = this;
+  RowRep* rep = NewRep(fields, hash, this);
   shard.map.emplace(hash, rep);
   shard.payload_bytes += rep->deep_bytes;
   return rep;
 }
 
-RowRep* PayloadStore::MakePrivate(std::vector<Value> fields, uint64_t hash) {
-  RowRep* rep = new RowRep();
-  rep->fields = std::move(fields);
-  rep->hash = hash;
-  rep->deep_bytes = RepDeepBytes(rep->fields);
-  rep->store = nullptr;
-  return rep;
+RowRep* PayloadStore::MakePrivate(std::span<const Value> fields,
+                                  uint64_t hash) {
+  return NewRep(fields, hash, nullptr);
 }
 
 void PayloadStore::Release(RowRep* rep) {
@@ -90,7 +114,7 @@ void PayloadStore::Release(RowRep* rep) {
   PayloadStore* store = rep->store;
   if (store == nullptr) {
     // Private rep: plain shared-ptr-style teardown.
-    if (rep->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete rep;
+    if (rep->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) DeleteRep(rep);
     return;
   }
   store->ReleaseMaybeLast(rep);
@@ -111,7 +135,7 @@ void PayloadStore::ReleaseMaybeLast(RowRep* rep) {
   }
   shard.payload_bytes -= rep->deep_bytes;
   lock.Unlock();
-  delete rep;
+  DeleteRep(rep);
 }
 
 PayloadStore::Stats PayloadStore::GetStats() const {

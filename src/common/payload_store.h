@@ -9,6 +9,12 @@
 // indexing it, and fanning it out to M subscribers all reference one
 // allocation instead of materializing O(inputs x layers) deep copies.
 //
+// Layout: a rep is ONE flat allocation — a 32-byte RowRep header, then its
+// field_count 16-byte Values, then the bytes of every string field.  The
+// string fields point into that tail and own nothing, so a 48-byte string
+// plus an int costs 32 + 2x16 + 48 = 112 bytes, and `deep_bytes` is exactly
+// the size of the block.
+//
 // Concurrency: interning and eviction are guarded by per-shard mutexes
 // (shard chosen by payload hash; compile-time enforced via LM_GUARDED_BY,
 // see common/thread_annotations.h); reference counts are atomics, so handle
@@ -27,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -39,19 +46,28 @@ namespace lmerge {
 
 class PayloadStore;
 
-// One immutable payload: the fields, their precomputed hash, and the
-// reference count.  Never mutated after construction (only `refs` moves),
-// so concurrent readers need no synchronization.
+// One immutable payload: the header of a flat block that continues with the
+// fields and their string bytes.  Never mutated after construction (only
+// `refs` moves), so concurrent readers need no synchronization.  Made only by
+// PayloadStore::Intern/MakePrivate and freed by the last Release.
 struct RowRep {
-  std::vector<Value> fields;
   uint64_t hash = 0;
-  // Heap bytes attributable to this rep (sizeof(RowRep) + field storage);
-  // precomputed so accounting paths never walk the fields.
-  int64_t deep_bytes = 0;
   // Owning store, or null for a private (non-interned) deep copy.
   PayloadStore* store = nullptr;
   std::atomic<int64_t> refs{1};
+  uint32_t field_count = 0;
+  // Size of the whole block (header, fields, string bytes); accounting
+  // paths charge it without walking the fields.
+  uint32_t deep_bytes = 0;
+
+  std::span<const Value> fields() const {
+    return {reinterpret_cast<const Value*>(this + 1), field_count};
+  }
 };
+
+static_assert(sizeof(RowRep) == 32, "the flat rep header is 32 bytes");
+static_assert(alignof(Value) <= alignof(RowRep),
+              "the field array starts right after the header");
 
 class PayloadStore {
  public:
@@ -95,14 +111,16 @@ class PayloadStore {
   static PayloadStore& Global();
 
   // Interns `fields` (whose combined hash is `hash`): returns the unique
-  // live rep with this content, creating it if needed.  The returned rep
-  // carries one reference owned by the caller.
-  RowRep* Intern(std::vector<Value> fields, uint64_t hash);
+  // live rep with this content, creating it if needed by copying the fields
+  // into a new flat block.  The returned rep carries one reference owned by
+  // the caller.
+  RowRep* Intern(std::span<const Value> fields, uint64_t hash);
 
   // Creates a private rep that is NOT in any store: equal content compares
   // equal to interned reps but shares no storage and dies with its last
-  // handle.  The deep-copy escape hatch for the LMR3- baseline.
-  static RowRep* MakePrivate(std::vector<Value> fields, uint64_t hash);
+  // handle.  The deep-copy escape hatch for the LMR3- baseline; same flat
+  // layout as an interned rep.
+  static RowRep* MakePrivate(std::span<const Value> fields, uint64_t hash);
 
   Stats GetStats() const;
 
@@ -151,13 +169,14 @@ class PayloadStore {
   // is what makes eviction race-free against concurrent revival by Intern.
   void ReleaseMaybeLast(RowRep* rep);
 
-  static int64_t RepDeepBytes(const std::vector<Value>& fields);
+  // Allocates and fills one flat block holding a copy of `fields`.
+  static RowRep* NewRep(std::span<const Value> fields, uint64_t hash,
+                        PayloadStore* store);
+  static void DeleteRep(RowRep* rep);
 
   std::vector<Shard> shards_;
   size_t shard_mask_ = 0;
   int shard_count_ = 0;
-
-  friend struct RowRep;
 };
 
 }  // namespace lmerge

@@ -1,37 +1,38 @@
 #include "common/row.h"
 
+#include <vector>
+
 #include "common/check.h"
 #include "common/hash.h"
 
 namespace lmerge {
 
-uint64_t Row::HashFields(const std::vector<Value>& fields) {
+uint64_t Row::HashFields(std::span<const Value> fields) {
   uint64_t h = kEmptyHash;
   for (const Value& v : fields) h = HashCombine(h, v.Hash());
   return h;
 }
 
-Row::Row(std::vector<Value> fields) {
+Row::Row(std::span<const Value> fields) {
   if (fields.empty()) return;  // empty row = null handle
-  const uint64_t hash = HashFields(fields);
-  rep_ = PayloadStore::Global().Intern(std::move(fields), hash);
+  rep_ = PayloadStore::Global().Intern(fields, HashFields(fields));
 }
 
 Row Row::WithField(int64_t i, Value value) const {
   LM_CHECK(i >= 0 && i < field_count());
-  std::vector<Value> fields = this->fields();
+  std::vector<Value> fields(this->fields().begin(), this->fields().end());
   fields[static_cast<size_t>(i)] = std::move(value);
-  return Row(std::move(fields));
+  return Row(fields);
 }
 
 Row Row::DeepCopy() const {
   if (rep_ == nullptr) return Row();
-  return Row(PayloadStore::MakePrivate(rep_->fields, rep_->hash));
+  return Row(PayloadStore::MakePrivate(rep_->fields(), rep_->hash));
 }
 
 int Row::CompareSlow(const Row& other) const {
-  const std::vector<Value>& a = fields();
-  const std::vector<Value>& b = other.fields();
+  const std::span<const Value> a = fields();
+  const std::span<const Value> b = other.fields();
   const size_t n = a.size() < b.size() ? a.size() : b.size();
   for (size_t i = 0; i < n; ++i) {
     const int c = a[i].Compare(b[i]);
@@ -43,7 +44,7 @@ int Row::CompareSlow(const Row& other) const {
 
 std::string Row::ToString() const {
   std::string out = "(";
-  const std::vector<Value>& fs = fields();
+  const std::span<const Value> fs = fields();
   for (size_t i = 0; i < fs.size(); ++i) {
     if (i > 0) out += ", ";
     out += fs[i].ToString();

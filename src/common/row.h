@@ -1,13 +1,15 @@
 // Row: an event payload — a relational tuple of Values.
 //
 // A Row is a pointer-sized handle onto an immutable, ref-counted payload
-// representation interned in the process-wide PayloadStore.  Copying a Row
-// copies a pointer and bumps an atomic count — never the fields — so the
-// same allocation flows from wire decode through the SPSC rings, the
-// in2t/in3t indexes, and subscriber fan-out.  Two interned rows with equal
-// content share one rep, which gives Compare/operator== an O(1)
-// compare-by-identity fast path (falling back to deep field comparison for
-// private copies or cross-store handles).
+// representation interned in the process-wide PayloadStore: one flat block
+// holding a 32-byte header, the 16-byte field Values and their string bytes.
+// Copying a Row copies a pointer and bumps an atomic count — never the
+// fields — so the same allocation flows from wire decode through the SPSC
+// rings, the in2t/in3t indexes, and subscriber fan-out.  fields() is a view
+// into the block; copy a Value out of it to keep it past the row.  Two
+// interned rows with equal content share one rep, which gives
+// Compare/operator== an O(1) compare-by-identity fast path (falling back to
+// deep field comparison for private copies or cross-store handles).
 //
 // The LMerge algorithms key their indexes on (Vs, payload), so cheap
 // comparison and hashing of Rows is on the hot path; the hash is computed
@@ -18,9 +20,9 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/payload_store.h"
 #include "common/value.h"
@@ -33,9 +35,10 @@ class Row {
   // (important — default-constructed payloads travel inside every stable()
   // element, and a shared empty rep would be a contended cache line).
   Row() = default;
-  explicit Row(std::vector<Value> fields);
+  // Interns a copy of `fields`.
+  explicit Row(std::span<const Value> fields);
   Row(std::initializer_list<Value> fields)
-      : Row(std::vector<Value>(fields)) {}
+      : Row(std::span<const Value>(fields.begin(), fields.size())) {}
 
   Row(const Row& other) : rep_(other.rep_) { PayloadStore::AddRef(rep_); }
   Row(Row&& other) noexcept : rep_(std::exchange(other.rep_, nullptr)) {}
@@ -56,23 +59,27 @@ class Row {
   }
   ~Row() { PayloadStore::Release(rep_); }
 
-  // Convenience factories for common payload shapes.
+  // Convenience factories for common payload shapes.  String arguments are
+  // interned straight from the caller's bytes, with no temporary copy.
   static Row OfInt(int64_t v) { return Row({Value(v)}); }
-  static Row OfString(std::string v) { return Row({Value(std::move(v))}); }
+  static Row OfString(std::string_view v) {
+    return Row({Value::Borrowed(v)});
+  }
   // The paper's generated payloads: an integer in [0,400] plus a string blob.
-  static Row OfIntAndString(int64_t v, std::string s) {
-    return Row({Value(v), Value(std::move(s))});
+  static Row OfIntAndString(int64_t v, std::string_view s) {
+    return Row({Value(v), Value::Borrowed(s)});
   }
 
   int64_t field_count() const {
-    return rep_ == nullptr ? 0 : static_cast<int64_t>(rep_->fields.size());
+    return rep_ == nullptr ? 0 : static_cast<int64_t>(rep_->field_count);
   }
+  // Borrowed views into the rep, valid while this row (or any handle on the
+  // same rep) lives.
   const Value& field(int64_t i) const {
     return fields()[static_cast<size_t>(i)];
   }
-  const std::vector<Value>& fields() const {
-    static const std::vector<Value> kEmpty;
-    return rep_ == nullptr ? kEmpty : rep_->fields;
+  std::span<const Value> fields() const {
+    return rep_ == nullptr ? std::span<const Value>() : rep_->fields();
   }
 
   // Returns a new row with `value` replacing field `i`.
@@ -100,7 +107,7 @@ class Row {
   }
 
   // Bytes attributable to this row when charged in full: the handle plus
-  // the shared rep (header, field slots, string heap storage).
+  // the shared rep (header, field slots, string bytes).
   int64_t DeepSizeBytes() const {
     return static_cast<int64_t>(sizeof(Row)) + SharedSizeBytes();
   }
@@ -130,7 +137,7 @@ class Row {
 
   int CompareSlow(const Row& other) const;
 
-  static uint64_t HashFields(const std::vector<Value>& fields);
+  static uint64_t HashFields(std::span<const Value> fields);
 
   RowRep* rep_ = nullptr;
 };

@@ -26,12 +26,12 @@ void Encoder::WriteDouble(double v) {
   WriteU64(bits);
 }
 
-void Encoder::WriteString(const std::string& s) {
+void Encoder::WriteString(std::string_view s) {
   WriteU32(static_cast<uint32_t>(s.size()));
   bytes_.append(s);
 }
 
-void Encoder::WriteVarString(const std::string& s) {
+void Encoder::WriteVarString(std::string_view s) {
   WriteVarU64(s.size());
   bytes_.append(s);
 }
@@ -135,27 +135,37 @@ Status Decoder::ReadDouble(double* v) {
   return Status::Ok();
 }
 
-Status Decoder::ReadString(std::string* s) {
-  uint32_t len = 0;
-  Status status = ReadU32(&len);
-  if (!status.ok()) return status;
-  status = Need(len);
-  if (!status.ok()) return status;
-  s->assign(bytes_, offset_, len);
-  offset_ += len;
-  return Status::Ok();
-}
-
-Status Decoder::ReadVarString(std::string* s) {
+Status Decoder::ReadStringBytes(bool compact, std::string_view* s) {
   uint64_t len = 0;
-  Status status = ReadVarU64(&len);
+  Status status;
+  if (compact) {
+    status = ReadVarU64(&len);
+  } else {
+    uint32_t fixed = 0;
+    status = ReadU32(&fixed);
+    len = fixed;
+  }
   if (!status.ok()) return status;
   if (len > remaining()) {
     return Status::OutOfRange("decode past end of buffer");
   }
-  s->assign(bytes_, offset_, static_cast<size_t>(len));
+  *s = std::string_view(bytes_).substr(offset_, static_cast<size_t>(len));
   offset_ += static_cast<size_t>(len);
   return Status::Ok();
+}
+
+Status Decoder::ReadString(std::string* s) {
+  std::string_view bytes;
+  Status status = ReadStringBytes(false, &bytes);
+  if (status.ok()) s->assign(bytes);
+  return status;
+}
+
+Status Decoder::ReadVarString(std::string* s) {
+  std::string_view bytes;
+  Status status = ReadStringBytes(true, &bytes);
+  if (status.ok()) s->assign(bytes);
+  return status;
 }
 
 Status Decoder::ReadVarU64(uint64_t* v) {
@@ -217,7 +227,7 @@ Status Decoder::ReadCount(size_t min_item_bytes, uint32_t* count) {
   return Status::Ok();
 }
 
-Status Decoder::ReadValueAs(Value* value, bool compact) {
+Status Decoder::ReadValueAs(Value* value, bool compact, bool borrow) {
   uint8_t tag = 0;
   Status status = ReadU8(&tag);
   if (!status.ok()) return status;
@@ -247,10 +257,13 @@ Status Decoder::ReadValueAs(Value* value, bool compact) {
       return Status::Ok();
     }
     case ValueType::kString: {
-      std::string s;
-      status = compact ? ReadVarString(&s) : ReadString(&s);
+      std::string_view s;
+      status = ReadStringBytes(compact, &s);
       if (!status.ok()) return status;
-      *value = Value(std::move(s));
+      if (s.size() > std::numeric_limits<uint32_t>::max()) {
+        return Status::InvalidArgument("string field longer than 4 GiB");
+      }
+      *value = borrow ? Value::Borrowed(s) : Value(s);
       return Status::Ok();
     }
   }
@@ -324,15 +337,14 @@ Status Decoder::ReadRowAs(Row* row, bool compact) {
   if (count > remaining()) {  // each field takes at least one byte
     return Status::InvalidArgument("row field count exceeds buffer");
   }
-  std::vector<Value> fields;
-  fields.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Value value;
-    status = ReadValueAs(&value, compact);
+  // The string fields borrow the input buffer; Row() copies them into the
+  // rep's block (or finds an equal rep) before they go out of scope.
+  std::vector<Value> fields(count);
+  for (Value& value : fields) {
+    status = ReadValueAs(&value, compact, /*borrow=*/true);
     if (!status.ok()) return status;
-    fields.push_back(std::move(value));
   }
-  *row = Row(std::move(fields));
+  *row = Row(fields);
   return Status::Ok();
 }
 

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
@@ -48,9 +49,9 @@ class Encoder {
   void WriteU64(uint64_t v);
   void WriteI64(int64_t v) { WriteU64(static_cast<uint64_t>(v)); }
   void WriteDouble(double v);
-  void WriteString(const std::string& s);
+  void WriteString(std::string_view s);
   // A varint length, then the bytes.
-  void WriteVarString(const std::string& s);
+  void WriteVarString(std::string_view s);
 
   // Unsigned LEB128: seven bits per byte, low group first, the high bit
   // set on every byte but the last (1 byte below 128, at most 10).
@@ -127,7 +128,9 @@ class Decoder {
   // bound that keeps a corrupt count from sizing an allocation.
   Status ReadCount(size_t min_item_bytes, uint32_t* count);
 
-  Status ReadValue(Value* value) { return ReadValueAs(value, false); }
+  Status ReadValue(Value* value) {
+    return ReadValueAs(value, /*compact=*/false, /*borrow=*/false);
+  }
   Status ReadRow(Row* row) { return ReadRowAs(row, false); }
   Status ReadCompactRow(Row* row) { return ReadRowAs(row, true); }
 
@@ -146,7 +149,12 @@ class Decoder {
   }
 
   Status Need(size_t n);
-  Status ReadValueAs(Value* value, bool compact);
+  // A u32- (or, compact, varint-) length-prefixed byte string as a view
+  // into the buffer.
+  Status ReadStringBytes(bool compact, std::string_view* s);
+  // With `borrow`, a string value points into the buffer instead of
+  // owning a copy; only ReadRowAs uses that, and interns before returning.
+  Status ReadValueAs(Value* value, bool compact, bool borrow);
   Status ReadRowAs(Row* row, bool compact);
 
   const std::string& bytes_;

@@ -3,7 +3,9 @@
 // Used by LMergeR2's per-Vs payload set, the payload ledger, and the serde
 // dictionaries.  Linear probing with robin-hood displacement keeps probe
 // sequences short at high load factors; deletion uses backward-shift (no
-// tombstones), which keeps iteration and memory accounting simple.
+// tombstones), which keeps iteration and memory accounting simple.  A slot
+// is the key, its probe distance and the value as separate members (distance
+// -1 marks an empty slot), so a pointer -> u32 slot is 16 bytes.
 
 #ifndef LMERGE_CONTAINER_HASH_TABLE_H_
 #define LMERGE_CONTAINER_HASH_TABLE_H_
@@ -49,9 +51,9 @@ class HashTable {
     int64_t distance = 0;
     while (true) {
       Slot& slot = slots_[static_cast<size_t>(idx)];
-      if (!slot.occupied) return nullptr;
-      if (slot.distance < distance) return nullptr;  // robin-hood early out
-      if (eq_(slot.kv.first, key)) return &slot.kv.second;
+      // Empty (-1) or richer than the probe: robin-hood early out.
+      if (slot.distance < distance) return nullptr;
+      if (eq_(slot.key, key)) return &slot.value;
       idx = (idx + 1) & (cap - 1);
       ++distance;
     }
@@ -75,8 +77,8 @@ class HashTable {
     int64_t distance = 0;
     while (true) {
       Slot& slot = slots_[static_cast<size_t>(idx)];
-      if (!slot.occupied || slot.distance < distance) return false;
-      if (eq_(slot.kv.first, key)) break;
+      if (slot.distance < distance) return false;
+      if (eq_(slot.key, key)) break;
       idx = (idx + 1) & (cap - 1);
       ++distance;
     }
@@ -85,11 +87,11 @@ class HashTable {
     while (true) {
       const int64_t next = (hole + 1) & (cap - 1);
       Slot& next_slot = slots_[static_cast<size_t>(next)];
-      if (!next_slot.occupied || next_slot.distance == 0) break;
+      if (next_slot.distance <= 0) break;  // empty, or at its home bucket
       Slot& hole_slot = slots_[static_cast<size_t>(hole)];
-      hole_slot.kv = std::move(next_slot.kv);
+      hole_slot.key = std::move(next_slot.key);
+      hole_slot.value = std::move(next_slot.value);
       hole_slot.distance = next_slot.distance - 1;
-      hole_slot.occupied = true;
       hole = next;
     }
     slots_[static_cast<size_t>(hole)] = Slot{};
@@ -106,21 +108,21 @@ class HashTable {
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Slot& slot : slots_) {
-      if (slot.occupied) fn(slot.kv.first, slot.kv.second);
+      if (slot.distance >= 0) fn(slot.key, slot.value);
     }
   }
   template <typename Fn>
   void ForEachMutable(Fn&& fn) {
     for (Slot& slot : slots_) {
-      if (slot.occupied) fn(slot.kv.first, slot.kv.second);
+      if (slot.distance >= 0) fn(slot.key, slot.value);
     }
   }
 
  private:
   struct Slot {
-    std::pair<Key, T> kv;
-    int32_t distance = 0;
-    bool occupied = false;
+    Key key{};
+    int32_t distance = -1;  // probe distance from the home bucket; -1 = empty
+    T value{};
   };
 
   int64_t Bucket(const Key& key) const {
@@ -131,28 +133,28 @@ class HashTable {
     const int64_t cap = capacity();
     int64_t idx = Bucket(key);
     int32_t distance = 0;
-    std::pair<Key, T> carrying(std::move(key), std::move(value));
     T* result = nullptr;
     while (true) {
       Slot& slot = slots_[static_cast<size_t>(idx)];
-      if (!slot.occupied) {
-        slot.kv = std::move(carrying);
+      if (slot.distance < 0) {
+        slot.key = std::move(key);
+        slot.value = std::move(value);
         slot.distance = distance;
-        slot.occupied = true;
         ++size_;
-        return {result != nullptr ? result : &slot.kv.second, true};
+        return {result != nullptr ? result : &slot.value, true};
       }
       if (result == nullptr && slot.distance >= distance &&
-          eq_(slot.kv.first, carrying.first)) {
-        return {&slot.kv.second, false};
+          eq_(slot.key, key)) {
+        return {&slot.value, false};
       }
       if (slot.distance < distance) {
         // Robin-hood: displace the richer resident and keep probing with it.
-        std::swap(slot.kv, carrying);
+        std::swap(slot.key, key);
+        std::swap(slot.value, value);
         std::swap(slot.distance, distance);
         if (result == nullptr) {
           // The displaced position holds the element we inserted.
-          result = &slot.kv.second;
+          result = &slot.value;
         }
       }
       idx = (idx + 1) & (cap - 1);
@@ -166,8 +168,8 @@ class HashTable {
     slots_.resize(old.size() * 2);
     size_ = 0;
     for (Slot& slot : old) {
-      if (slot.occupied) {
-        InsertNoGrow(std::move(slot.kv.first), std::move(slot.kv.second));
+      if (slot.distance >= 0) {
+        InsertNoGrow(std::move(slot.key), std::move(slot.value));
       }
     }
   }

@@ -370,6 +370,7 @@ Status MergeServer::EnsureAlgorithmLocked(const StreamProperties& first) {
         &fan_out_, std::move(merger_options));
   }
   met_properties_ = first;
+  merger_streams_ = 1;
   if (options_.verbose) {
     std::fprintf(stderr,
                  "[lmerge_served] algorithm %s (case %s) selected, "
@@ -425,8 +426,16 @@ Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hell
             " but the server selected " +
             AlgorithmCaseName(merger_->algorithm_case()));
       }
+      if (static_cast<size_t>(merger_streams_) >= kMaxStreams) {
+        // The merger would abort on one more stream; refuse this peer.
+        return Status::FailedPrecondition(
+            "stream limit reached: the server merges at most " +
+            std::to_string(kMaxStreams) +
+            " publisher streams over its lifetime, closed ones included");
+      }
       met_properties_ = met;
       session.stream_id = merger_->AddStream();
+      ++merger_streams_;
       if (adopt_output_pending_) {
         // Standby jumpstart: this first post-restore stream carries the
         // dead primary's merged output, i.e. the continuation of the
@@ -653,6 +662,7 @@ Status MergeServer::AdoptCheckpoint(const std::string& blob,
   options_.variant = cert.variant;
   options_.policy = cert.policy;
   variant_ = cert.variant;
+  merger_streams_ = algorithm->stream_count();
   algorithm_ = std::move(algorithm);
   ConcurrentMergerOptions merger_options;
   merger_options.ring_capacity = options_.ring_capacity;
@@ -757,6 +767,7 @@ Status MergeServer::AdoptPartitionedCheckpointLocked(
   options_.policy = cert.policy;
   options_.merge_threads = static_cast<int>(shard_blobs.size());
   variant_ = cert.variant;
+  merger_streams_ = static_cast<int>(snapshot.active.size());
   merger_ = std::move(merger);
   last_output_stable_ = merger_->max_stable();
   adopted_ = true;

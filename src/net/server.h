@@ -353,6 +353,9 @@ class MergeServer {
   std::map<int, std::string> stream_names_ LM_GUARDED_BY(mutex_);
   int next_session_id_ LM_GUARDED_BY(mutex_) = 1;
   int publishers_seen_ LM_GUARDED_BY(mutex_) = 0;
+  // Streams the merger holds, closed ones included (its slots are
+  // append-only); a publisher HELLO past kMaxStreams gets a BYE.
+  int merger_streams_ LM_GUARDED_BY(mutex_) = 0;
   int active_publishers_ LM_GUARDED_BY(mutex_) = 0;
   Timestamp last_output_stable_ LM_GUARDED_BY(mutex_) = kMinTimestamp;
   // Variant actually instantiated (what a cut certificate must certify).

@@ -68,9 +68,11 @@ class TemporalJoin : public Operator {
   }
 
   Row JoinRow(const StoredEvent& left, const StoredEvent& right) const {
-    std::vector<Value> fields = left.payload.fields();
-    for (const Value& v : right.payload.fields()) fields.push_back(v);
-    return Row(std::move(fields));
+    std::vector<Value> fields(left.payload.fields().begin(),
+                              left.payload.fields().end());
+    fields.insert(fields.end(), right.payload.fields().begin(),
+                  right.payload.fields().end());
+    return Row(fields);
   }
 
   // Emits output deltas for the pairing of `mine` (new/changed on `port`)

@@ -12,10 +12,11 @@ void MultiwayJoin::EmitCombination(
   for (const StoredEvent* event : chosen) {
     start = std::max(start, event->vs);
     end = std::min(end, event->ve);
-    for (const Value& v : event->payload.fields()) fields.push_back(v);
+    fields.insert(fields.end(), event->payload.fields().begin(),
+                  event->payload.fields().end());
   }
   if (end > start) {
-    EmitInsert(Row(std::move(fields)), start, end);
+    EmitInsert(Row(fields), start, end);
   }
 }
 

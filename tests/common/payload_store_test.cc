@@ -1,6 +1,9 @@
 #include "common/payload_store.h"
 
 #include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,8 +14,77 @@
 #include "core/in2t.h"
 #include "core/in3t.h"
 
+// Records the sizes handed to operator new while a test asks for it, so
+// the flat-rep test can see that a rep is one block of exactly deep_bytes.
+namespace {
+std::atomic<bool> g_record_allocations{false};
+std::atomic<int> g_allocation_count{0};
+size_t g_allocation_sizes[8];
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_record_allocations.load(std::memory_order_relaxed)) {
+    const int i = g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+    if (i < 8) g_allocation_sizes[i] = size;
+  }
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+// GCC cannot see that these pair with the malloc-based operator new above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+#pragma GCC diagnostic pop
+
 namespace lmerge {
 namespace {
+
+// The allocations made by fn(), in order.
+template <typename Fn>
+std::vector<size_t> AllocationsOf(Fn&& fn) {
+  g_allocation_count.store(0, std::memory_order_relaxed);
+  g_record_allocations.store(true, std::memory_order_relaxed);
+  fn();
+  g_record_allocations.store(false, std::memory_order_relaxed);
+  const int count = g_allocation_count.load(std::memory_order_relaxed);
+  return std::vector<size_t>(g_allocation_sizes,
+                             g_allocation_sizes + (count < 8 ? count : 8));
+}
+
+TEST(PayloadStoreTest, RepIsOneFlatBlockOfDeepBytes) {
+  // The e2ebench payload shape: a 32-byte header, two 16-byte Values and
+  // the 48 string bytes.
+  const Row row = Row::OfIntAndString(7, std::string(48, 'p'));
+  EXPECT_EQ(row.SharedSizeBytes(), 112);
+  EXPECT_EQ(sizeof(RowRep), 32u);
+
+  const std::vector<Value> fields = {Value(int64_t{7}),
+                                     Value(std::string(48, 'q')),
+                                     Value(""), Value(2.5)};
+  RowRep* rep = nullptr;
+  const std::vector<size_t> sizes =
+      AllocationsOf([&] { rep = PayloadStore::MakePrivate(fields, 1); });
+  ASSERT_NE(rep, nullptr);
+  EXPECT_EQ(rep->deep_bytes, 32u + 4 * 16 + 48);
+  ASSERT_EQ(sizes.size(), 1u);  // header, fields and bytes in one block
+  EXPECT_EQ(sizes[0], rep->deep_bytes);
+  // The fields point into the block itself.
+  const char* block = reinterpret_cast<const char*>(rep);
+  const std::string_view text = rep->fields()[1].AsString();
+  EXPECT_EQ(text, std::string(48, 'q'));
+  EXPECT_GE(text.data(), block + 32 + 4 * 16);
+  EXPECT_LE(text.data() + text.size(), block + rep->deep_bytes);
+  PayloadStore::Release(rep);
+
+  // Interning allocates the same block (plus the shard map's node).
+  PayloadStore store;
+  const std::vector<size_t> interned =
+      AllocationsOf([&] { rep = store.Intern(fields, 2); });
+  EXPECT_EQ(interned.front(), rep->deep_bytes);
+  EXPECT_EQ(store.GetStats().payload_bytes, rep->deep_bytes);
+  PayloadStore::Release(rep);
+}
 
 TEST(PayloadStoreTest, EqualContentSharesOneRep) {
   const Row a = Row::OfIntAndString(7, "shared-blob");
@@ -60,9 +132,9 @@ TEST(PayloadStoreTest, LastReleaseEvictsFromStore) {
 
 TEST(PayloadStoreTest, ReinternAfterEvictionWorks) {
   PayloadStore store;
-  RowRep* rep = store.Intern({Value(int64_t{5})}, 99);
+  RowRep* rep = store.Intern(std::vector<Value>{Value(int64_t{5})}, 99);
   PayloadStore::Release(rep);
-  RowRep* again = store.Intern({Value(int64_t{5})}, 99);
+  RowRep* again = store.Intern(std::vector<Value>{Value(int64_t{5})}, 99);
   EXPECT_EQ(store.GetStats().entries, 1);
   // The first rep was evicted, so this was a fresh intern, not a hit.
   EXPECT_EQ(store.GetStats().hits, 0);
@@ -71,8 +143,8 @@ TEST(PayloadStoreTest, ReinternAfterEvictionWorks) {
 
 TEST(PayloadStoreTest, HitCountersAndBytesSaved) {
   PayloadStore store;
-  RowRep* first = store.Intern({Value(std::string("popular"))}, 7);
-  RowRep* second = store.Intern({Value(std::string("popular"))}, 7);
+  RowRep* first = store.Intern(std::vector<Value>{Value(std::string("popular"))}, 7);
+  RowRep* second = store.Intern(std::vector<Value>{Value(std::string("popular"))}, 7);
   EXPECT_EQ(first, second);
   const PayloadStore::Stats stats = store.GetStats();
   EXPECT_EQ(stats.entries, 1);
@@ -118,7 +190,7 @@ TEST(PayloadStoreTest, ConcurrentInternAndReleaseChurn) {
       }
       for (int i = 0; i < kIters; ++i) {
         const int64_t key = (t + i) % 5;
-        RowRep* rep = store.Intern({Value(key)}, static_cast<uint64_t>(key));
+        RowRep* rep = store.Intern(std::vector<Value>{Value(key)}, static_cast<uint64_t>(key));
         if (i % 3 == 0) PayloadStore::AddRef(rep), PayloadStore::Release(rep);
         PayloadStore::Release(rep);
       }

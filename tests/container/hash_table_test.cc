@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/row.h"
 
@@ -109,6 +110,17 @@ TEST(HashTableTest, SlotBytesTracksCapacity) {
   const int64_t before = table.SlotBytes();
   for (int64_t k = 0; k < 100; ++k) table.Insert(k, k);
   EXPECT_GT(table.SlotBytes(), before);
+}
+
+TEST(HashTableTest, PointerToU32SlotIsSixteenBytes) {
+  // The payload ledger's and the dictionaries' shape: key, probe distance
+  // and value packed with no occupancy flag.
+  HashTable<const void*, uint32_t, PointerIdentityHash> table;
+  EXPECT_EQ(table.SlotBytes(), 16 * table.capacity());
+  int anchors[100];
+  for (int i = 0; i < 100; ++i) table.Insert(&anchors[i], i);
+  EXPECT_EQ(table.SlotBytes(), 16 * table.capacity());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(*table.Find(&anchors[i]), i);
 }
 
 class HashTableRandomizedTest : public ::testing::TestWithParam<uint64_t> {};

@@ -203,6 +203,57 @@ TEST(ServerLoopbackTest, HelloAtAnotherVersionGetsByeNamingBoth) {
   EXPECT_EQ(server.subscriber_count(), 0);
 }
 
+// The merger's stream slots are append-only and capped at kMaxStreams, so a
+// publisher HELLO past the cap must be refused with a BYE rather than take
+// the process down; closed sessions keep their slot.  All sessions are
+// loopback pairs driven from this thread onto the one merge thread.
+TEST(ServerLoopbackTest, PublisherHelloPastStreamLimitGetsBye) {
+  MergeServerOptions options;
+  options.ring_capacity = 2;
+  MergeServer server(options);
+  TestPeer sub = ConnectPeer(&server, "sub");
+  HelloMessage sub_hello;
+  sub_hello.role = PeerRole::kSubscriber;
+  Handshake(&server, &sub, sub_hello);
+  TestPeer first = ConnectPeer(&server, "pub0");
+  ASSERT_EQ(Handshake(&server, &first, PublisherHello("pub0")).stream_id, 0);
+  for (int i = 1; i < static_cast<int>(kMaxStreams); ++i) {
+    const std::string name = "pub" + std::to_string(i);
+    TestPeer peer = ConnectPeer(&server, name);
+    ASSERT_EQ(Handshake(&server, &peer, PublisherHello(name)).stream_id, i);
+    server.OnDisconnect(peer.session_id);
+  }
+  EXPECT_EQ(server.publishers_seen(), static_cast<int>(kMaxStreams));
+
+  TestPeer extra = ConnectPeer(&server, "one-too-many");
+  EXPECT_FALSE(server
+                   .OnBytes(extra.session_id,
+                            EncodeHelloFrame(PublisherHello("one-too-many")))
+                   .ok());
+  const std::vector<Frame> frames = extra.DrainFrames();
+  ASSERT_EQ(frames.size(), 1u);  // a BYE and no WELCOME
+  ASSERT_EQ(frames[0].type, FrameType::kBye);
+  ByeMessage bye;
+  ASSERT_TRUE(DecodeBye(frames[0].payload, &bye).ok());
+  EXPECT_NE(bye.reason.find(std::to_string(kMaxStreams)), std::string::npos)
+      << bye.reason;
+  EXPECT_EQ(server.publishers_seen(), static_cast<int>(kMaxStreams));
+
+  // The server keeps serving: the first publisher's output still reaches
+  // the subscriber.
+  for (const StreamElement& element : {Ins("a", 1, 10), Stb(5)}) {
+    ASSERT_TRUE(
+        server.OnBytes(first.session_id, OneElementFrame(element)).ok());
+  }
+  server.Flush();
+  EXPECT_EQ(server.output_stable(), 5);
+  bool got_output = false;
+  for (const Frame& frame : sub.DrainFrames()) {
+    got_output |= frame.type == FrameType::kElementsDict;
+  }
+  EXPECT_TRUE(got_output);
+}
+
 // Every client rejects a WELCOME of another version, whichever way off.
 TEST(ServerLoopbackTest, ClientsRejectWelcomeOfAnotherVersion) {
   for (const uint32_t version : {kProtocolVersion - 1, kProtocolVersion + 1}) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -180,9 +181,10 @@ int main(int argc, char** argv) {
       // Format from the raw fields: constructing a Row here would intern
       // under the shard lock ForEach already holds.
       std::string preview = "(";
-      for (size_t i = 0; i < rep.fields.size(); ++i) {
+      const std::span<const Value> fields = rep.fields();
+      for (size_t i = 0; i < fields.size(); ++i) {
         if (i > 0) preview += ", ";
-        preview += rep.fields[i].ToString();
+        preview += fields[i].ToString();
       }
       preview += ")";
       if (preview.size() > 48) preview = preview.substr(0, 45) + "...";
