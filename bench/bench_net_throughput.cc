@@ -9,7 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <span>
+#include <thread>
+
 #include "bench_util.h"
+#include "engine/partitioned.h"
 #include "net/loopback.h"
 #include "net/server.h"
 #include "obs/latency.h"
@@ -193,9 +198,9 @@ BENCHMARK(BM_NetThroughput_DisorderedBatch64)
 // Partitioned merge sweep (--merge-threads = range(0)): the merge-heavy
 // disordered workload over two divergent publishers, the shape where
 // sharding the merge core can pay.  merge_threads=1 is the single-threaded
-// ConcurrentMerger baseline.  Speedup needs real cores: on a single-core
-// host the shard threads time-slice and the sweep only measures the
-// partitioning overhead (see BENCH_throughput.json notes).
+// ConcurrentMerger baseline.  One thread drives every publisher's OnBytes,
+// so ingest bounds this sweep; BM_EngineMergeThreads below measures the
+// merge with the wire path taken out (docs/PERFORMANCE.md).
 void BM_NetThroughput_MergeThreads(benchmark::State& state) {
   NetThroughput(state, 64, /*disorder=*/0.2, /*split_probability=*/0.1,
                 /*num_publishers=*/2,
@@ -207,6 +212,79 @@ BENCHMARK(BM_NetThroughput_MergeThreads)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// Engine-only merge-threads sweep (shards = range(0)): the merger MakeMerger
+// builds for `--merge-threads=N`, fed pre-decoded tapes with no wire path in
+// front of it, so the merge — not the single ingest thread of the sweep
+// above — is what has to keep up.  Three divergent LMR3+ replicas (~220k
+// elements in all), one producer thread per input delivering 64-element
+// TryDeliverBatch calls, timed until the merger is idle.  N=1 is the direct
+// ConcurrentMerger (no aggregator hop); N>=2 the PartitionedMerger.
+const std::vector<ElementSequence>& EngineTapes() {
+  static const std::vector<ElementSequence>* tapes = [] {
+    return new std::vector<ElementSequence>(
+        MakeReplicas(workload::GenerateHistory(NetConfig(60000)),
+                     /*count=*/3, /*disorder=*/0.2,
+                     /*split_probability=*/0.1, /*seed=*/7));
+  }();
+  return *tapes;
+}
+
+void BM_EngineMergeThreads(benchmark::State& state) {
+  static constexpr size_t kBatch = 64;
+  const int shards = static_cast<int>(state.range(0));
+  const std::vector<ElementSequence>& tapes = EngineTapes();
+  const int num_streams = static_cast<int>(tapes.size());
+  int64_t total_elements = 0;
+  for (const ElementSequence& tape : tapes) {
+    total_elements += static_cast<int64_t>(tape.size());
+  }
+  int64_t delivered = 0;
+  for (auto _ : state) {
+    // TryDeliverBatch moves elements out, so each iteration delivers a
+    // fresh copy; copying, thread start-up and teardown stay untimed.
+    state.PauseTiming();
+    std::vector<ElementSequence> inputs = tapes;
+    NullSink sink;
+    PartitionedMergerOptions options;
+    options.shards = shards;
+    std::unique_ptr<Merger> merger = MakeMerger(
+        [num_streams](int /*shard*/, ElementSink* shard_sink) {
+          return CreateMergeAlgorithm(MergeVariant::kLMR3Plus, num_streams,
+                                      shard_sink);
+        },
+        &sink, std::move(options));
+    state.ResumeTiming();
+    std::vector<std::thread> producers;
+    producers.reserve(inputs.size());
+    for (int s = 0; s < num_streams; ++s) {
+      producers.emplace_back([&merger, &inputs, s] {
+        ElementSequence& tape = inputs[static_cast<size_t>(s)];
+        for (size_t i = 0; i < tape.size(); i += kBatch) {
+          const size_t n = std::min(kBatch, tape.size() - i);
+          const Status status = merger->TryDeliverBatch(
+              s, std::span<StreamElement>(tape.data() + i, n));
+          LM_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
+        }
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+    merger->WaitIdle();
+    state.PauseTiming();
+    merger.reset();
+    state.ResumeTiming();
+    delivered += total_elements;
+  }
+  state.SetItemsProcessed(delivered);
+  state.counters["merge_threads"] =
+      benchmark::Counter(static_cast<double>(shards));
+}
+BENCHMARK(BM_EngineMergeThreads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The fan-out path: one publisher, N subscribers each receiving every
 // merged element as an encoded frame.

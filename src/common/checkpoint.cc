@@ -1,5 +1,7 @@
 #include "common/checkpoint.h"
 
+#include <utility>
+
 #include "common/check.h"
 
 namespace lmerge {
@@ -137,15 +139,9 @@ Status InspectCheckpoint(const std::string& bytes, CheckpointInfo* info) {
   return Status::Ok();
 }
 
-bool IsPartitionedCheckpoint(const std::string& bytes) {
-  Decoder decoder(bytes);
-  uint32_t magic = 0;
-  return decoder.ReadU32(&magic).ok() && magic == kPartitionedCheckpointMagic;
-}
-
-std::string CombinePartitionedCheckpoint(
-    const std::vector<std::string>& shard_blobs) {
+std::string CombinePartitionedCheckpoint(std::vector<std::string> shard_blobs) {
   LM_CHECK(!shard_blobs.empty());
+  if (shard_blobs.size() == 1) return std::move(shard_blobs[0]);
   size_t total = 16;
   for (const std::string& blob : shard_blobs) total += blob.size() + 8;
   Encoder out;
@@ -162,12 +158,11 @@ Status SplitPartitionedCheckpoint(const std::string& bytes,
   shard_blobs->clear();
   Decoder decoder(bytes);
   uint32_t magic = 0;
-  Status status = decoder.ReadU32(&magic);
-  if (!status.ok()) return status;
-  if (magic != kPartitionedCheckpointMagic) {
-    return Status::InvalidArgument(
-        "not a partitioned checkpoint (bad magic)");
+  if (!decoder.ReadU32(&magic).ok() || magic != kPartitionedCheckpointMagic) {
+    shard_blobs->push_back(bytes);
+    return Status::Ok();
   }
+  Status status;
   uint32_t version = 0;
   if (!(status = decoder.ReadU32(&version)).ok()) return status;
   if (version != kPartitionedCheckpointVersion) {

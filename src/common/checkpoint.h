@@ -93,26 +93,26 @@ Status InspectCheckpoint(const std::string& bytes, CheckpointInfo* info);
 //   u32 magic "LMPC", u32 version, u32 shard_count,
 //   string shard_blob[0] ... string shard_blob[shard_count-1]
 //
-// The cut certificate is embedded in shard_blob[0] exactly as in the
-// single-threaded case; its shard_stables section records every shard's
-// stable frontier at the barrier.  Shard routing is deterministic and
-// unseeded (PartitionedMerger::RouteShard), so a restore with the recorded
-// shard count reproduces the exact per-shard key partition.
+// One shard needs no container: its checkpoint is the lone ordinary blob,
+// so a one-shard merge's bytes are those of an unsharded one.  The cut
+// certificate is embedded in shard_blob[0] exactly as in the one-shard
+// case; with more than one shard its shard_stables section records every
+// shard's stable frontier at the barrier.  Shard routing is deterministic
+// and unseeded (PartitionedMerger::RouteShard), so a restore with the
+// recorded shard count reproduces the exact per-shard key partition.
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kPartitionedCheckpointMagic = 0x4c4d5043;  // "LMPC"
 inline constexpr uint32_t kPartitionedCheckpointVersion = 1;
 
-// True when `bytes` starts with the partitioned container magic — how
-// AdoptCheckpoint dispatches between the single and partitioned restore
-// paths without a separate wire signal.
-bool IsPartitionedCheckpoint(const std::string& bytes);
+// Wraps per-shard checkpoint blobs (shard order) into one container; a
+// single blob is returned unchanged.
+std::string CombinePartitionedCheckpoint(std::vector<std::string> shard_blobs);
 
-// Wraps per-shard checkpoint blobs (shard order) into one container.
-std::string CombinePartitionedCheckpoint(
-    const std::vector<std::string>& shard_blobs);
-
-// Unwraps a container into its per-shard blobs.
+// Unwraps a container into its per-shard blobs; any other blob is one
+// shard's and comes back as the only element.  The inverse of
+// CombinePartitionedCheckpoint, and what MergeServer::AdoptCheckpoint reads
+// every checkpoint through.
 Status SplitPartitionedCheckpoint(const std::string& bytes,
                                   std::vector<std::string>* shard_blobs);
 

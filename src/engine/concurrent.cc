@@ -40,6 +40,12 @@ ConcurrentMerger::ConcurrentMerger(MergeAlgorithm* algorithm,
   merge_thread_ = std::thread([this] { MergeLoop(); });
 }
 
+ConcurrentMerger::ConcurrentMerger(std::unique_ptr<MergeAlgorithm> algorithm,
+                                   ConcurrentMergerOptions options)
+    : ConcurrentMerger(algorithm.get(), std::move(options)) {
+  owned_algorithm_ = std::move(algorithm);
+}
+
 ConcurrentMerger::~ConcurrentMerger() {
   stop_.store(true, std::memory_order_release);
   {

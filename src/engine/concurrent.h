@@ -69,6 +69,12 @@ class ConcurrentMerger : public Merger {
   explicit ConcurrentMerger(MergeAlgorithm* algorithm,
                             ConcurrentMergerOptions options = {});
 
+  // Same, but the merger owns `algorithm` and destroys it after the merge
+  // thread has stopped (how MakeMerger and PartitionedMerger's shards build
+  // it).
+  explicit ConcurrentMerger(std::unique_ptr<MergeAlgorithm> algorithm,
+                            ConcurrentMergerOptions options = {});
+
   // Drains all enqueued work, then stops and joins the merge thread.
   ~ConcurrentMerger() override;
 
@@ -241,6 +247,8 @@ class ConcurrentMerger : public Merger {
   void RecordError(const Status& status);
 
   MergeAlgorithm* algorithm_;
+  // Set only by the owning constructor; never read by the merge thread.
+  std::unique_ptr<MergeAlgorithm> owned_algorithm_;
   ConcurrentMergerOptions options_;
 
   // Append-only and pre-reserved to kMaxStreams (core/merge_algorithm.h)

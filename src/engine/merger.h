@@ -5,8 +5,10 @@
 // never touch algorithm state; how the merge itself is scheduled — one merge
 // thread (engine/concurrent.h) or N shard threads behind a stable-point
 // aggregator (engine/partitioned.h) — is an implementation choice hidden
-// behind this interface.  MergeServer programs against it so
-// `--merge-threads=N` is a pure configuration switch.
+// behind this interface.  MakeMerger (engine/partitioned.h) is the one way
+// MergeServer builds either: one shard is a plain ConcurrentMerger, more are
+// a PartitionedMerger, so `--merge-threads=N` is a pure configuration
+// switch.
 //
 // Algorithm state is only ever touched by merge threads.  Callers that need
 // a consistent view (stats, checkpoints, output-view adoption) go through
@@ -65,13 +67,9 @@ class Merger {
   // batch's ingest stamp for the latency pipeline
   // (docs/OBSERVABILITY.md).  The stamp is observability side-channel
   // data: implementations may drop it under pressure (a lost latency
-  // sample), never the elements.  The default ignores it, so mergers
-  // without latency plumbing stay correct.
+  // sample), never the elements.
   virtual Status TryDeliverBatch(int stream, std::span<StreamElement> batch,
-                                 const obs::IngestStamp& stamp) {
-    (void)stamp;
-    return TryDeliverBatch(stream, batch);
-  }
+                                 const obs::IngestStamp& stamp) = 0;
 
   // Runtime stream registry (the paper's join/leave hooks, Sec. V-B/C).
   // Both block until every shard has applied the change; RemoveStream first
@@ -125,12 +123,8 @@ class Merger {
   // Liveness probe for /readyz: posts a no-op onto every merge thread and
   // waits up to `timeout` for all of them to run it.  False means some
   // thread did not come around — wedged in a batch, deadlocked, or dead —
-  // while true means each one reached its control-op point.  The default
-  // (no threads to probe) is trivially responsive.
-  virtual bool Responsive(std::chrono::milliseconds timeout) {
-    (void)timeout;
-    return true;
-  }
+  // while true means each one reached its control-op point.
+  virtual bool Responsive(std::chrono::milliseconds timeout) = 0;
 
   // Spawns one thread per input, each delivering its sequence in order
   // (cross-stream interleaving is up to the scheduler), joins them, and

@@ -11,13 +11,29 @@
 
 namespace lmerge {
 
+std::unique_ptr<Merger> MakeMerger(ShardAlgorithmFactory factory,
+                                   ElementSink* sink,
+                                   PartitionedMergerOptions options) {
+  LM_CHECK(options.shards >= 1);
+  if (options.shards >= 2) {
+    return std::make_unique<PartitionedMerger>(std::move(factory), sink,
+                                               std::move(options));
+  }
+  ConcurrentMergerOptions merger_options;
+  merger_options.ring_capacity = options.ring_capacity;
+  merger_options.max_batch = options.max_batch;
+  merger_options.after_batch = std::move(options.after_batch);
+  return std::make_unique<ConcurrentMerger>(factory(0, sink),
+                                            std::move(merger_options));
+}
+
 PartitionedMerger::PartitionedMerger(ShardAlgorithmFactory factory,
                                      ElementSink* sink,
                                      PartitionedMergerOptions options)
     : num_shards_(options.shards),
       options_(std::move(options)),
       sink_(sink) {
-  LM_CHECK(num_shards_ >= 1);
+  LM_CHECK(num_shards_ >= 2);
   LM_CHECK(sink != nullptr);
   LM_CHECK(options_.out_ring_capacity >= 2);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -32,9 +48,10 @@ PartitionedMerger::PartitionedMerger(ShardAlgorithmFactory factory,
     shard->sink.shard_ = i;
     // Restore-style factories rebuild state without emitting, so the sink
     // is quiescent until the shard's merge thread starts below.
-    shard->algorithm = factory(i, &shard->sink);
-    LM_CHECK(shard->algorithm != nullptr);
-    shard->frontier = shard->algorithm->max_stable();
+    std::unique_ptr<MergeAlgorithm> algorithm = factory(i, &shard->sink);
+    LM_CHECK(algorithm != nullptr);
+    shard->frontier = algorithm->max_stable();
+    algorithms_.push_back(algorithm.get());
     const std::string scope = "merge.shard." + std::to_string(i);
     shard->elements_metric = registry.GetCounter(scope + ".elements");
     shard->routed_batch_metric = registry.GetHistogram(scope + ".routed_batch");
@@ -43,8 +60,7 @@ PartitionedMerger::PartitionedMerger(ShardAlgorithmFactory factory,
     shard_options.max_batch = options_.max_batch;
     shard_options.metrics_scope = scope;
     shard->merger = std::make_unique<ConcurrentMerger>(
-        shard->algorithm.get(), std::move(shard_options));
-    algorithms_.push_back(shard->algorithm.get());
+        std::move(algorithm), std::move(shard_options));
     shards_.push_back(std::move(shard));
   }
   for (int i = 1; i < num_shards_; ++i) {

@@ -31,6 +31,10 @@
 // fan-out barriers: every shard parks between two batches at once, the
 // aggregator is drained, and the caller observes one consistent cut across
 // all shard algorithms (CallAtBarrier).
+//
+// One shard is the degenerate partition: MakeMerger builds it as a plain
+// ConcurrentMerger with no routing or aggregator hop, so PartitionedMerger
+// itself always has two or more shards.
 
 #ifndef LMERGE_ENGINE_PARTITIONED_H_
 #define LMERGE_ENGINE_PARTITIONED_H_
@@ -60,10 +64,9 @@
 namespace lmerge {
 
 struct PartitionedMergerOptions {
-  // Number of shards (merge threads).  Must be >= 1; with 1 shard the
-  // partitioned merger still routes through the aggregator — callers that
-  // want the byte-identical single-threaded path construct a
-  // ConcurrentMerger instead (MergeServer does this for --merge-threads=1).
+  // Number of shards (merge threads).  PartitionedMerger requires >= 2;
+  // MakeMerger also takes 1, which it builds as a plain ConcurrentMerger
+  // (no aggregator hop, output byte-identical to an unsharded merge).
   int shards = 2;
   // Per-input ring capacity of each shard's ConcurrentMerger.
   size_t ring_capacity = 4096;
@@ -73,9 +76,9 @@ struct PartitionedMergerOptions {
   // A full output ring blocks the shard's merge thread (backpressure),
   // bounding recombination memory.
   size_t out_ring_capacity = 4096;
-  // Invoked on the aggregator thread after each forwarded chunk; embedders
-  // use it to flush per-batch output buffers (the partitioned counterpart
-  // of ConcurrentMergerOptions::after_batch).
+  // Invoked on the output thread after each forwarded chunk — the
+  // aggregator, or the merge thread of a one-shard merger; embedders use it
+  // to flush per-batch output buffers.
   std::function<void()> after_batch;
   // Test seam: overrides shard routing for insert/adjust elements.  Must be
   // a pure function of the element (an event and its adjusts must map to
@@ -92,11 +95,20 @@ using ShardAlgorithmFactory =
     std::function<std::unique_ptr<MergeAlgorithm>(int shard,
                                                   ElementSink* sink)>;
 
+// The one way to build a merge engine: `options.shards` algorithms made by
+// `factory`, recombined into `sink`.  One shard is a ConcurrentMerger that
+// owns factory(0, sink) and emits straight into `sink` — no aggregator
+// thread, output ring or routing; two or more are a PartitionedMerger.
+std::unique_ptr<Merger> MakeMerger(ShardAlgorithmFactory factory,
+                                   ElementSink* sink,
+                                   PartitionedMergerOptions options);
+
 class PartitionedMerger : public Merger {
  public:
   // `sink` receives the recombined output on the aggregator thread (the
   // same single-threaded sink contract ConcurrentMerger gives).  Starts
-  // `options.shards` merge threads plus the aggregator thread immediately.
+  // `options.shards` (>= 2) merge threads plus the aggregator thread
+  // immediately.
   PartitionedMerger(ShardAlgorithmFactory factory, ElementSink* sink,
                     PartitionedMergerOptions options = {});
 
@@ -210,8 +222,7 @@ class PartitionedMerger : public Merger {
         : out_ring(out_capacity),
           out_stamp_ring(out_ring.capacity() + max_batch + 1) {}
     ShardOutput sink;
-    std::unique_ptr<MergeAlgorithm> algorithm;  // fed only by `merger`
-    std::unique_ptr<ConcurrentMerger> merger;
+    std::unique_ptr<ConcurrentMerger> merger;  // owns the shard algorithm
     SpscRing<StreamElement> out_ring;  // shard merge thread -> aggregator
     // Latency side-channel beside the output ring (shard merge thread ->
     // aggregator).  Bound: every entry is pushed just ahead of its first
@@ -267,7 +278,7 @@ class PartitionedMerger : public Merger {
   ElementSink* sink_;  // aggregator-thread-only
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<MergeAlgorithm*> algorithms_;  // shards_[i]->algorithm.get()
+  std::vector<MergeAlgorithm*> algorithms_;  // owned by shards_[i]->merger
 
   // Producer-visible stream registry (mirrors every shard's; the slot
   // vector is append-only and pre-reserved to kMaxStreams so producers

@@ -25,6 +25,7 @@ MergeServer::MergeServer(MergeServerOptions options)
     : options_(std::move(options)),
       fan_out_(this),
       met_properties_(StreamProperties::Strongest()) {
+  LM_CHECK(options_.merge_threads >= 1);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   rx_bytes_metric_ = registry.GetCounter("net.rx.bytes");
   rx_frames_metric_ = registry.GetCounter("net.rx.frames");
@@ -339,36 +340,12 @@ Status MergeServer::EnsureAlgorithmLocked(const StreamProperties& first) {
           ? *options_.variant
           : VariantForCase(ChooseAlgorithm(first));
   variant_ = variant;
-  if (options_.merge_threads <= 1) {
-    // Single-threaded path: the exact pre-partitioned pipeline (and
-    // byte-identical output, see tests/net/partitioned_server_test.cc).
-    algorithm_ =
-        CreateMergeAlgorithm(variant, /*num_streams=*/1, &fan_out_,
-                             options_.policy);
-    ConcurrentMergerOptions merger_options;
-    merger_options.ring_capacity = options_.ring_capacity;
-    merger_options.max_batch = options_.max_batch;
-    merger_options.after_batch = [this] { fan_out_.Flush(); };
-    merger_ = std::make_unique<ConcurrentMerger>(algorithm_.get(),
-                                                 std::move(merger_options));
-  } else {
-    // Partitioned path: merge_threads shard algorithms behind the
-    // min-frontier aggregator.  The shard instances are owned by the
-    // merger (algorithm_ stays null); every inspection goes through the
-    // Merger interface.
-    PartitionedMergerOptions merger_options;
-    merger_options.shards = options_.merge_threads;
-    merger_options.ring_capacity = options_.ring_capacity;
-    merger_options.max_batch = options_.max_batch;
-    merger_options.after_batch = [this] { fan_out_.Flush(); };
-    const MergePolicy policy = options_.policy;
-    merger_ = std::make_unique<PartitionedMerger>(
-        [variant, policy](int /*shard*/, ElementSink* sink) {
-          return CreateMergeAlgorithm(variant, /*num_streams=*/1, sink,
-                                      policy);
-        },
-        &fan_out_, std::move(merger_options));
-  }
+  const MergePolicy policy = options_.policy;
+  merger_ = NewMerger(options_.merge_threads,
+                      [variant, policy](int /*shard*/, ElementSink* sink) {
+                        return CreateMergeAlgorithm(
+                            variant, /*num_streams=*/1, sink, policy);
+                      });
   met_properties_ = first;
   merger_streams_ = 1;
   if (options_.verbose) {
@@ -493,7 +470,7 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
   std::string blob;
   if (merger_ != nullptr) {
     // Snapshot at a barrier: every shard stands between two elements of ONE
-    // cut (for merge_threads == 1 this is the familiar merge-thread call),
+    // cut (for one shard, a call on its merge thread),
     // so the state, the per-input frontiers, the per-shard stable
     // frontiers, and the subscription's sent count all describe the SAME
     // cut.  The lambda is analyzed lock-free (its own function): it reaches
@@ -514,21 +491,19 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
       cut.has_state = true;
       cut.cert.variant = variant;
       cut.cert.policy = policy;
-      if (shards.size() == 1) {
-        cut.cert.output_stable = shards[0]->max_stable();
-      } else {
-        // With the aggregator quiesced each shard's frontier equals its
-        // algorithm's max_stable(); the output stable point is their min,
-        // and the certificate records every frontier so a restore can
-        // verify each shard individually.
-        Timestamp min_stable = shards[0]->max_stable();
-        cut.cert.shard_stables.reserve(shards.size());
-        for (MergeAlgorithm* shard : shards) {
+      // With the aggregator quiesced each shard's frontier equals its
+      // algorithm's max_stable(); the output stable point is their min.  A
+      // partitioned certificate also records every frontier so a restore
+      // can verify each shard individually; a one-shard certificate keeps
+      // the unsharded layout.
+      Timestamp min_stable = shards[0]->max_stable();
+      for (MergeAlgorithm* shard : shards) {
+        min_stable = std::min(min_stable, shard->max_stable());
+        if (shards.size() > 1) {
           cut.cert.shard_stables.push_back(shard->max_stable());
-          min_stable = std::min(min_stable, shard->max_stable());
         }
-        cut.cert.output_stable = min_stable;
       }
+      cut.cert.output_stable = min_stable;
       // Per-input frontiers aggregated with the sum/min rules: the recorded
       // stable_point is the min across shards — the replay-safe frontier no
       // shard has run ahead of (core/merge_algorithm.h).
@@ -554,20 +529,17 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
       }
       const std::string cert_bytes =
           replica::SerializeCutCertificate(cut.cert);
-      if (shards.size() == 1) {
-        blob = SaveCheckpoint(*shards[0]->checkpointable(), cert_bytes);
-      } else {
-        // One ordinary blob per shard, wrapped in the LMPC container; the
-        // certificate rides in shard 0's blob (common/checkpoint.h).
-        std::vector<std::string> shard_blobs;
-        shard_blobs.reserve(shards.size());
-        for (size_t k = 0; k < shards.size(); ++k) {
-          shard_blobs.push_back(
-              SaveCheckpoint(*shards[k]->checkpointable(),
-                             k == 0 ? cert_bytes : std::string()));
-        }
-        blob = CombinePartitionedCheckpoint(shard_blobs);
+      // One ordinary blob per shard, the certificate in shard 0's, wrapped
+      // in the LMPC container when there is more than one
+      // (common/checkpoint.h).
+      std::vector<std::string> shard_blobs;
+      shard_blobs.reserve(shards.size());
+      for (size_t k = 0; k < shards.size(); ++k) {
+        shard_blobs.push_back(
+            SaveCheckpoint(*shards[k]->checkpointable(),
+                           k == 0 ? cert_bytes : std::string()));
       }
+      blob = CombinePartitionedCheckpoint(std::move(shard_blobs));
     });
   }
   cut.checkpoint_bytes = blob.size();
@@ -623,89 +595,22 @@ Status MergeServer::AdoptCheckpoint(const std::string& blob,
     return Status::FailedPrecondition(
         "AdoptCheckpoint on a server that is already merging");
   }
-  if (IsPartitionedCheckpoint(blob)) {
-    return AdoptPartitionedCheckpointLocked(blob, cert);
-  }
-  std::unique_ptr<MergeAlgorithm> algorithm = CreateMergeAlgorithm(
-      cert.variant, /*num_streams=*/1, &fan_out_, cert.policy);
-  Checkpointable* checkpointable = algorithm->checkpointable();
-  if (checkpointable == nullptr) {
-    return Status::InvalidArgument(
-        std::string("variant ") + MergeVariantName(cert.variant) +
-        " does not support checkpoints");
-  }
-  // No merge thread exists yet, so restoring directly is race-free; the
-  // merger constructed below sizes its rings and seeds its stable point
-  // from the restored state.
-  Status status = LoadCheckpoint(blob, checkpointable);
-  if (!status.ok()) return status;
-  status = CheckRoomForFeedStream(algorithm->stream_count());
-  if (!status.ok()) return status;
-  if (algorithm->max_stable() != cert.output_stable) {
-    return Status::InvalidArgument(
-        "checkpoint stable point " + TimestampToString(algorithm->max_stable()) +
-        " does not match cut certificate " +
-        TimestampToString(cert.output_stable));
-  }
-  // The snapshot's input streams belong to the primary's publishers, which
-  // this server will never hear from; detach them all.  The feed stream
-  // (the primary's merged output) joins as a NEW stream and adopts the
-  // output's views on its first HELLO.
-  for (int s = 0; s < algorithm->stream_count(); ++s) {
-    if (algorithm->stream_active(s)) algorithm->RemoveStream(s);
-  }
-  // Anything those detaches released goes out now; no merge thread exists
-  // yet, so this is the only flush point for them.
-  fan_out_.Flush();
-  // Pin variant + policy so later publishers cannot re-select an algorithm
-  // incompatible with the restored state.
-  options_.variant = cert.variant;
-  options_.policy = cert.policy;
-  variant_ = cert.variant;
-  merger_streams_ = algorithm->stream_count();
-  algorithm_ = std::move(algorithm);
-  ConcurrentMergerOptions merger_options;
-  merger_options.ring_capacity = options_.ring_capacity;
-  merger_options.max_batch = options_.max_batch;
-  merger_options.after_batch = [this] { fan_out_.Flush(); };
-  merger_ = std::make_unique<ConcurrentMerger>(algorithm_.get(),
-                                               std::move(merger_options));
-  last_output_stable_ = merger_->max_stable();
-  adopted_ = true;
-  adopt_output_pending_ = true;
-  return Status::Ok();
-}
-
-Status MergeServer::AdoptPartitionedCheckpointLocked(
-    const std::string& blob, const replica::CutCertificate& cert) {
   std::vector<std::string> shard_blobs;
   Status status = SplitPartitionedCheckpoint(blob, &shard_blobs);
   if (!status.ok()) return status;
-  if (!cert.shard_stables.empty() &&
-      cert.shard_stables.size() != shard_blobs.size()) {
-    return Status::InvalidArgument(
-        "cut certificate names " +
-        std::to_string(cert.shard_stables.size()) +
-        " shards but the checkpoint holds " +
-        std::to_string(shard_blobs.size()));
-  }
+  const int shards = static_cast<int>(shard_blobs.size());
   // Each shard restores inside its factory call: the shard's own merge
   // thread does not exist yet at that point, and nothing is delivered until
-  // the constructor returns, so the restore is race-free.  Restore failures
+  // the merger is built, so the restore is race-free.  Restore failures
   // are latched and checked after construction (the factory signature
-  // cannot return a Status).  The constructor requires every shard at one
-  // width, so a failed or skipped restore yields a fresh algorithm as wide
-  // as shard 0's.
+  // cannot return a Status).  A merger requires every shard at one width,
+  // so a failed or skipped restore yields a fresh algorithm as wide as
+  // shard 0's.
   Status restore_status = Status::Ok();
   int width = 1;
   std::vector<Timestamp> restored_stables(shard_blobs.size(), kMinTimestamp);
-  PartitionedMergerOptions merger_options;
-  merger_options.shards = static_cast<int>(shard_blobs.size());
-  merger_options.ring_capacity = options_.ring_capacity;
-  merger_options.max_batch = options_.max_batch;
-  merger_options.after_batch = [this] { fan_out_.Flush(); };
-  auto merger = std::make_unique<PartitionedMerger>(
-      [&](int shard, ElementSink* sink) {
+  std::unique_ptr<Merger> merger =
+      NewMerger(shards, [&](int shard, ElementSink* sink) {
         std::unique_ptr<MergeAlgorithm> algorithm = CreateMergeAlgorithm(
             cert.variant, /*num_streams=*/1, sink, cert.policy);
         Checkpointable* checkpointable = algorithm->checkpointable();
@@ -735,14 +640,24 @@ Status MergeServer::AdoptPartitionedCheckpointLocked(
         restored_stables[static_cast<size_t>(shard)] =
             algorithm->max_stable();
         return algorithm;
-      },
-      &fan_out_, std::move(merger_options));
+      });
   if (!restore_status.ok()) return restore_status;
+  // The certificate is checked one way for every cut: it names one frontier
+  // per shard of a partitioned cut and none for a one-shard cut (what
+  // SendCheckpointLocked writes), every named frontier must be the restored
+  // one, and the output stable point must be their minimum.
+  const size_t named = shards > 1 ? shard_blobs.size() : 0;
+  if (cert.shard_stables.size() != named) {
+    return Status::InvalidArgument(
+        "cut certificate names " +
+        std::to_string(cert.shard_stables.size()) +
+        " shard frontiers but the checkpoint holds " +
+        std::to_string(shards) + " shard(s)");
+  }
   Timestamp min_stable = restored_stables[0];
   for (size_t k = 0; k < restored_stables.size(); ++k) {
     min_stable = std::min(min_stable, restored_stables[k]);
-    if (!cert.shard_stables.empty() &&
-        restored_stables[k] != cert.shard_stables[k]) {
+    if (k < named && restored_stables[k] != cert.shard_stables[k]) {
       return Status::InvalidArgument(
           "shard " + std::to_string(k) + " restored stable point " +
           TimestampToString(restored_stables[k]) +
@@ -756,16 +671,20 @@ Status MergeServer::AdoptPartitionedCheckpointLocked(
         " does not match cut certificate " +
         TimestampToString(cert.output_stable));
   }
-  // As on the single-threaded path: the snapshot's input streams belong to
-  // the dead primary's publishers — detach them all (a fan-out barrier per
-  // stream), and pin variant + policy so later publishers cannot re-select.
+  // The snapshot's input streams belong to the dead primary's publishers,
+  // which this server will never hear from: detach them all through the
+  // merger (whatever a detach releases is fanned out by its after_batch
+  // hook).  The feed stream (the primary's merged output) joins as a NEW
+  // stream and adopts the output's views on its first HELLO.  Pin variant +
+  // policy so later publishers cannot re-select an algorithm incompatible
+  // with the restored state.
   const MergerInputSnapshot snapshot = merger->InputSnapshot();
   for (size_t s = 0; s < snapshot.active.size(); ++s) {
     if (snapshot.active[s]) merger->RemoveStream(static_cast<int>(s));
   }
   options_.variant = cert.variant;
   options_.policy = cert.policy;
-  options_.merge_threads = static_cast<int>(shard_blobs.size());
+  options_.merge_threads = shards;
   variant_ = cert.variant;
   merger_streams_ = static_cast<int>(snapshot.active.size());
   merger_ = std::move(merger);
@@ -773,6 +692,16 @@ Status MergeServer::AdoptPartitionedCheckpointLocked(
   adopted_ = true;
   adopt_output_pending_ = true;
   return Status::Ok();
+}
+
+std::unique_ptr<Merger> MergeServer::NewMerger(int shards,
+                                               ShardAlgorithmFactory factory) {
+  PartitionedMergerOptions merger_options;
+  merger_options.shards = shards;
+  merger_options.ring_capacity = options_.ring_capacity;
+  merger_options.max_batch = options_.max_batch;
+  merger_options.after_batch = [this] { fan_out_.Flush(); };
+  return MakeMerger(std::move(factory), &fan_out_, std::move(merger_options));
 }
 
 Status MergeServer::DeliverBatchLocked(Session& session,
@@ -1001,6 +930,13 @@ const char* MergeServer::algorithm_name() const {
 
 obs::MetricsSnapshot MergeServer::MetricsSnapshotLocked() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  // Every publisher session's inbound dictionary pins a payload rep per
+  // defined id, beside the merge state's own references.
+  int64_t rx_dict_entries = 0;
+  for (const auto& [id, session] : sessions_) {
+    if (session.dict_in != nullptr) rx_dict_entries += session.dict_in->entries();
+  }
+  registry.GetGauge("net.rx.dict.entries")->Set(rx_dict_entries);
   {
     MutexLock fanout_lock(fanout_mutex_);
     registry.GetGauge("net.subscribers")

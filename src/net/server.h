@@ -19,10 +19,11 @@
 //     batch) and merge threads drain them through
 //     MergeAlgorithm::ProcessBatch — delivery is enqueue-only, so call
 //     Flush() (or the flushing getters) before inspecting merged output.
-//     With merge_threads == 1 this is the single-threaded ConcurrentMerger
-//     (byte-identical to the pre-partitioned server); with more it is a
-//     PartitionedMerger sharding the algorithm across that many threads
-//     behind a min-frontier stable-point aggregator (engine/partitioned.h);
+//     The merger is built by MakeMerger (engine/partitioned.h) with
+//     merge_threads shards: one is a single-threaded ConcurrentMerger
+//     emitting straight into the fan-out, more are a PartitionedMerger
+//     behind a min-frontier stable-point aggregator.  Checkpoints are saved
+//     and restored the same way for every shard count;
 //   * fans the merged output out to every subscriber and to registered
 //     in-process sinks.  Fan-out is serialize-once: the merger's output
 //     thread buffers each batch and flushes it (after_batch) as ONE encoded
@@ -55,8 +56,8 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/factory.h"
-#include "engine/concurrent.h"
 #include "engine/merger.h"
+#include "engine/partitioned.h"
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/transport.h"
@@ -78,13 +79,13 @@ struct MergeServerOptions {
   bool feedback_enabled = true;
   // Log session events to stderr.
   bool verbose = false;
-  // Ingestion tuning, forwarded to ConcurrentMergerOptions: per-publisher
+  // Ingestion tuning, forwarded to PartitionedMergerOptions: per-publisher
   // ring capacity (full ring = backpressure on that session's transport
   // thread) and the drain batch size handed to ProcessBatch.
   size_t ring_capacity = 4096;
   size_t max_batch = 1024;
-  // Merge threads.  1 (the default) runs the single-threaded
-  // ConcurrentMerger, byte-identical to the pre-partitioned server; N > 1
+  // Merge threads, >= 1: the shard count MakeMerger builds with.  1 (the
+  // default) is one merge thread emitting straight into the fan-out; N > 1
   // shards the merge algorithm N ways by (payload, Vs) key hash behind a
   // min-frontier stable-point aggregator (engine/partitioned.h).  The
   // merged output is TDB-equivalent at every stable point either way.
@@ -171,9 +172,12 @@ class MergeServer {
   bool Ready(std::chrono::milliseconds timeout);
 
   // Seeds this server from another server's checkpoint: reconstructs the
-  // certified variant + policy, restores the blob into it, detaches the
-  // snapshot's input streams (their publishers live on the dead primary),
-  // and starts the merger on the restored state.  The first publisher to
+  // certified variant + policy with the blob's shard count, restores each
+  // shard's state, checks it against the certificate (every shard
+  // frontier and the output stable point), detaches the snapshot's input
+  // streams (their publishers live on the dead primary), and keeps the
+  // merger on the restored state.  A refused checkpoint leaves the server
+  // as it was, able to adopt a valid one.  The first publisher to
   // connect afterwards additionally adopts the snapshot's *output* views
   // (MergeAlgorithm::AdoptOutputView) — the standby jumpstart wiring, which
   // feeds the primary's merged output in as that first stream
@@ -228,7 +232,7 @@ class MergeServer {
   };
 
   // Buffers merged output on the merger's output thread (the merge thread
-  // for merge_threads == 1, the aggregator thread for a partitioned merge)
+  // of a one-shard merger, the aggregator thread of a partitioned one)
   // and flushes it as whole batches through FanOutBatchLocked.  That thread
   // must NEVER take the server lock (a producer blocked on ring
   // backpressure may hold it) — Flush takes only the leaf fanout_mutex_.
@@ -286,19 +290,16 @@ class MergeServer {
   // (origin_us from the frame, rx from the session).
   Status DeliverBatchLocked(Session& session, ElementSequence elements,
                             int64_t origin_us) LM_REQUIRES(mutex_);
-  // Instantiates algorithm + merger for the first publisher.
+  // Instantiates the merger for the first publisher.
   Status EnsureAlgorithmLocked(const StreamProperties& first_properties)
       LM_REQUIRES(mutex_);
+  // The server's one merger construction: MakeMerger with `shards` shards
+  // from `factory`, emitting into fan_out_ with the ingestion tuning.
+  std::unique_ptr<Merger> NewMerger(int shards, ShardAlgorithmFactory factory);
   // Snapshots the merge state at a barrier (a consistent cut between
   // elements on every shard), then streams CUT_CERT + CHECKPOINT_CHUNK
   // frames to the standby session's connection.
   Status SendCheckpointLocked(Session& session) LM_REQUIRES(mutex_);
-  // AdoptCheckpoint's restore path for an LMPC container: reconstructs a
-  // PartitionedMerger with the blob's shard count, loads each shard's
-  // state, and verifies the restored frontiers against the certificate.
-  Status AdoptPartitionedCheckpointLocked(const std::string& blob,
-                                          const replica::CutCertificate& cert)
-      LM_REQUIRES(mutex_);
   // Delivers one flushed output batch: in-process sinks per element, then
   // every subscriber gets the one shared encoded frame buffer (new
   // PAYLOAD_DEFs + stamped ELEMENTS_DICT).  `origin_us` is the batch's
@@ -337,13 +338,9 @@ class MergeServer {
   MergeServerOptions options_;
   mutable Mutex mutex_;
   FanOutSink fan_out_;
-  // The pointers are guarded by mutex_; the pointees (algorithm state) are
-  // owned by the merger's internal merge thread(s) — snapshot them via
+  // The pointer is guarded by mutex_; the merger owns every algorithm,
+  // whose state only its merge thread(s) touch — snapshot it via
   // Merger::CallAtBarrier / the snapshot helpers, never directly.
-  // algorithm_ is only set on the single-threaded path (merge_threads == 1);
-  // a PartitionedMerger owns its shard algorithms itself, so all access
-  // goes through the Merger interface.
-  std::unique_ptr<MergeAlgorithm> algorithm_ LM_GUARDED_BY(mutex_);
   std::unique_ptr<Merger> merger_ LM_GUARDED_BY(mutex_);
   // Meet over all publisher HELLOs.
   StreamProperties met_properties_ LM_GUARDED_BY(mutex_);

@@ -811,5 +811,34 @@ TEST(CheckpointTest, RestoreRejectsMoreThanMaxStreams) {
   EXPECT_EQ(narrow_op.input_count(), 1);
 }
 
+TEST(CheckpointTest, OneShardNeedsNoPartitionedContainer) {
+  // A one-shard merge checkpoints exactly like an unsharded one: combining
+  // a lone blob returns it unchanged, and splitting any plain blob yields
+  // it back as the only shard, so every restore reads through one path.
+  CollectingSink sink;
+  LMergeR3 donor(2, &sink);
+  ASSERT_TRUE(donor.OnElement(0, StreamElement::Insert(Row::OfInt(7), 3, 9))
+                  .ok());
+  ASSERT_TRUE(donor.OnElement(1, StreamElement::Stable(2)).ok());
+  const std::string blob = SaveCheckpoint(donor);
+  EXPECT_EQ(CombinePartitionedCheckpoint({blob}), blob);
+  std::vector<std::string> shard_blobs;
+  ASSERT_TRUE(SplitPartitionedCheckpoint(blob, &shard_blobs).ok());
+  ASSERT_EQ(shard_blobs.size(), 1u);
+  EXPECT_EQ(shard_blobs[0], blob);
+  // A blob too short to hold a magic is a (bad) one-shard blob too: the
+  // refusal comes from LoadCheckpoint, not from the split.
+  ASSERT_TRUE(SplitPartitionedCheckpoint("ab", &shard_blobs).ok());
+  ASSERT_EQ(shard_blobs.size(), 1u);
+  EXPECT_EQ(shard_blobs[0], "ab");
+  // Two or more shards still round-trip through the LMPC container.
+  LMergeR3 other(2, &sink);
+  const std::string other_blob = SaveCheckpoint(other);
+  const std::string pair = CombinePartitionedCheckpoint({blob, other_blob});
+  EXPECT_NE(pair, blob);
+  ASSERT_TRUE(SplitPartitionedCheckpoint(pair, &shard_blobs).ok());
+  EXPECT_EQ(shard_blobs, (std::vector<std::string>{blob, other_blob}));
+}
+
 }  // namespace
 }  // namespace lmerge

@@ -2,8 +2,8 @@
 // aggregator.  Covers key-stable routing, convergence to the reference TDB
 // under threaded delivery across variants/seeds/shard counts, the physical
 // validity of the recombined output stream, stream churn at 4 shards,
-// consistent-cut barriers, error handling, skew backpressure, and the
-// per-shard metrics surface.
+// consistent-cut barriers, error handling, skew backpressure, the
+// per-shard metrics surface, and MakeMerger's one-shard/many-shard split.
 
 #include "engine/partitioned.h"
 
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <span>
 #include <thread>
 
@@ -166,23 +167,32 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u),
                        ::testing::Values(2, 4)));
 
-// A single shard still goes through the aggregator (MergeServer uses a
-// plain ConcurrentMerger for --merge-threads=1; this covers the engine's
-// own degenerate case).
-TEST(PartitionedMergeTest, SingleShardConverges) {
+// MakeMerger is the one construction path: one shard is a plain
+// ConcurrentMerger that emits straight into the sink (no aggregator thread,
+// output ring or routing), more are a PartitionedMerger; both converge.
+TEST(MakeMergerTest, OneShardIsDirectMoreArePartitioned) {
   const LogicalHistory history = ClosedHistory(31);
   const std::vector<ElementSequence> replicas =
       DisorderedReplicas(history, 3, 31);
-  CollectingSink merged;
-  PartitionedMergerOptions options;
-  options.shards = 1;
-  PartitionedMerger merger(MakeFactory(MergeVariant::kLMR3Plus, 3), &merged,
-                           options);
-  merger.Run(replicas);
-  EXPECT_TRUE(merger.error().ok());
-  EXPECT_TRUE(
-      Tdb::Reconstitute(merged.elements())
-          .Equals(Tdb::Reconstitute(RenderInOrder(history))));
+  for (int shards : {1, 4}) {
+    CollectingSink merged;
+    PartitionedMergerOptions options;
+    options.shards = shards;
+    std::unique_ptr<Merger> merger = MakeMerger(
+        MakeFactory(MergeVariant::kLMR3Plus, 3), &merged, options);
+    EXPECT_EQ(merger->shard_count(), shards);
+    EXPECT_EQ(dynamic_cast<ConcurrentMerger*>(merger.get()) != nullptr,
+              shards == 1);
+    EXPECT_EQ(dynamic_cast<PartitionedMerger*>(merger.get()) != nullptr,
+              shards > 1);
+    merger->Run(replicas);
+    EXPECT_TRUE(merger->error().ok());
+    EXPECT_EQ(merger->max_stable(), history.stable_times.back());
+    ExpectValidPhysicalStream(merged.elements());
+    EXPECT_TRUE(Tdb::Reconstitute(merged.elements())
+                    .Equals(Tdb::Reconstitute(RenderInOrder(history))))
+        << "shards " << shards;
+  }
 }
 
 TEST(PartitionedMergeTest, TryDeliverRejectsInvalidAndInactive) {

@@ -418,6 +418,39 @@ TEST(ServerLoopbackTest, InBandStatsKeepFrameOrderWithinOneRead) {
   EXPECT_EQ(mon_frames.back().type, FrameType::kBye);
 }
 
+// The inbound payload dictionaries pin one rep per defined id; their fill,
+// summed over the sessions, is what net.rx.dict.entries reports.
+TEST(ServerLoopbackTest, StatsCountInboundDictionaryEntries) {
+  MergeServer server;
+  TestPeer a = ConnectPeer(&server, "a");
+  TestPeer b = ConnectPeer(&server, "b");
+  Handshake(&server, &a, PublisherHello("a"));
+  Handshake(&server, &b, PublisherHello("b"));
+  EXPECT_EQ(server.MetricsSnapshot().Value("net.rx.dict.entries", -1), 0);
+  PayloadDictEncoder dict_a;
+  PayloadDictEncoder dict_b;
+  // Publisher a defines three payloads, b two (one of them a repeat, which
+  // its own dictionary defines once).
+  ASSERT_TRUE(server
+                  .OnBytes(a.session_id,
+                           EncodeElementsDictFrame(
+                               {Ins("x", 1, 10), Ins("y", 2, 11),
+                                Ins("z", 3, 12)},
+                               &dict_a, kTestOriginUs))
+                  .ok());
+  ASSERT_TRUE(server
+                  .OnBytes(b.session_id,
+                           EncodeElementsDictFrame(
+                               {Ins("x", 1, 10), Ins("w", 4, 13),
+                                Ins("w", 5, 14)},
+                               &dict_b, kTestOriginUs))
+                  .ok());
+  server.Flush();
+  EXPECT_EQ(server.MetricsSnapshot().Value("net.rx.dict.entries"), 5);
+  server.OnDisconnect(b.session_id);
+  EXPECT_EQ(server.MetricsSnapshot().Value("net.rx.dict.entries"), 3);
+}
+
 TEST(ServerLoopbackTest, StatsClientPollsOverLoopback) {
   // The StatsClient handshake needs a live responder on the server end of
   // the loopback pair, so pump its bytes into the server from a thread.

@@ -262,6 +262,37 @@ TEST(CheckpointWireTest, AdoptCheckpointRefusedAfterPublishers) {
   EXPECT_FALSE(server.AdoptCheckpoint(blob, cert).ok());
 }
 
+TEST(CheckpointWireTest, PlainBlobWithShardFrontiersIsRefused) {
+  // A one-shard checkpoint's certificate names no shard frontiers.  One
+  // that names two for a plain blob describes some other cut, so the
+  // restore refuses it with a Status — and the refusal leaves the server
+  // able to adopt the untampered pair.
+  CollectingSink sink;
+  LMergeR4 donor(2, &sink);
+  ASSERT_TRUE(donor.OnElement(0, Ins("a", 5, 50)).ok());
+  ASSERT_TRUE(donor.OnElement(1, Ins("b", 7, 70)).ok());
+  ASSERT_TRUE(donor.OnElement(0, Stb(6)).ok());
+  ASSERT_EQ(donor.max_stable(), 6);
+  replica::CutCertificate cert;
+  cert.variant = MergeVariant::kLMR4;
+  cert.output_stable = donor.max_stable();
+  const std::string blob =
+      SaveCheckpoint(donor, replica::SerializeCutCertificate(cert));
+
+  MergeServer server;
+  replica::CutCertificate tampered = cert;
+  tampered.shard_stables = {cert.output_stable, cert.output_stable};
+  const Status status = server.AdoptCheckpoint(blob, tampered);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("names 2 shard frontiers"),
+            std::string::npos)
+      << status.ToString();
+
+  ASSERT_TRUE(server.AdoptCheckpoint(blob, cert).ok());
+  EXPECT_EQ(server.output_stable(), cert.output_stable);
+  EXPECT_STREQ(server.algorithm_name(), "R4");
+}
+
 TEST(CheckpointWireTest, AdoptCheckpointRejectsTooManyStreams) {
   // A blob naming more streams than one merge may have is refused with a
   // Status before any merger (and its merge thread) is built, on the

@@ -13,7 +13,7 @@
 //
 // --merge-threads=N (default 1) shards the merge core across N threads by
 // (payload, Vs) key hash behind a min-frontier stable-point aggregator
-// (engine/partitioned.h); N=1 is the byte-identical single-threaded path.
+// (engine/partitioned.h); N=1 is one merge thread with no aggregator hop.
 //
 // --io-threads=N (default 1) sizes the epoll event-loop pool owning every
 // connection (net/event_loop.h) — there are no per-session threads, so the
