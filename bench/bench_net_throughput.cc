@@ -5,7 +5,10 @@
 // Acceptance floor for the service layer: >= 100k elements/sec through the
 // loopback transport (items_per_second on the _batch benchmarks).
 //
-// Reported counter: published input elements per second.
+// Reported counter: published input elements per second of wall time.
+// Every benchmark here uses real time: the merge and fan-out run on other
+// threads while the driving thread waits in Flush, so its CPU time would
+// understate the elapsed time and overstate the throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -175,7 +178,8 @@ void BM_NetThroughput_InOrderBatch64(benchmark::State& state) {
 }
 BENCHMARK(BM_NetThroughput_InOrderBatch64)
     ->DenseRange(1, 3, 1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_NetThroughput_InOrderSingleElementFrames(benchmark::State& state) {
   NetThroughput(state, 1, /*disorder=*/0.0, /*split_probability=*/0.0,
@@ -183,7 +187,8 @@ void BM_NetThroughput_InOrderSingleElementFrames(benchmark::State& state) {
 }
 BENCHMARK(BM_NetThroughput_InOrderSingleElementFrames)
     ->DenseRange(1, 3, 1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Divergent replicas (disorder + revisions): dominated by the general
 // merge algorithm, the wire overhead rides on top.
@@ -193,7 +198,8 @@ void BM_NetThroughput_DisorderedBatch64(benchmark::State& state) {
 }
 BENCHMARK(BM_NetThroughput_DisorderedBatch64)
     ->DenseRange(1, 3, 1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Partitioned merge sweep (--merge-threads = range(0)): the merge-heavy
 // disordered workload over two divergent publishers, the shape where
@@ -211,7 +217,8 @@ BENCHMARK(BM_NetThroughput_MergeThreads)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Engine-only merge-threads sweep (shards = range(0)): the merger MakeMerger
 // builds for `--merge-threads=N`, fed pre-decoded tapes with no wire path in
@@ -332,7 +339,8 @@ void BM_NetThroughput_FanOut(benchmark::State& state) {
 }
 BENCHMARK(BM_NetThroughput_FanOut)
     ->DenseRange(0, 4, 2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace lmerge::bench

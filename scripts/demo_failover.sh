@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end demo of replication and hot failover on localhost:
 #
-#   * lmerge_served (the primary) merges 2 redundant publishers over TCP;
+#   * lmerge_served (the primary) merges 2 redundant publishers over TCP,
+#     which both vanish mid-stream;
 #   * lmerge_standby attaches from the start as a standby, shadows the
 #     primary's merged output, then jumpstarts mid-stream: it receives a
 #     snapshot-equivalent checkpoint plus a cut certificate and dedups the
@@ -13,7 +14,8 @@
 #     output) must validate and be logically equivalent to a single input
 #     tape — zero events lost or duplicated across the failover;
 #   * the received checkpoint is archived and inspected with
-#     `lmerge_inspect --checkpoint`, and the standby's metrics snapshot
+#     `lmerge_inspect --checkpoint` (a v4 blob naming payloads by their
+#     broadcast-dictionary ids), and the standby's metrics snapshot
 #     must show a real transfer (bytes received, elements deduped).
 #
 # Usage: scripts/demo_failover.sh [build-dir] [primary-port] [standby-port]
@@ -67,16 +69,19 @@ until "$TOOLS/lmerge_stats" 127.0.0.1 "$PRIMARY_PORT" --count=1 --json \
   sleep 0.05
 done
 
-echo "== publishers stream their tapes to the primary =="
+echo "== publishers stream the first 2000 elements of their tapes to the primary =="
+# Both stop mid-stream (--kill-after: no BYE), before the tapes' final
+# stable freezes every event, so the primary still holds live merge state
+# when the standby jumpstarts and the snapshot has payloads to pool.
 "$TOOLS/lmerge_publish" 127.0.0.1 "$PRIMARY_PORT" "$WORK/a.lmst" \
-    --name=replica-a &
+    --name=replica-a --kill-after=2000 &
 A_PID=$!
 "$TOOLS/lmerge_publish" 127.0.0.1 "$PRIMARY_PORT" "$WORK/b.lmst" \
-    --name=replica-b
+    --name=replica-b --kill-after=2000
 wait "$A_PID"
 # The standby archives the checkpoint right after its jumpstart completes;
 # gate the kill on that file so the snapshot transfer is never cut off
-# (the event-loop stack finishes both tapes well inside the 1200ms
+# (the event-loop stack sends both prefixes well inside the 1200ms
 # jumpstart delay, so a fixed sleep would race it).
 until [ -s "$WORK/snapshot.lmck" ]; do sleep 0.05; done
 sleep 0.5   # let the primary's fan-out drain to the standby
@@ -103,8 +108,11 @@ echo "== verifying: standby output equivalent to a single input tape =="
 echo "== verifying: archived checkpoint inspects cleanly =="
 "$TOOLS/lmerge_inspect" --checkpoint "$WORK/snapshot.lmck" \
     | tee "$WORK/snapshot_inspect.txt"
-grep -q "checkpoint v3" "$WORK/snapshot_inspect.txt"
+grep -q "checkpoint v4" "$WORK/snapshot_inspect.txt"
 grep -q "cut:" "$WORK/snapshot_inspect.txt"
+# The standby held every payload the primary had fanned out, so the
+# archived blob names at least one by its broadcast-dictionary id.
+grep -qE "[(: ][1-9][0-9]* references" "$WORK/snapshot_inspect.txt"
 
 echo "== verifying: replication metrics tell the jumpstart story =="
 python3 - "$WORK" <<'EOF'

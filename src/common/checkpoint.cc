@@ -55,10 +55,23 @@ Status ReadSections(Decoder* decoder, uint8_t* flags_out,
   return Status::Ok();
 }
 
+// Resolves every dictionary reference to the empty row, counting them:
+// how inspection tells references from rows without the dictionary.
+struct RefCounter final : PayloadIdResolver {
+  Status Resolve(uint32_t /*id*/, Row* payload) const override {
+    *payload = Row();
+    ++count;
+    return Status::Ok();
+  }
+  mutable uint32_t count = 0;
+};
+
 }  // namespace
 
 std::string SaveCheckpoint(const Checkpointable& target,
-                           const std::string& cut_certificate) {
+                           const std::string& cut_certificate,
+                           const PayloadIdLookup* dict,
+                           CheckpointPoolCounts* pool_counts) {
   // Two-phase encode: the body first (interning payloads into the pool as
   // WriteRowRef encounters them), then the assembled blob with the pool
   // section ahead of the body so restore can resolve references in one pass.
@@ -67,7 +80,11 @@ std::string SaveCheckpoint(const Checkpointable& target,
   body.set_row_pool(&pool);
   target.SaveState(&body);
   Encoder pool_section;
-  pool.EncodeTo(&pool_section);
+  const int64_t refs = pool.EncodeTo(&pool_section, dict);
+  if (pool_counts != nullptr) {
+    pool_counts->refs = refs;
+    pool_counts->rows = pool.entries() - refs;
+  }
 
   Encoder out;
   out.Reserve(body.bytes().size() + pool_section.bytes().size() +
@@ -84,7 +101,8 @@ std::string SaveCheckpoint(const Checkpointable& target,
 }
 
 Status LoadCheckpoint(const std::string& bytes, Checkpointable* target,
-                      std::string* cut_certificate) {
+                      std::string* cut_certificate,
+                      const PayloadIdResolver* dict) {
   if (cut_certificate != nullptr) cut_certificate->clear();
   Decoder decoder(bytes);
   uint32_t version = 0;
@@ -100,7 +118,7 @@ Status LoadCheckpoint(const std::string& bytes, Checkpointable* target,
   RowPoolDecoder pool;
   {
     Decoder pool_decoder(pool_section);
-    status = pool.DecodeFrom(&pool_decoder);
+    status = pool.DecodeFrom(&pool_decoder, dict);
     if (!status.ok()) return status;
     if (!pool_decoder.AtEnd()) {
       return Status::InvalidArgument("trailing bytes after row pool");
@@ -133,9 +151,18 @@ Status InspectCheckpoint(const std::string& bytes, CheckpointInfo* info) {
   info->pool_bytes = pool_section.size();
   info->body_bytes = body.size();
 
+  // Parse the pool with references counted instead of resolved.
+  RefCounter refs;
+  RowPoolDecoder pool;
   Decoder pool_decoder(pool_section);
-  status = pool_decoder.ReadVarU32(&info->pool_entries);
+  status = pool.DecodeFrom(&pool_decoder, &refs);
   if (!status.ok()) return status;
+  if (!pool_decoder.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after row pool");
+  }
+  info->pool_entries = static_cast<uint32_t>(pool.entries());
+  info->pool_refs = refs.count;
+  info->pool_rows = info->pool_entries - refs.count;
   return Status::Ok();
 }
 

@@ -7,15 +7,16 @@
 // carry a magic and version so stale or foreign blobs are rejected rather
 // than misinterpreted.
 //
-// Format (v3):
+// Format (v4):
 //   u32 magic, u32 version, u8 flags            (fixed width: any build can
 //                                                name the version it refuses)
 //   [varstring cut_certificate]                 (iff flags bit 0; the
 //                                                certificate itself is
 //                                                fixed width)
 //   varstring pool_section                      (varint count, then each
-//                                                distinct payload rep as a
-//                                                compact row, in id order)
+//                                                distinct payload rep in id
+//                                                order: a compact row, or a
+//                                                dictionary reference)
 //   varstring body                              (SaveState bytes)
 // where a varstring is a LEB128 length and the bytes.  Inside the pool
 // section and the body every integer is a varint and every timestamp a
@@ -25,8 +26,21 @@
 // once: index entries carry varint references (pool id + 1; 0 marks a row
 // written inline) into the pool section instead of a full row each — the
 // shared-ledger ratio of BENCH_state_bytes.json, applied to snapshots.
-// Version 3 is the only one written or loaded; the fixed-width v2 and the
-// inline-payload v1 formats are rejected as unsupported.
+//
+// A pool entry is a reference when the saver was given a payload
+// dictionary that defines the entry's rep: a zero field count (a pooled
+// row always has at least one field — identity-less empty rows are
+// written inline in the body), then the dictionary id as a zigzag delta
+// from the previous reference's (the pool follows index order, and the
+// dictionary numbered the payloads in output order, so most deltas take a
+// byte; that saves ~5% of the e2ebench divergent3 blob).  A server
+// snapshotting for a standby passes its broadcast dictionary, whose every
+// definition has already reached the standby (docs/REPLICATION.md), so
+// such a blob loads only against that standby's feed dictionary; without
+// a dictionary every entry is a row, and the bytes are v3's apart from
+// the version word.  Version 4 is the only one written or loaded; v3, the
+// fixed-width v2 and the inline-payload v1 formats are rejected as
+// unsupported.
 
 #ifndef LMERGE_COMMON_CHECKPOINT_H_
 #define LMERGE_COMMON_CHECKPOINT_H_
@@ -51,21 +65,34 @@ class Checkpointable {
 };
 
 inline constexpr uint32_t kCheckpointMagic = 0x4c4d4347;  // "LMCG"
-inline constexpr uint32_t kCheckpointVersion = 3;
+inline constexpr uint32_t kCheckpointVersion = 4;
 
 // Flags byte: bit 0 marks an embedded cut-certificate section (the
 // replication subsystem's virtual-cut descriptor, src/replica/).
 inline constexpr uint8_t kCheckpointFlagCutCertificate = 1u << 0;
 
+// How a saved pool section wrote its entries.
+struct CheckpointPoolCounts {
+  int64_t refs = 0;  // as dictionary ids
+  int64_t rows = 0;  // as compact rows
+};
+
 // Wraps SaveState with a header.  `cut_certificate`, when non-empty, is
-// embedded as an opaque section.
+// embedded as an opaque section.  A pooled payload that `dict` defines is
+// written as its dictionary id; `pool_counts`, when non-null, receives how
+// many entries went each way.
 std::string SaveCheckpoint(const Checkpointable& target,
-                           const std::string& cut_certificate = std::string());
+                           const std::string& cut_certificate = std::string(),
+                           const PayloadIdLookup* dict = nullptr,
+                           CheckpointPoolCounts* pool_counts = nullptr);
 
 // Verifies the header and restores the state.  When `cut_certificate`
-// is non-null it receives the embedded section (empty if absent).
+// is non-null it receives the embedded section (empty if absent).  Pool
+// references resolve against `dict`: a blob that holds any loads only
+// with the dictionary its saver named them in.
 Status LoadCheckpoint(const std::string& bytes, Checkpointable* target,
-                      std::string* cut_certificate = nullptr);
+                      std::string* cut_certificate = nullptr,
+                      const PayloadIdResolver* dict = nullptr);
 
 // Parsed header and section sizes of a checkpoint blob, computed without
 // restoring any state — what `lmerge_inspect --checkpoint` prints.
@@ -76,7 +103,9 @@ struct CheckpointInfo {
   size_t cut_certificate_bytes = 0;  // embedded cut cert section
   size_t pool_bytes = 0;             // payload pool section
   size_t body_bytes = 0;             // SaveState body
-  uint32_t pool_entries = 0;         // distinct pooled payload reps
+  uint32_t pool_entries = 0;         // distinct pooled payload reps,
+  uint32_t pool_refs = 0;            //   of which dictionary references
+  uint32_t pool_rows = 0;            //   and compact rows
   // The embedded cut-certificate section verbatim (empty when absent), so
   // inspectors can decode it without restoring any operator state.
   std::string cut_certificate;

@@ -300,21 +300,56 @@ uint32_t RowPoolEncoder::Intern(const Row& row) {
   return *id;
 }
 
-void RowPoolEncoder::EncodeTo(Encoder* encoder) const {
+int64_t RowPoolEncoder::EncodeTo(Encoder* encoder,
+                                 const PayloadIdLookup* dict) const {
   encoder->WriteVarU64(rows_.size());
-  for (const Row& row : rows_) encoder->WriteCompactRow(row);
+  int64_t refs = 0;
+  int64_t prev_id = 0;
+  for (const Row& row : rows_) {
+    uint32_t id = 0;
+    if (dict != nullptr && dict->FindId(row, &id)) {
+      encoder->WriteVarU64(0);
+      encoder->WriteVarI64(int64_t{id} - prev_id);
+      prev_id = id;
+      ++refs;
+    } else {
+      encoder->WriteCompactRow(row);
+    }
+  }
+  return refs;
 }
 
-Status RowPoolDecoder::DecodeFrom(Decoder* decoder) {
+Status RowPoolDecoder::DecodeFrom(Decoder* decoder,
+                                  const PayloadIdResolver* dict) {
   uint32_t count = 0;
-  // Each pooled row takes at least its one-byte field count.
+  // Each entry takes at least its one-byte field count.
   Status status = decoder->ReadCount(1, &count);
   if (!status.ok()) return status;
   rows_.clear();
   rows_.reserve(count);
+  uint64_t prev_id = 0;
   for (uint32_t i = 0; i < count; ++i) {
+    uint32_t fields = 0;
+    if (!(status = decoder->ReadVarU32(&fields)).ok()) return status;
     Row row;
-    status = decoder->ReadCompactRow(&row);
+    if (fields > 0) {
+      status = decoder->ReadCompactFields(fields, &row);
+    } else {
+      int64_t delta = 0;
+      if (!(status = decoder->ReadVarI64(&delta)).ok()) return status;
+      // Wrapping arithmetic: a delta leaving [0, 2^32) is an error, not UB.
+      prev_id += static_cast<uint64_t>(delta);
+      if (prev_id > std::numeric_limits<uint32_t>::max()) {
+        return Status::InvalidArgument(
+            "row pool dictionary reference exceeds 32 bits");
+      }
+      const uint32_t id = static_cast<uint32_t>(prev_id);
+      status = dict == nullptr
+                   ? Status::InvalidArgument(
+                         "row pool references dictionary payload " +
+                         std::to_string(id) + " but no dictionary was given")
+                   : dict->Resolve(id, &row);
+    }
     if (!status.ok()) return status;
     rows_.push_back(std::move(row));
   }
@@ -334,6 +369,10 @@ Status Decoder::ReadRowAs(Row* row, bool compact) {
   uint32_t count = 0;
   Status status = compact ? ReadVarU32(&count) : ReadU32(&count);
   if (!status.ok()) return status;
+  return ReadFieldsAs(count, compact, row);
+}
+
+Status Decoder::ReadFieldsAs(uint32_t count, bool compact, Row* row) {
   if (count > remaining()) {  // each field takes at least one byte
     return Status::InvalidArgument("row field count exceeds buffer");
   }
@@ -341,7 +380,7 @@ Status Decoder::ReadRowAs(Row* row, bool compact) {
   // rep's block (or finds an equal rep) before they go out of scope.
   std::vector<Value> fields(count);
   for (Value& value : fields) {
-    status = ReadValueAs(&value, compact, /*borrow=*/true);
+    const Status status = ReadValueAs(&value, compact, /*borrow=*/true);
     if (!status.ok()) return status;
   }
   *row = Row(fields);

@@ -37,6 +37,31 @@ namespace lmerge {
 class RowPoolEncoder;
 class RowPoolDecoder;
 
+// The two ends of a payload dictionary that a checkpoint's pool may name
+// payloads in (checkpoint format v4): a standby subscribed to the merge
+// already holds every payload the server's broadcast dictionary defined,
+// so the snapshot sends such a payload as its dictionary id, not as a
+// row.  Implemented by PayloadDictEncoder and PayloadDictDecoder
+// (stream/element_serde.h); declared here so common/ needs nothing of
+// stream/.
+class PayloadIdLookup {
+ public:
+  // The id the dictionary defined `payload`'s rep under, if it did.
+  virtual bool FindId(const Row& payload, uint32_t* id) const = 0;
+
+ protected:
+  ~PayloadIdLookup() = default;
+};
+
+class PayloadIdResolver {
+ public:
+  // The payload defined under `id`; an undefined id is an error.
+  virtual Status Resolve(uint32_t id, Row* payload) const = 0;
+
+ protected:
+  ~PayloadIdResolver() = default;
+};
+
 // An append-only byte buffer with typed writers.
 class Encoder {
  public:
@@ -73,7 +98,7 @@ class Encoder {
   // 8-byte double.
   void WriteCompactRow(const Row& row);
 
-  // Pooled row references (checkpoint format v3): with a pool attached,
+  // Pooled row references (checkpoint formats v3 on): with a pool attached,
   // WriteRowRef emits a varint — the row's pool id plus one, or 0 followed
   // by the row as a compact row when it has no rep identity (the empty
   // row).  Each distinct rep is then serialized exactly once, in the pool
@@ -133,6 +158,10 @@ class Decoder {
   }
   Status ReadRow(Row* row) { return ReadRowAs(row, false); }
   Status ReadCompactRow(Row* row) { return ReadRowAs(row, true); }
+  // The rest of a compact row whose varint field count is already read.
+  Status ReadCompactFields(uint32_t count, Row* row) {
+    return ReadFieldsAs(count, true, row);
+  }
 
   // Counterpart of Encoder::WriteRowRef.  With a pool attached, resolves
   // varint references against it (0 reads a compact row inline); without
@@ -156,6 +185,7 @@ class Decoder {
   // owning a copy; only ReadRowAs uses that, and interns before returning.
   Status ReadValueAs(Value* value, bool compact, bool borrow);
   Status ReadRowAs(Row* row, bool compact);
+  Status ReadFieldsAs(uint32_t count, bool compact, Row* row);
 
   const std::string& bytes_;
   size_t offset_ = 0;
@@ -173,9 +203,14 @@ class RowPoolEncoder {
 
   int64_t entries() const { return static_cast<int64_t>(rows_.size()); }
 
-  // The pool section: varint entry count, then each row as a compact row
-  // in id order.
-  void EncodeTo(Encoder* encoder) const;
+  // The pool section: varint entry count, then each entry in id order.
+  // An entry is a compact row, or — when `dict` defines the row's rep — a
+  // reference: a zero field count (a pooled row has at least one field),
+  // then the dictionary id as a zigzag varint delta from the previous
+  // reference's id (from 0 for the first).  Returns how many entries were
+  // written as references.
+  int64_t EncodeTo(Encoder* encoder,
+                   const PayloadIdLookup* dict = nullptr) const;
 
  private:
   HashTable<const void*, uint32_t, PointerIdentityHash> ids_;
@@ -184,8 +219,11 @@ class RowPoolEncoder {
 
 class RowPoolDecoder {
  public:
-  // Parses a pool section as written by RowPoolEncoder::EncodeTo.
-  Status DecodeFrom(Decoder* decoder);
+  // Parses a pool section as written by RowPoolEncoder::EncodeTo,
+  // resolving its references against `dict`.  A reference without a
+  // dictionary, or to an id it does not define, is an error.
+  Status DecodeFrom(Decoder* decoder,
+                    const PayloadIdResolver* dict = nullptr);
 
   // Resolves a pool id from a row reference; fails on out-of-range ids.
   Status Resolve(uint64_t id, Row* row) const;

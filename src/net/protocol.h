@@ -59,11 +59,12 @@ namespace lmerge::net {
 // The one wire version.  Every ELEMENTS / ELEMENTS_DICT payload ends with
 // `i64 origin_us` (the sender's steady clock in microseconds at
 // serialization; 0 = unknown, docs/OBSERVABILITY.md "Latency pipeline").
-// 6 retired the version ladder and the single-ELEMENT frame; 7 carries
-// checkpoint format v3 (common/checkpoint.h) in CHECKPOINT_CHUNK frames.  A
-// build of an older version fails at HELLO instead of mid-stream or at
-// jumpstart.
-inline constexpr uint32_t kProtocolVersion = 7;
+// 6 retired the version ladder and the single-ELEMENT frame; 7 carried
+// checkpoint format v3; 8 carries v4 (common/checkpoint.h), whose pool
+// names payloads the standby already holds by their broadcast-dictionary
+// ids, in CHECKPOINT_CHUNK frames.  A build of an older version fails at
+// HELLO instead of mid-stream or at jumpstart.
+inline constexpr uint32_t kProtocolVersion = 8;
 
 // Checkpoint blobs are streamed in chunks of this size so live element
 // fan-out interleaves with the transfer instead of stalling behind one

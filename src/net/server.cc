@@ -39,6 +39,10 @@ MergeServer::MergeServer(MergeServerOptions options)
   checkpoint_tx_bytes_metric_ = registry.GetCounter("net.checkpoint.tx.bytes");
   checkpoint_tx_chunks_metric_ =
       registry.GetCounter("net.checkpoint.tx.chunks");
+  checkpoint_tx_pool_refs_metric_ =
+      registry.GetCounter("net.checkpoint.tx.pool_refs");
+  checkpoint_tx_pool_rows_metric_ =
+      registry.GetCounter("net.checkpoint.tx.pool_rows");
   fanout_encoded_bytes_metric_ =
       registry.GetCounter("net.fanout.encoded_bytes");
   fanout_encoded_frames_metric_ =
@@ -518,13 +522,18 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
         in.elements_in = per_input[s].elements_in();
         cut.cert.inputs.push_back(in);
       }
-      {
-        MutexLock fanout_lock(server->fanout_mutex_);
-        for (const Subscriber& subscriber : server->subscribers_) {
-          if (subscriber.session_id == session_id) {
-            cut.cert.elements_sent_at_cut = subscriber.elements_sent;
-            break;
-          }
+      // The blobs are written under fanout_mutex_ too, naming each payload
+      // the broadcast dictionary defines by its id.  A fan-out defines an
+      // id and sends its PAYLOAD_DEF to every subscriber in one hold of
+      // this mutex, and a joiner's registration replays defs_tape_ in one
+      // hold, so every id named here is already queued to this standby,
+      // ahead of the CUT_CERT and chunks that follow on the same
+      // connection.  A payload not yet fanned out stays a row.
+      MutexLock fanout_lock(server->fanout_mutex_);
+      for (const Subscriber& subscriber : server->subscribers_) {
+        if (subscriber.session_id == session_id) {
+          cut.cert.elements_sent_at_cut = subscriber.elements_sent;
+          break;
         }
       }
       const std::string cert_bytes =
@@ -535,9 +544,12 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
       std::vector<std::string> shard_blobs;
       shard_blobs.reserve(shards.size());
       for (size_t k = 0; k < shards.size(); ++k) {
-        shard_blobs.push_back(
-            SaveCheckpoint(*shards[k]->checkpointable(),
-                           k == 0 ? cert_bytes : std::string()));
+        CheckpointPoolCounts counts;
+        shard_blobs.push_back(SaveCheckpoint(
+            *shards[k]->checkpointable(), k == 0 ? cert_bytes : std::string(),
+            server->broadcast_dict_.get(), &counts));
+        server->checkpoint_tx_pool_refs_metric_->Add(counts.refs);
+        server->checkpoint_tx_pool_rows_metric_->Add(counts.rows);
       }
       blob = CombinePartitionedCheckpoint(std::move(shard_blobs));
     });
@@ -589,7 +601,8 @@ Status CheckRoomForFeedStream(int restored_streams) {
 }  // namespace
 
 Status MergeServer::AdoptCheckpoint(const std::string& blob,
-                                    const replica::CutCertificate& cert) {
+                                    const replica::CutCertificate& cert,
+                                    const PayloadDictDecoder* feed_dict) {
   MutexLock lock(mutex_);
   if (merger_ != nullptr || publishers_seen_ > 0) {
     return Status::FailedPrecondition(
@@ -620,8 +633,10 @@ Status MergeServer::AdoptCheckpoint(const std::string& blob,
               " does not support checkpoints");
         }
         if (restore_status.ok()) {
-          restore_status = LoadCheckpoint(
-              shard_blobs[static_cast<size_t>(shard)], checkpointable);
+          restore_status =
+              LoadCheckpoint(shard_blobs[static_cast<size_t>(shard)],
+                             checkpointable, /*cut_certificate=*/nullptr,
+                             feed_dict);
         }
         if (restore_status.ok()) {
           restore_status = CheckRoomForFeedStream(algorithm->stream_count());
@@ -946,6 +961,10 @@ obs::MetricsSnapshot MergeServer::MetricsSnapshotLocked() {
         ->Set(broadcast_dict_ == nullptr
                   ? 0
                   : static_cast<int64_t>(broadcast_dict_->entries()));
+    // The def tape a joining subscriber or standby is replayed; it holds
+    // every def ever broadcast and never shrinks.
+    registry.GetGauge("net.tx.dict.tape_bytes")
+        ->Set(static_cast<int64_t>(defs_tape_.size()));
   }
   if (merger_ != nullptr) {
     registry.GetGauge("merge.stable_lag_ms")->Set(StableLagMsLocked());

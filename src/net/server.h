@@ -182,8 +182,12 @@ class MergeServer {
   // (MergeAlgorithm::AdoptOutputView) — the standby jumpstart wiring, which
   // feeds the primary's merged output in as that first stream
   // (docs/REPLICATION.md).  Must be called before any publisher connects.
+  // A served blob names the payloads its standby already holds by their
+  // broadcast-dictionary ids; they resolve against `feed_dict`, the
+  // decoder of the subscription the blob arrived on.
   Status AdoptCheckpoint(const std::string& blob,
-                         const replica::CutCertificate& cert);
+                         const replica::CutCertificate& cert,
+                         const PayloadDictDecoder* feed_dict = nullptr);
 
  private:
   enum class SessionState {
@@ -392,6 +396,9 @@ class MergeServer {
   obs::Counter* checkpoint_requests_metric_;
   obs::Counter* checkpoint_tx_bytes_metric_;
   obs::Counter* checkpoint_tx_chunks_metric_;
+  // Served pool entries sent as broadcast-dictionary ids / as rows.
+  obs::Counter* checkpoint_tx_pool_refs_metric_;
+  obs::Counter* checkpoint_tx_pool_rows_metric_;
   // Serialize-once instrumentation: encoded_bytes/frames count each fan-out
   // encode ONCE regardless of subscriber count (the invariant CI asserts),
   // while tx.fanout.bytes above still counts per-subscriber wire bytes.

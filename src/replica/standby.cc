@@ -174,7 +174,7 @@ Status StandbyReplica::Jumpstart() {
 
   int64_t skip = 0;
   if (cut.has_state) {
-    status = server_.AdoptCheckpoint(blob, cut.cert);
+    status = server_.AdoptCheckpoint(blob, cut.cert, &dict_);
     if (!status.ok()) return status;
     skip = cut.cert.elements_sent_at_cut;
     if (skip > static_cast<int64_t>(pending.size())) {

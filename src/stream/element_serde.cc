@@ -118,6 +118,14 @@ uint32_t PayloadDictEncoder::Intern(
   return id;
 }
 
+bool PayloadDictEncoder::FindId(const Row& payload, uint32_t* id) const {
+  if (payload.identity() == nullptr) return false;
+  const uint32_t* found = ids_.Find(payload.identity());
+  if (found == nullptr) return false;
+  *id = *found;
+  return true;
+}
+
 Status PayloadDictDecoder::Define(uint32_t id, Row payload) {
   if (id == kInlinePayloadId) {
     return Status::InvalidArgument("payload def with reserved inline id");

@@ -63,7 +63,8 @@ inline constexpr uint32_t kDefaultPayloadDictCapacity = 1u << 16;
 // the rep stays live (its address stays valid as a key) for the session's
 // lifetime.  Identity-keyed lookup means interned payloads dedup across
 // every element that shares the rep — no content hashing on the hot path.
-class PayloadDictEncoder {
+// As a PayloadIdLookup it lets a checkpoint name a defined payload by id.
+class PayloadDictEncoder final : public PayloadIdLookup {
  public:
   explicit PayloadDictEncoder(
       uint32_t capacity = kDefaultPayloadDictCapacity)
@@ -77,6 +78,9 @@ class PayloadDictEncoder {
   uint32_t Intern(const Row& payload,
                   std::vector<std::pair<uint32_t, Row>>* new_defs);
 
+  // The id `payload`'s rep is defined under, if any; counts no lookup.
+  bool FindId(const Row& payload, uint32_t* id) const override;
+
   int64_t entries() const { return static_cast<int64_t>(pinned_.size()); }
 
  private:
@@ -87,14 +91,15 @@ class PayloadDictEncoder {
 
 // Receiver side: id -> Row.  Both failure modes — defining an id twice and
 // referencing an undefined id — are protocol violations surfaced as Status.
-class PayloadDictDecoder {
+// As a PayloadIdResolver it restores a checkpoint's dictionary references.
+class PayloadDictDecoder final : public PayloadIdResolver {
  public:
   explicit PayloadDictDecoder(
       uint32_t capacity = kDefaultPayloadDictCapacity)
       : capacity_(capacity) {}
 
   Status Define(uint32_t id, Row payload);
-  Status Resolve(uint32_t id, Row* payload) const;
+  Status Resolve(uint32_t id, Row* payload) const override;
 
   int64_t entries() const { return rows_.size(); }
 

@@ -478,9 +478,10 @@ TEST_P(SerdeFuzzTest, MutatedReplicationBuffersFailCleanly) {
 }
 
 // A checkpoint of `Merge` mid-merge: several nodes, divergent Ve values,
-// an identity-less (inline) payload, and an embedded cut certificate.
+// an identity-less (inline) payload, and an embedded cut certificate.  The
+// pooled payloads `dict` defines are written as its ids.
 template <typename Merge>
-std::string CheckpointBlob() {
+std::string CheckpointBlob(const PayloadIdLookup* dict = nullptr) {
   CollectingSink sink;
   Merge merge(3, &sink);
   for (int i = 0; i < 12; ++i) {
@@ -498,17 +499,37 @@ std::string CheckpointBlob() {
   cert.variant = MergeVariant::kLMR3Plus;
   cert.output_stable = merge.max_stable();
   cert.inputs.push_back({0, true, 1600, 13});
-  return SaveCheckpoint(merge, replica::SerializeCutCertificate(cert));
+  return SaveCheckpoint(merge, replica::SerializeCutCertificate(cert), dict);
 }
 
+// A sender's and a receiver's dictionary that both define the payloads
+// key-0 .. key-2 of CheckpointBlob (key-3 and key-4 stay rows).
+struct SharedDictionary {
+  PayloadDictEncoder sender;
+  PayloadDictDecoder receiver;
+
+  SharedDictionary() {
+    std::vector<std::pair<uint32_t, Row>> defs;
+    for (int i = 0; i < 3; ++i) {
+      (void)sender.Intern(Row::OfString("key-" + std::to_string(i)), &defs);
+    }
+    for (auto& [id, row] : defs) {
+      LM_CHECK(receiver.Define(id, std::move(row)).ok());
+    }
+  }
+};
+
 template <typename Merge>
-void FlipBytesAndLoad(uint64_t seed) {
+void FlipBytesAndLoad(uint64_t seed, const SharedDictionary* dict = nullptr) {
   Rng rng(seed);
-  const std::string valid = CheckpointBlob<Merge>();
+  const std::string valid = CheckpointBlob<Merge>(
+      dict == nullptr ? nullptr : &dict->sender);
+  const PayloadIdResolver* resolver =
+      dict == nullptr ? nullptr : &dict->receiver;
   CollectingSink sink;
   {
     Merge sanity(1, &sink);
-    ASSERT_TRUE(LoadCheckpoint(valid, &sanity).ok());
+    ASSERT_TRUE(LoadCheckpoint(valid, &sanity, nullptr, resolver).ok());
   }
   for (int round = 0; round < 300; ++round) {
     std::string mutated = valid;
@@ -521,7 +542,7 @@ void FlipBytesAndLoad(uint64_t seed) {
     // May succeed (a benign flip) or fail; must never crash, read out of
     // bounds or size an allocation by a corrupt count.
     Merge target(1, &sink);
-    (void)LoadCheckpoint(mutated, &target);
+    (void)LoadCheckpoint(mutated, &target, nullptr, resolver);
     CheckpointInfo info;
     (void)InspectCheckpoint(mutated, &info);
   }
@@ -530,6 +551,88 @@ void FlipBytesAndLoad(uint64_t seed) {
 TEST_P(SerdeFuzzTest, MutatedCheckpointBlobsFailCleanly) {
   FlipBytesAndLoad<LMergeR3>(GetParam() * 65537 + 13);
   FlipBytesAndLoad<LMergeR4>(GetParam() * 524287 + 29);
+  const SharedDictionary dict;
+  FlipBytesAndLoad<LMergeR3>(GetParam() * 8191 + 7, &dict);
+  FlipBytesAndLoad<LMergeR4>(GetParam() * 131071 + 3, &dict);
+}
+
+// Dictionary references in a checkpoint's pool (format v4).
+
+TEST(CheckpointReferenceTest, ReferencesNeedTheirDictionary) {
+  const SharedDictionary dict;
+  const std::string blob = CheckpointBlob<LMergeR3>(&dict.sender);
+  CheckpointInfo info;
+  ASSERT_TRUE(InspectCheckpoint(blob, &info).ok());
+  EXPECT_EQ(info.pool_refs, 3u);
+  EXPECT_EQ(info.pool_rows, 2u);
+  EXPECT_LT(blob.size(), CheckpointBlob<LMergeR3>().size());
+
+  CollectingSink sink;
+  LMergeR3 resolved(1, &sink);
+  ASSERT_TRUE(LoadCheckpoint(blob, &resolved, nullptr, &dict.receiver).ok());
+  LMergeR3 plain(1, &sink);
+  ASSERT_TRUE(LoadCheckpoint(CheckpointBlob<LMergeR3>(), &plain).ok());
+  EXPECT_EQ(resolved.index_node_count(), plain.index_node_count());
+  EXPECT_EQ(resolved.StateBytes(), plain.StateBytes());
+
+  // With no dictionary, or one that does not define the ids.
+  LMergeR3 target(1, &sink);
+  Status status = LoadCheckpoint(blob, &target);
+  EXPECT_NE(status.message().find("no dictionary"), std::string::npos)
+      << status.ToString();
+  const PayloadDictDecoder empty;
+  status = LoadCheckpoint(blob, &target, nullptr, &empty);
+  EXPECT_NE(status.message().find("undefined payload id"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(CheckpointReferenceTest, ReferenceIdsPast32BitsFail) {
+  // Ids are deltas from the previous reference's, the first from 0: one
+  // that lands past 2^32 - 1 or below 0, in one step or in two, fails.
+  const SharedDictionary dict;
+  const std::vector<int64_t> too_far[] = {
+      {int64_t{1} << 32},
+      {-1},
+      {std::numeric_limits<int64_t>::max()},
+      {std::numeric_limits<int64_t>::min()},
+      {1, (int64_t{1} << 32) - 1},
+  };
+  for (const std::vector<int64_t>& deltas : too_far) {
+    Encoder pool;
+    pool.WriteVarU64(deltas.size());
+    for (const int64_t delta : deltas) {
+      pool.WriteVarU64(0);  // a reference
+      pool.WriteVarI64(delta);
+    }
+    RowPoolDecoder decoder;
+    Decoder reader(pool.bytes());
+    const Status status = decoder.DecodeFrom(&reader, &dict.receiver);
+    EXPECT_NE(status.message().find("exceeds 32 bits"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+template <typename Merge>
+void ExpectEveryProperPrefixFails() {
+  const SharedDictionary dict;
+  const std::string blob = CheckpointBlob<Merge>(&dict.sender);
+  CollectingSink sink;
+  Merge whole(1, &sink);
+  ASSERT_TRUE(LoadCheckpoint(blob, &whole, nullptr, &dict.receiver).ok());
+  for (size_t len = 0; len < blob.size(); ++len) {
+    Merge target(1, &sink);
+    EXPECT_FALSE(
+        LoadCheckpoint(blob.substr(0, len), &target, nullptr, &dict.receiver)
+            .ok())
+        << len;
+    CheckpointInfo info;
+    EXPECT_FALSE(InspectCheckpoint(blob.substr(0, len), &info).ok()) << len;
+  }
+}
+
+TEST(CheckpointReferenceTest, EveryProperPrefixOfAReferencingBlobFails) {
+  ExpectEveryProperPrefixFails<LMergeR3>();
+  ExpectEveryProperPrefixFails<LMergeR4>();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerdeFuzzTest,

@@ -455,6 +455,8 @@ TEST(CheckpointTest, InspectReportsSectionsWithoutRestoring) {
   EXPECT_EQ(info.flags, kCheckpointFlagCutCertificate);
   EXPECT_EQ(info.total_bytes, blob.size());
   EXPECT_EQ(info.pool_entries, 2u);
+  EXPECT_EQ(info.pool_refs, 0u);
+  EXPECT_EQ(info.pool_rows, 2u);
   EXPECT_GT(info.pool_bytes, 0u);
   EXPECT_GT(info.body_bytes, 0u);
   replica::CutCertificate parsed;
@@ -465,9 +467,9 @@ TEST(CheckpointTest, InspectReportsSectionsWithoutRestoring) {
   std::string bad = blob;
   bad[0] = 'X';
   EXPECT_FALSE(InspectCheckpoint(bad, &info).ok());
-  // The retired fixed-width v2 and inline-payload v1 formats are refused,
-  // not misread.
-  for (const char retired : {'\x01', '\x02'}) {
+  // The retired dictionary-less v3, fixed-width v2 and inline-payload v1
+  // formats are refused, not misread.
+  for (const char retired : {'\x01', '\x02', '\x03'}) {
     std::string old_version = blob;
     old_version[4] = retired;
     const Status inspect = InspectCheckpoint(old_version, &info);
@@ -477,6 +479,55 @@ TEST(CheckpointTest, InspectReportsSectionsWithoutRestoring) {
     LMergeR3 restored(1, &sink);
     EXPECT_FALSE(LoadCheckpoint(old_version, &restored).ok());
   }
+}
+
+TEST(CheckpointTest, DictionarylessBlobIsTheV3LayoutBesidesItsVersion) {
+  // Saved with no dictionary, a v4 blob is the v3 layout byte for byte
+  // except the version word: header, varstring certificate, then the pool
+  // section (varint count, each rep as a compact row in first-reference
+  // order) and the body, whose row references are pool id + 1.
+  CollectingSink sink;
+  LMergeR3 merge(1, &sink);
+  ASSERT_TRUE(merge.OnElement(0, Ins("A", 5, 50)).ok());
+  ASSERT_TRUE(merge.OnElement(0, Ins("B", 6, 60)).ok());
+  ASSERT_TRUE(merge.OnElement(0, Ins("A", 7, 70)).ok());
+  const std::string cert = "cert";
+
+  Encoder pool;
+  pool.WriteVarU64(2);
+  pool.WriteCompactRow(Row::OfString("A"));
+  pool.WriteCompactRow(Row::OfString("B"));
+  Encoder body;
+  body.WriteTimeDelta(merge.max_stable(), 0);
+  body.WriteVarU64(1);  // streams
+  body.WriteTimeDelta(kMinTimestamp, merge.max_stable());
+  body.WriteVarU64(3);  // nodes, in Vs order
+  const struct {
+    Timestamp vs, ve;
+    uint64_t ref;
+  } nodes[] = {{5, 50, 1}, {6, 60, 2}, {7, 70, 1}};
+  Timestamp prev_vs = 0;
+  for (const auto& node : nodes) {
+    body.WriteTimeDelta(node.vs, prev_vs);
+    prev_vs = node.vs;
+    body.WriteVarU64(node.ref);
+    body.WriteVarU64(2);  // entries: stream 0's and the output's
+    body.WriteVarU64(1);  // stream 0 (stream id + 1)
+    body.WriteTimeDelta(node.ve, node.vs);
+    body.WriteVarU64(0);  // the output
+    body.WriteTimeDelta(node.ve, node.ve);
+  }
+  Encoder v3;
+  v3.WriteU32(kCheckpointMagic);
+  v3.WriteU32(3);
+  v3.WriteU8(kCheckpointFlagCutCertificate);
+  v3.WriteVarString(cert);
+  v3.WriteVarString(pool.bytes());
+  v3.WriteVarString(body.bytes());
+
+  std::string expected = v3.TakeBytes();
+  expected[4] = static_cast<char>(kCheckpointVersion);
+  EXPECT_EQ(SaveCheckpoint(merge, cert), expected);
 }
 
 TEST(CheckpointTest, LMergeR0MidMergeRoundTrip) {
@@ -583,10 +634,10 @@ TEST(CheckpointTest, LMergeR2MidMergeRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Hostile v3 blobs: each must fail LoadCheckpoint with a Status, never crash
+// Hostile blobs: each must fail LoadCheckpoint with a Status, never crash
 // or allocate by a corrupt count.
 
-// A v3 blob around hand-built pool and body sections.
+// A blob around hand-built pool and body sections.
 std::string BlobWithSections(const std::string& pool,
                              const std::string& body) {
   Encoder out;

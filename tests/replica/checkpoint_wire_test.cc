@@ -12,6 +12,7 @@
 #include "core/lmerge_r4.h"
 #include "net/loopback.h"
 #include "net/protocol.h"
+#include "obs/metrics.h"
 #include "replica/cut_certificate.h"
 #include "test_util.h"
 
@@ -91,6 +92,33 @@ int64_t CountElements(const std::vector<Frame>& frames,
   return count;
 }
 
+// Drains `peer`'s frames after a CHECKPOINT_REQUEST: PAYLOAD_DEFs go into
+// `dict`, and the CUT_CERT and the chunks reassemble into `blob`.
+void ReceiveCheckpoint(TestPeer* peer, PayloadDictDecoder* dict,
+                       CutCertMessage* cut, std::string* blob) {
+  bool have_cert = false;
+  for (const Frame& frame : peer->DrainFrames()) {
+    if (frame.type == FrameType::kPayloadDef) {
+      PayloadDefMessage def;
+      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
+      ASSERT_TRUE(dict->Define(def.id, std::move(def.payload)).ok());
+    } else if (frame.type == FrameType::kCutCert) {
+      ASSERT_TRUE(DecodeCutCert(frame.payload, cut).ok());
+      have_cert = true;
+    } else if (frame.type == FrameType::kCheckpointChunk) {
+      CheckpointChunkMessage chunk;
+      ASSERT_TRUE(DecodeCheckpointChunk(frame.payload, &chunk).ok());
+      blob->append(chunk.bytes);
+    }
+  }
+  ASSERT_TRUE(have_cert);
+  ASSERT_EQ(blob->size(), cut->checkpoint_bytes);
+}
+
+int64_t CounterSum(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Sum();
+}
+
 TEST(CheckpointWireTest, CheckpointRequestFromNonStandbyRejected) {
   MergeServer server;
   TestPeer sub = ConnectPeer(&server, "sub");
@@ -136,11 +164,15 @@ TEST(CheckpointWireTest, NoStateYieldsEmptyCutCert) {
 
 TEST(CheckpointWireTest, ServedCheckpointRestoresAndCertifiesTheCut) {
   // Publisher state flows in; the standby's transfer must reassemble into a
-  // loadable v3 blob whose certificate matches the server's state and the
+  // loadable blob whose certificate matches the server's state and the
   // standby's own subscription ("elements sent at cut" == what the standby
-  // had received before the CUT_CERT frame).
+  // had received before the CUT_CERT frame).  The broadcast dictionary
+  // holds only the first kDictCapacity payloads: the blob names those by
+  // id, writes the rest as rows, and so still spans several chunks.
+  constexpr uint32_t kDictCapacity = 64;
   MergeServerOptions options;
   options.variant = MergeVariant::kLMR4;
+  options.dict_capacity = kDictCapacity;
   MergeServer server(options);
 
   TestPeer standby = ConnectPeer(&server, "standby");
@@ -226,22 +258,164 @@ TEST(CheckpointWireTest, ServedCheckpointRestoresAndCertifiesTheCut) {
   EXPECT_TRUE(cut.cert.inputs[0].active);
   EXPECT_EQ(cut.cert.inputs[0].elements_in, sent);
 
-  // The reassembled blob is a loadable v3 checkpoint with the same
-  // certificate embedded.
+  // The reassembled blob is a loadable checkpoint with the same
+  // certificate embedded, naming every payload the dictionary defined.
   CheckpointInfo info;
   ASSERT_TRUE(InspectCheckpoint(blob, &info).ok());
   EXPECT_EQ(info.version, kCheckpointVersion);
   EXPECT_EQ(info.flags, kCheckpointFlagCutCertificate);
+  EXPECT_EQ(info.pool_refs, kDictCapacity);
+  EXPECT_EQ(info.pool_rows, sent - kDictCapacity);
   replica::CutCertificate embedded;
   ASSERT_TRUE(
       replica::ParseCutCertificate(info.cut_certificate, &embedded).ok());
   EXPECT_EQ(embedded.elements_sent_at_cut, cut.cert.elements_sent_at_cut);
   EXPECT_EQ(embedded.output_stable, cut.cert.output_stable);
 
+  // The references resolve only against the subscription's dictionary.
   CollectingSink sink;
   LMergeR4 restored(1, &sink);
-  ASSERT_TRUE(LoadCheckpoint(blob, &restored).ok());
-  EXPECT_EQ(restored.max_stable(), cut.cert.output_stable);
+  EXPECT_FALSE(LoadCheckpoint(blob, &restored).ok());
+  LMergeR4 resolved(1, &sink);
+  ASSERT_TRUE(LoadCheckpoint(blob, &resolved, nullptr, &dict).ok());
+  EXPECT_EQ(resolved.max_stable(), cut.cert.output_stable);
+}
+
+TEST(CheckpointWireTest, LateStandbyResolvesThroughDefsTape) {
+  // A standby that subscribes after output has flowed learns the broadcast
+  // dictionary from the def tape replayed at its registration.  The blob it
+  // then receives names every pooled payload by id, and a fresh server
+  // adopts it against the dictionary the tape built.
+  MergeServerOptions options;
+  options.variant = MergeVariant::kLMR4;
+  MergeServer server(options);
+  // A plain subscriber from the start, so output is dictionary-coded.
+  TestPeer sub = ConnectPeer(&server, "sub");
+  HelloMessage sub_hello;
+  sub_hello.role = PeerRole::kSubscriber;
+  sub_hello.peer_name = "sub";
+  ASSERT_TRUE(server.OnBytes(sub.session_id, EncodeHelloFrame(sub_hello)).ok());
+  TestPeer pub = ConnectPeer(&server, "pub");
+  ASSERT_TRUE(server
+                  .OnBytes(pub.session_id,
+                           EncodeHelloFrame(PublisherHello("pub")))
+                  .ok());
+  constexpr int kEvents = 100;
+  ElementSequence batch;
+  for (int i = 1; i <= kEvents; ++i) {
+    batch.push_back(Ins("late-" + std::to_string(i), i, i + 1000000));
+  }
+  ASSERT_TRUE(
+      server.OnBytes(pub.session_id, EncodeElementsFrame(batch, /*origin_us=*/1000))
+          .ok());
+  server.Flush();
+  const int64_t tape_bytes =
+      server.MetricsSnapshot().Value("net.tx.dict.tape_bytes", -1);
+  EXPECT_GT(tape_bytes, 0);
+
+  // The standby's first bytes are its WELCOME and then the whole tape.
+  TestPeer standby = ConnectPeer(&server, "standby");
+  ASSERT_TRUE(server
+                  .OnBytes(standby.session_id,
+                           EncodeHelloFrame(StandbyHello("standby")))
+                  .ok());
+  std::string joined;
+  ASSERT_TRUE(standby.client->TryReceive(&joined).ok());
+  ASSERT_TRUE(standby.assembler.Feed(joined).ok());
+  Frame welcome;
+  ASSERT_TRUE(standby.assembler.Next(&welcome));
+  ASSERT_EQ(welcome.type, FrameType::kWelcome);
+  EXPECT_EQ(static_cast<int64_t>(joined.size() - kFrameHeaderBytes -
+                                 welcome.payload.size()),
+            tape_bytes);
+
+  const int64_t refs_before = CounterSum("net.checkpoint.tx.pool_refs");
+  const int64_t rows_before = CounterSum("net.checkpoint.tx.pool_rows");
+  ASSERT_TRUE(
+      server.OnBytes(standby.session_id, EncodeCheckpointRequestFrame())
+          .ok());
+  PayloadDictDecoder dict;
+  CutCertMessage cut;
+  std::string blob;
+  ReceiveCheckpoint(&standby, &dict, &cut, &blob);
+  ASSERT_TRUE(cut.has_state);
+  EXPECT_EQ(dict.entries(), kEvents);
+  EXPECT_EQ(cut.cert.elements_sent_at_cut, 0);
+
+  CheckpointInfo info;
+  ASSERT_TRUE(InspectCheckpoint(blob, &info).ok());
+  EXPECT_EQ(info.pool_refs, static_cast<uint32_t>(kEvents));
+  EXPECT_EQ(info.pool_rows, 0u);
+  EXPECT_EQ(CounterSum("net.checkpoint.tx.pool_refs") - refs_before, kEvents);
+  EXPECT_EQ(CounterSum("net.checkpoint.tx.pool_rows") - rows_before, 0);
+
+  MergeServer adopted;
+  ASSERT_TRUE(adopted.AdoptCheckpoint(blob, cut.cert, &dict).ok());
+  EXPECT_EQ(adopted.output_stable(), cut.cert.output_stable);
+}
+
+TEST(CheckpointWireTest, PayloadNotYetFannedOutStaysInline) {
+  // Under the wait-until-half-frozen policy R3 holds an insert back until
+  // the stable point reaches its Vs.  At the barrier one payload has been
+  // fanned out, so the broadcast dictionary defines it, and the other has
+  // not: the blob names the first by id and writes the second as a row.
+  MergeServerOptions options;
+  options.variant = MergeVariant::kLMR3Plus;
+  options.policy.insert_policy = InsertPolicy::kWaitHalfFrozen;
+  MergeServer server(options);
+  TestPeer standby = ConnectPeer(&server, "standby");
+  ASSERT_TRUE(server
+                  .OnBytes(standby.session_id,
+                           EncodeHelloFrame(StandbyHello("standby")))
+                  .ok());
+  (void)standby.DrainFrames();  // WELCOME
+  TestPeer pub = ConnectPeer(&server, "pub");
+  ASSERT_TRUE(server
+                  .OnBytes(pub.session_id,
+                           EncodeHelloFrame(PublisherHello("pub")))
+                  .ok());
+  ASSERT_TRUE(server
+                  .OnBytes(pub.session_id,
+                           EncodeElementsFrame({Ins("out", 5, 100),
+                                                Ins("held", 50, 100), Stb(10)},
+                                               /*origin_us=*/1000))
+                  .ok());
+  server.Flush();
+
+  const int64_t refs_before = CounterSum("net.checkpoint.tx.pool_refs");
+  const int64_t rows_before = CounterSum("net.checkpoint.tx.pool_rows");
+  ASSERT_TRUE(
+      server.OnBytes(standby.session_id, EncodeCheckpointRequestFrame())
+          .ok());
+  PayloadDictDecoder dict;
+  CutCertMessage cut;
+  std::string blob;
+  ReceiveCheckpoint(&standby, &dict, &cut, &blob);
+  ASSERT_TRUE(cut.has_state);
+  EXPECT_EQ(dict.entries(), 1);
+
+  CheckpointInfo info;
+  ASSERT_TRUE(InspectCheckpoint(blob, &info).ok());
+  EXPECT_EQ(info.pool_refs, 1u);
+  EXPECT_EQ(info.pool_rows, 1u);
+  EXPECT_EQ(CounterSum("net.checkpoint.tx.pool_refs") - refs_before, 1);
+  EXPECT_EQ(CounterSum("net.checkpoint.tx.pool_rows") - rows_before, 1);
+
+  MergeServer adopted;
+  ASSERT_TRUE(adopted.AdoptCheckpoint(blob, cut.cert, &dict).ok());
+  EXPECT_EQ(adopted.output_stable(), cut.cert.output_stable);
+
+  // Without the dictionary, or against one that lacks the id, the
+  // reference is refused with a Status.
+  MergeServer no_dict;
+  Status status = no_dict.AdoptCheckpoint(blob, cut.cert);
+  EXPECT_NE(status.ToString().find("no dictionary"), std::string::npos)
+      << status.ToString();
+  const PayloadDictDecoder empty;
+  MergeServer wrong_dict;
+  status = wrong_dict.AdoptCheckpoint(blob, cut.cert, &empty);
+  EXPECT_NE(status.ToString().find("undefined payload id"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(CheckpointWireTest, AdoptCheckpointRefusedAfterPublishers) {

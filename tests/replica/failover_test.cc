@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/checkpoint.h"
 #include "net/loopback.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -116,14 +117,35 @@ void Publish(net::MergeServer* server, Publisher* pub,
   }
 }
 
+// Pool entries of a served blob (every shard's), split into dictionary
+// references and inline rows.
+CheckpointPoolCounts PoolCounts(const std::string& blob) {
+  CheckpointPoolCounts counts;
+  std::vector<std::string> shard_blobs;
+  EXPECT_TRUE(SplitPartitionedCheckpoint(blob, &shard_blobs).ok());
+  for (const std::string& shard_blob : shard_blobs) {
+    CheckpointInfo info;
+    EXPECT_TRUE(InspectCheckpoint(shard_blob, &info).ok());
+    counts.refs += info.pool_refs;
+    counts.rows += info.pool_rows;
+  }
+  return counts;
+}
+
 // One full failover scenario: primary serves two divergent presentations,
 // the standby jumpstarts at ~half the stream, the primary dies at ~80%,
 // and the surviving publishers replay their full streams to the promoted
 // standby (the Sec. V-B join protocol dedups everything pre-delivered).
-void RunFailover(MergeVariant variant, uint64_t seed, int merge_threads = 1) {
+// A `late_standby` subscribes only after the first quarter has been merged
+// and fanned out to a plain subscriber, so it learns the broadcast
+// dictionary from the def tape; that quarter of the output is then taken
+// from the primary's own sink.
+void RunFailover(MergeVariant variant, uint64_t seed, int merge_threads = 1,
+                 bool late_standby = false) {
   SCOPED_TRACE(::testing::Message()
                << "variant=" << static_cast<int>(variant) << " seed=" << seed
-               << " merge_threads=" << merge_threads);
+               << " merge_threads=" << merge_threads
+               << " late_standby=" << late_standby);
   const LogicalHistory history = ClosedHistory(seed);
   std::vector<ElementSequence> inputs;
   for (uint64_t v = 0; v < 2; ++v) {
@@ -154,6 +176,31 @@ void RunFailover(MergeVariant variant, uint64_t seed, int merge_threads = 1) {
   CollectingSink standby_out;
   standby.server().AddOutputSink(&standby_out);
 
+  Publisher pub_a = ConnectPublisher(&primary, "pub-a");
+  Publisher pub_b = ConnectPublisher(&primary, "pub-b");
+  ElementSequence early;  // output fanned out before a late standby joins
+  size_t early_a = 0;
+  size_t early_b = 0;
+  auto [sub_client, sub_server_end] =
+      net::CreateLoopbackPair("subscriber", "primary:subscriber");
+  CollectingSink primary_out;
+  if (late_standby) {
+    net::HelloMessage hello;
+    hello.role = net::PeerRole::kSubscriber;
+    hello.peer_name = "subscriber";
+    const int sub_session = primary.OnConnect(sub_server_end.get());
+    ASSERT_TRUE(
+        primary.OnBytes(sub_session, net::EncodeHelloFrame(hello)).ok());
+    primary.AddOutputSink(&primary_out);
+    early_a = inputs[0].size() / 4;
+    early_b = inputs[1].size() / 4;
+    Publish(&primary, &pub_a, inputs[0], 0, early_a);
+    Publish(&primary, &pub_b, inputs[1], 0, early_b);
+    primary.Flush();
+    early = primary_out.elements();
+    ASSERT_FALSE(early.empty());
+  }
+
   auto [standby_client, standby_server_end] =
       net::CreateLoopbackPair("standby", "primary:standby");
   const int standby_session = primary.OnConnect(standby_server_end.get());
@@ -161,12 +208,10 @@ void RunFailover(MergeVariant variant, uint64_t seed, int merge_threads = 1) {
     SessionPump pump(&primary, standby_server_end.get(), standby_session);
     ASSERT_TRUE(standby.Connect(std::move(standby_client)).ok());
 
-    Publisher pub_a = ConnectPublisher(&primary, "pub-a");
-    Publisher pub_b = ConnectPublisher(&primary, "pub-b");
     const size_t half_a = inputs[0].size() / 2;
     const size_t half_b = inputs[1].size() / 2;
-    Publish(&primary, &pub_a, inputs[0], 0, half_a);
-    Publish(&primary, &pub_b, inputs[1], 0, half_b);
+    Publish(&primary, &pub_a, inputs[0], early_a, half_a);
+    Publish(&primary, &pub_b, inputs[1], early_b, half_b);
     primary.Flush();
 
     // Jumpstart mid-stream: snapshot + cut certificate arrive interleaved
@@ -175,6 +220,9 @@ void RunFailover(MergeVariant variant, uint64_t seed, int merge_threads = 1) {
     ASSERT_TRUE(jumpstart.ok()) << jumpstart.ToString();
     EXPECT_TRUE(standby.has_state());
     EXPECT_EQ(standby.cut().variant, variant);
+    // The standby held every payload the primary had fanned out, so the
+    // restore resolved dictionary references.
+    EXPECT_GT(PoolCounts(standby.checkpoint_blob()).refs, 0);
 
     std::thread live([&standby] { EXPECT_TRUE(standby.PumpLive().ok()); });
 
@@ -207,7 +255,8 @@ void RunFailover(MergeVariant variant, uint64_t seed, int merge_threads = 1) {
 
   // The standby's view of the whole logical stream: the primary's output
   // up to the certified cut, then its own output.
-  ElementSequence full = standby.pre_cut();
+  ElementSequence full = early;
+  full.insert(full.end(), standby.pre_cut().begin(), standby.pre_cut().end());
   full.insert(full.end(), standby_out.elements().begin(),
               standby_out.elements().end());
   StreamValidator validator;
@@ -232,6 +281,18 @@ TEST(FailoverTest, PartitionedR4Seed1) {
 }
 TEST(FailoverTest, PartitionedR3PlusSeed2) {
   RunFailover(MergeVariant::kLMR3Plus, 2, /*merge_threads=*/3);
+}
+
+// A standby that joins after output has flowed resolves the blob's
+// references through the def tape replayed at its registration, for one
+// shard and for four.
+TEST(FailoverTest, LateStandbyR3PlusSeed1) {
+  RunFailover(MergeVariant::kLMR3Plus, 1, /*merge_threads=*/1,
+              /*late_standby=*/true);
+}
+TEST(FailoverTest, LateStandbyPartitionedR4Seed2) {
+  RunFailover(MergeVariant::kLMR4, 2, /*merge_threads=*/4,
+              /*late_standby=*/true);
 }
 
 // The standby needs a primary at exactly its own protocol version: a

@@ -1,8 +1,8 @@
 // lmerge_inspect — examine a stream file: validate it, summarize its
 // logical content, optionally dump elements, payload-interning statistics,
 // or compare with another tape.  With --checkpoint, examine a checkpoint
-// blob instead: header, section sizes, pool entry count, and the embedded
-// cut certificate.
+// blob instead: header, section sizes, pool entry counts (dictionary
+// references and inline rows), and the embedded cut certificate.
 //
 //   lmerge_inspect tape.lmst [--dump[=N]] [--payload-stats[=N]]
 //                  [--equiv=other.lmst]
@@ -50,9 +50,9 @@ int InspectCheckpointFile(const std::string& path) {
                   ? " (cut certificate)"
                   : "");
   std::printf("  sections: cut cert %zu bytes, payload pool %zu bytes "
-              "(%u entries), body %zu bytes\n",
+              "(%u entries: %u references, %u inline), body %zu bytes\n",
               info.cut_certificate_bytes, info.pool_bytes, info.pool_entries,
-              info.body_bytes);
+              info.pool_refs, info.pool_rows, info.body_bytes);
   if (info.cut_certificate.empty()) return 0;
 
   replica::CutCertificate cert;

@@ -22,6 +22,11 @@
 // deduped pre-cut prefix of the primary's output followed by the local
 // server's own output.  lmerge_inspect --equiv against the primary's
 // capture is the end-to-end zero-loss/zero-duplication check.
+//
+// --checkpoint-out archives the received blob verbatim for
+// lmerge_inspect --checkpoint.  It names the payloads this standby already
+// held by their ids in the primary's broadcast dictionary, so restoring
+// it needs that dictionary, which only the live subscription holds.
 
 #include <chrono>
 #include <cstdio>
