@@ -242,14 +242,6 @@ Status SubscriberClient::Consume(ElementSink* sink) {
       return status;
     }
     switch (frame.type) {
-      case FrameType::kPayloadDef: {
-        PayloadDefMessage def;
-        const Status decode = DecodePayloadDefPayload(frame.payload, &def);
-        if (!decode.ok()) return decode;
-        const Status defined = dict_.Define(def.id, std::move(def.payload));
-        if (!defined.ok()) return defined;
-        break;
-      }
       case FrameType::kElementsDict: {
         ElementSequence elements;
         int64_t origin_us = 0;

@@ -50,8 +50,8 @@ class PublisherClient {
                    const std::string& name,
                    WelcomeMessage* welcome = nullptr);
 
-  // Sends `elements` (any size, one included) as one stamped dictionary
-  // batch: PAYLOAD_DEFs for first-seen payloads, then ELEMENTS_DICT.
+  // Sends `elements` (any size, one included) as one stamped ELEMENTS_DICT
+  // frame, which also defines the payloads first seen in it.
   Status PublishBatch(const ElementSequence& elements);
 
   // Drains pending server->client traffic without blocking.
@@ -144,7 +144,7 @@ class SubscriberClient {
   FrameAssembler assembler_;
   int64_t elements_received_ = 0;
   std::string bye_reason_;
-  // Inbound payload dictionary, fed by PAYLOAD_DEF frames.
+  // Inbound payload dictionary, fed by ELEMENTS_DICT defs sections.
   PayloadDictDecoder dict_;
   std::function<void(int64_t, size_t)> stamp_observer_;
 };

@@ -35,24 +35,31 @@ const char* FrameTypeName(FrameType type) {
 }
 
 bool IsKnownFrameType(uint8_t tag) {
-  // Tag 3 (the retired single-ELEMENT frame) sits inside the range.
+  // Tags 3 (the retired single-ELEMENT frame) and 7 (the retired
+  // PAYLOAD_DEF frame) sit inside the range.
   constexpr uint8_t kRetiredElementTag = 3;
   return tag >= static_cast<uint8_t>(FrameType::kHello) &&
          tag <= static_cast<uint8_t>(FrameType::kCutCert) &&
-         tag != kRetiredElementTag;
+         tag != kRetiredElementTag &&
+         tag != static_cast<uint8_t>(FrameType::kPayloadDef);
 }
 
 void AppendFrame(FrameType type, const std::string& payload,
                  std::string* out) {
-  const uint32_t length = static_cast<uint32_t>(payload.size());
   char header[kFrameHeaderBytes];
+  EncodeFrameHeader(type, payload.size(), header);
+  out->append(header, kFrameHeaderBytes);
+  out->append(payload);
+}
+
+void EncodeFrameHeader(FrameType type, size_t payload_bytes,
+                       char (&header)[kFrameHeaderBytes]) {
+  const uint32_t length = static_cast<uint32_t>(payload_bytes);
   header[0] = static_cast<char>(length & 0xff);
   header[1] = static_cast<char>((length >> 8) & 0xff);
   header[2] = static_cast<char>((length >> 16) & 0xff);
   header[3] = static_cast<char>((length >> 24) & 0xff);
   header[4] = static_cast<char>(type);
-  out->append(header, kFrameHeaderBytes);
-  out->append(payload);
 }
 
 std::string EncodeFrame(FrameType type, const std::string& payload) {

@@ -15,6 +15,7 @@
 #ifndef LMERGE_NET_FRAME_H_
 #define LMERGE_NET_FRAME_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -33,8 +34,11 @@ enum class FrameType : uint8_t {
   // The payload dictionary (docs/SERVICE.md): a session-scoped,
   // per-direction mapping id -> payload, so repeated payloads cross the
   // wire as small varint ids instead of full rows.
-  kPayloadDef = 7,     // defines one (id, payload) dictionary entry
-  kElementsDict = 8,   // batched sequence with dictionary-coded payloads
+  // Tag 7 was PAYLOAD_DEF (one dictionary entry per frame): retired,
+  // rejected by the assembler, never reused.  Definitions now ride in the
+  // defs section of the ELEMENTS_DICT that first references them.
+  kPayloadDef = 7,
+  kElementsDict = 8,   // batch: new definitions, then dict-coded elements
   // Live stats (docs/OBSERVABILITY.md): a monitor or any connected peer
   // polls the server's metrics registry over the session.
   kStatsRequest = 9,   // client -> server: ask for a stats snapshot
@@ -65,6 +69,10 @@ struct Frame {
 // Appends one encoded frame to `*out` (which may already hold frames).
 void AppendFrame(FrameType type, const std::string& payload,
                  std::string* out);
+// Writes the header of a frame carrying `payload_bytes` into `header`, for
+// callers that lay the payload out themselves.
+void EncodeFrameHeader(FrameType type, size_t payload_bytes,
+                       char (&header)[kFrameHeaderBytes]);
 
 // Convenience: a single encoded frame.
 std::string EncodeFrame(FrameType type, const std::string& payload);

@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <string_view>
+
 #include "common/serde.h"
 #include "stream/element_serde.h"
 
@@ -154,23 +156,16 @@ Status DecodeBye(const std::string& payload, ByeMessage* bye) {
   return FinishDecode(decoder);
 }
 
-std::string EncodePayloadDefFrame(const PayloadDefMessage& def) {
-  Encoder encoder;
-  EncodePayloadDef(def.id, def.payload, &encoder);
-  return EncodeFrame(FrameType::kPayloadDef, encoder.TakeBytes());
-}
-
 DictBatchParts EncodeDictBatchParts(const ElementSequence& elements,
                                     PayloadDictEncoder* dict) {
+  const size_t first_new = static_cast<size_t>(dict->entries());
   Encoder body;
-  std::vector<std::pair<uint32_t, Row>> new_defs;
-  EncodeSequenceDict(elements, dict, &new_defs, &body);
+  EncodeSequenceDict(elements, dict, &body);
+  Encoder defs;
+  EncodeDictDefs(std::span<const Row>(dict->rows()).subspan(first_new),
+                 &defs);
   DictBatchParts parts;
-  for (const auto& [id, payload] : new_defs) {
-    Encoder def;
-    EncodePayloadDef(id, payload, &def);
-    AppendFrame(FrameType::kPayloadDef, def.TakeBytes(), &parts.defs);
-  }
+  parts.defs = defs.TakeBytes();
   parts.body = body.TakeBytes();
   return parts;
 }
@@ -179,8 +174,17 @@ std::string AssembleElementsDictFrame(const DictBatchParts& parts,
                                       int64_t origin_us) {
   Encoder stamp;
   stamp.WriteI64(origin_us);
-  std::string out = parts.defs;
-  AppendFrame(FrameType::kElementsDict, parts.body + stamp.bytes(), &out);
+  const size_t payload_bytes =
+      parts.defs.size() + parts.body.size() + stamp.bytes().size();
+  char header[kFrameHeaderBytes];
+  EncodeFrameHeader(FrameType::kElementsDict, payload_bytes, header);
+  // Reserved to the frame's exact size: the appends never reallocate.
+  std::string out;
+  out.reserve(kFrameHeaderBytes + payload_bytes);
+  out += std::string_view(header, kFrameHeaderBytes);
+  out += parts.defs;
+  out += parts.body;
+  out += stamp.bytes();
   return out;
 }
 
@@ -191,21 +195,61 @@ std::string EncodeElementsDictFrame(const ElementSequence& elements,
                                    origin_us);
 }
 
+std::string EncodeCatchUpFrames(std::span<const Row> rows) {
+  // Every row once, remembering where each ends, so frames cut between
+  // rows: header, a def count of at most 5 varint bytes, the rows, the
+  // one-byte empty sequence and the stamp.
+  constexpr size_t kFrameOverhead = kFrameHeaderBytes + 5 + 1 + 8;
+  Encoder encoded;
+  std::vector<size_t> ends;
+  ends.reserve(rows.size());
+  for (const Row& row : rows) {
+    encoded.WriteCompactRow(row);
+    ends.push_back(encoded.bytes().size());
+  }
+  Encoder empty;
+  empty.WriteVarU64(0);
+  DictBatchParts parts;
+  parts.body = empty.TakeBytes();
+  std::string out;
+  size_t first = 0;
+  size_t from = 0;
+  while (first < rows.size()) {
+    size_t last = first + 1;
+    while (last < rows.size() &&
+           kFrameOverhead + ends[last] - from <= kCheckpointChunkBytes) {
+      ++last;
+    }
+    Encoder count;
+    count.WriteVarU64(last - first);
+    parts.defs = count.TakeBytes();
+    parts.defs.append(encoded.bytes(), from, ends[last - 1] - from);
+    out += AssembleElementsDictFrame(parts, /*origin_us=*/0);
+    first = last;
+    from = ends[last - 1];
+  }
+  return out;
+}
+
 Status DecodePayloadDefPayload(const std::string& payload,
                                PayloadDefMessage* def) {
   Decoder decoder(payload);
-  const Status status = DecodePayloadDef(&decoder, &def->id, &def->payload);
+  Status status = decoder.ReadVarU32(&def->id);
   if (!status.ok()) return status;
+  if (!(status = decoder.ReadCompactRow(&def->payload)).ok()) return status;
   return FinishDecode(decoder);
 }
 
 Status DecodeElementsDictPayload(const std::string& payload,
-                                 const PayloadDictDecoder& dict,
+                                 PayloadDictDecoder& dict,
                                  ElementSequence* elements,
                                  int64_t* origin_us) {
   Decoder decoder(payload);
-  Status status = DecodeSequenceDict(&decoder, dict, elements);
+  Status status = DecodeDictDefs(&decoder, &dict);
   if (!status.ok()) return status;
+  if (!(status = DecodeSequenceDict(&decoder, dict, elements)).ok()) {
+    return status;
+  }
   if (!(status = decoder.ReadI64(origin_us)).ok()) return status;
   return FinishDecode(decoder);
 }

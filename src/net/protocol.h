@@ -1,7 +1,7 @@
 // Typed messages of the LMerge wire protocol, one per frame type.
 //
 // Payload layouts (all via common/serde.h, little-endian, length-prefixed
-// strings; the two dictionary-coded payloads use varints; see
+// strings; the dictionary-coded ELEMENTS_DICT uses varints; see
 // docs/SERVICE.md for the byte-level tables):
 //
 //   HELLO     u32 version, u8 role, u8 property bits, i64 join_time,
@@ -13,11 +13,11 @@
 //             (publisher -> server only; the dictionary-free batch)
 //   FEEDBACK  i64 horizon
 //   BYE       string reason
-//   PAYLOAD_DEF    varint id, compact row  (defines one dictionary entry;
-//                  stream/element_serde.h)
-//   ELEMENTS_DICT  one EncodeSequenceDict payload: varint count, then
-//                  varint/delta-coded elements (stream/element_serde.h),
-//                  then i64 origin_us
+//   ELEMENTS_DICT  varint def_count, then def_count compact rows (the
+//                  batch's new dictionary entries, taking the receiver's
+//                  next ids in order), then one EncodeSequenceDict
+//                  payload: varint count, varint/delta-coded elements
+//                  (stream/element_serde.h), then i64 origin_us
 //   STATS_REQUEST  (empty)              (poll the server's stats)
 //   STATS_RESPONSE server summary + per-input table + metrics snapshot,
 //                  then i64 captured_wall_ms, i64 captured_mono_us
@@ -31,8 +31,9 @@
 // a WELCOME of another version.  The HELLO and WELCOME layouts are frozen,
 // so any build can read that rejection; peers interoperate only when built
 // at the same kProtocolVersion.  Subscribers and standbys receive the
-// merged output only as PAYLOAD_DEF + ELEMENTS_DICT.  Frame tag 3 (the
-// retired single-ELEMENT frame) is never reused.
+// merged output only as ELEMENTS_DICT.  Frame tags 3 (the retired
+// single-ELEMENT frame) and 7 (the retired PAYLOAD_DEF frame) are never
+// reused.
 //
 // Every Decode* consumes exactly one message and rejects trailing bytes, so
 // a frame is either a whole valid message or a Status error.
@@ -41,8 +42,8 @@
 #define LMERGE_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
-
 #include <vector>
 
 #include "common/status.h"
@@ -62,11 +63,14 @@ namespace lmerge::net {
 // 6 retired the version ladder and the single-ELEMENT frame; 7 carried
 // checkpoint format v3; 8 carries v4 (common/checkpoint.h), whose pool
 // names payloads the standby already holds by their broadcast-dictionary
-// ids, in CHECKPOINT_CHUNK frames.  A build of an older version fails at
-// HELLO instead of mid-stream or at jumpstart.
-inline constexpr uint32_t kProtocolVersion = 8;
+// ids, in CHECKPOINT_CHUNK frames; 9 moves dictionary definitions into the
+// ELEMENTS_DICT frame that first references them and retires PAYLOAD_DEF.
+// A build of an older version fails at HELLO instead of mid-stream or at
+// jumpstart.
+inline constexpr uint32_t kProtocolVersion = 9;
 
-// Checkpoint blobs are streamed in chunks of this size so live element
+// Checkpoint blobs are streamed in chunks of this size, and a late joiner's
+// dictionary catch-up in frames of at most this size, so live element
 // fan-out interleaves with the transfer instead of stalling behind one
 // multi-megabyte frame.
 inline constexpr size_t kCheckpointChunkBytes = 256 * 1024;
@@ -119,6 +123,10 @@ struct ByeMessage {
   std::string reason;
 };
 
+// The retired PAYLOAD_DEF message (frame tag 7: varint id, compact row).
+// No peer sends it and IsKnownFrameType refuses its tag; the message and
+// DecodePayloadDefPayload remain only because the e2ebench harness still
+// names them.
 struct PayloadDefMessage {
   uint32_t id = 0;
   Row payload;
@@ -181,35 +189,38 @@ std::string EncodeElementsFrame(const ElementSequence& elements,
                                 int64_t origin_us);
 std::string EncodeFeedbackFrame(const FeedbackMessage& feedback);
 std::string EncodeByeFrame(const ByeMessage& bye);
-std::string EncodePayloadDefFrame(const PayloadDefMessage& def);
 std::string EncodeStatsRequestFrame();
 std::string EncodeStatsResponseFrame(const StatsResponseMessage& stats);
 std::string EncodeCheckpointRequestFrame();
 std::string EncodeCheckpointChunkFrame(const CheckpointChunkMessage& chunk);
 std::string EncodeCutCertFrame(const CutCertMessage& cut);
 
-// Dictionary-encodes `elements` against `dict`, emitting any PAYLOAD_DEF
-// frames for newly seen payloads followed by one stamped ELEMENTS_DICT
-// frame — all concatenated into one buffer so a single Send keeps
-// definitions ordered before the first reference.
+// Dictionary-encodes `elements` against `dict` into one stamped
+// ELEMENTS_DICT frame whose defs section carries the payloads first seen
+// in this batch, ahead of the elements that reference them.
 std::string EncodeElementsDictFrame(const ElementSequence& elements,
                                     PayloadDictEncoder* dict,
                                     int64_t origin_us);
 
 // The pieces of one dictionary-coded batch, for senders that assemble the
 // frame themselves: exactly one intern pass against `dict` produces the
-// PAYLOAD_DEF frames and the ELEMENTS_DICT body (a second pass would see
-// every payload as already defined and emit no PAYLOAD_DEFs).
+// defs section and the element sequence (a second pass would see every
+// payload as already defined and carry no definitions).
 struct DictBatchParts {
-  std::string defs;  // zero or more complete PAYLOAD_DEF frames
-  std::string body;  // ELEMENTS_DICT payload bytes before the stamp
+  std::string defs;  // the defs section: varint count, then compact rows
+  std::string body;  // the element sequence
 };
 DictBatchParts EncodeDictBatchParts(const ElementSequence& elements,
                                     PayloadDictEncoder* dict);
-// `parts.defs` followed by the stamped ELEMENTS_DICT frame built from
-// `parts.body`.
+// The one stamped ELEMENTS_DICT frame of `parts`, built in one buffer.
 std::string AssembleElementsDictFrame(const DictBatchParts& parts,
                                       int64_t origin_us);
+
+// Zero-element, stamp-0 ELEMENTS_DICT frames of at most
+// kCheckpointChunkBytes each (a single row larger than that rides alone)
+// whose defs sections define `rows` in order: given a dictionary's rows(),
+// they bring a receiver that joins late to that dictionary's state.
+std::string EncodeCatchUpFrames(std::span<const Row> rows);
 
 // Decoders parse a frame *payload* (as yielded by FrameAssembler).
 Status DecodeHello(const std::string& payload, HelloMessage* hello);
@@ -220,8 +231,11 @@ Status DecodeFeedback(const std::string& payload, FeedbackMessage* feedback);
 Status DecodeBye(const std::string& payload, ByeMessage* bye);
 Status DecodePayloadDefPayload(const std::string& payload,
                                PayloadDefMessage* def);
+// Defines the payload's defs section in `dict`, then decodes its elements
+// against it.  An error may leave some of the section defined; the session
+// carrying the frame is torn down either way.
 Status DecodeElementsDictPayload(const std::string& payload,
-                                 const PayloadDictDecoder& dict,
+                                 PayloadDictDecoder& dict,
                                  ElementSequence* elements,
                                  int64_t* origin_us);
 Status DecodeStatsRequest(const std::string& payload);

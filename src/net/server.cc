@@ -24,7 +24,8 @@ namespace lmerge::net {
 MergeServer::MergeServer(MergeServerOptions options)
     : options_(std::move(options)),
       fan_out_(this),
-      met_properties_(StreamProperties::Strongest()) {
+      met_properties_(StreamProperties::Strongest()),
+      broadcast_dict_(options_.dict_capacity) {
   LM_CHECK(options_.merge_threads >= 1);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   rx_bytes_metric_ = registry.GetCounter("net.rx.bytes");
@@ -120,10 +121,11 @@ void MergeServer::FanOutBatchLocked(const ElementSequence& batch,
   if (subscribers_.empty()) return;
   fanout_batches_metric_->Increment();
   // Serialize once, share by refcount: every subscriber pins the same
-  // buffer (the batch's new PAYLOAD_DEFs + one stamped ELEMENTS_DICT), so
-  // encode cost stays flat in subscriber count.
+  // buffer (one stamped ELEMENTS_DICT carrying the batch's new
+  // definitions), so encode cost stays flat in subscriber count.  All
+  // subscribers decode against the one broadcast id space.
   const auto frame = std::make_shared<const std::string>(
-      AssembleElementsDictFrame(EncodeDictBatchPartsLocked(batch), origin_us));
+      EncodeElementsDictFrame(batch, &broadcast_dict_, origin_us));
   const size_t frame_bytes = frame->size();
   fanout_encoded_frames_metric_->Increment();
   fanout_encoded_bytes_metric_->Add(static_cast<int64_t>(frame_bytes));
@@ -143,21 +145,6 @@ void MergeServer::FanOutBatchLocked(const ElementSequence& batch,
       it = subscribers_.erase(it);
     }
   }
-}
-
-DictBatchParts MergeServer::EncodeDictBatchPartsLocked(
-    const ElementSequence& batch) {
-  if (broadcast_dict_ == nullptr) {
-    broadcast_dict_ =
-        std::make_unique<PayloadDictEncoder>(options_.dict_capacity);
-  }
-  DictBatchParts parts = EncodeDictBatchParts(batch, broadcast_dict_.get());
-  // The tape records every def ever broadcast, in order: replaying it
-  // into a fresh decoder of the same capacity reproduces the broadcast
-  // dictionary state exactly (including evictions), which is what makes
-  // a late joiner decodable against the shared id space.
-  defs_tape_ += parts.defs;
-  return parts;
 }
 
 int MergeServer::OnConnect(Connection* connection) {
@@ -265,20 +252,6 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
       if (!status.ok()) return status;
       return DeliverBatchLocked(session, std::move(elements), origin_us);
     }
-    case FrameType::kPayloadDef: {
-      if (session.state != SessionState::kPublisher) {
-        return Status::FailedPrecondition(
-            "PAYLOAD_DEF from a non-publisher session");
-      }
-      PayloadDefMessage def;
-      Status status = DecodePayloadDefPayload(frame.payload, &def);
-      if (!status.ok()) return status;
-      if (session.dict_in == nullptr) {
-        session.dict_in =
-            std::make_unique<PayloadDictDecoder>(options_.dict_capacity);
-      }
-      return session.dict_in->Define(def.id, std::move(def.payload));
-    }
     case FrameType::kElementsDict: {
       if (session.state != SessionState::kPublisher) {
         return Status::FailedPrecondition(
@@ -333,6 +306,8 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
       return Status::FailedPrecondition(
           std::string("client sent server-only frame ") +
           FrameTypeName(frame.type));
+    case FrameType::kPayloadDef:
+      break;  // retired: the assembler refuses its tag
   }
   return Status::Internal("unhandled frame type");
 }
@@ -457,12 +432,14 @@ Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hell
     subscriber.session_id = session.id;
     subscriber.connection = session.connection;
     MutexLock fanout_lock(fanout_mutex_);
-    if (!defs_tape_.empty()) {
+    if (broadcast_dict_.entries() > 0) {
       // Catch the joiner up on the broadcast dictionary before it can see
-      // a dict-coded batch referencing ids defined before it arrived.
-      // Under fanout_mutex_, so no fan-out interleaves mid-replay.
-      const Status replay = session.connection->Send(defs_tape_);
-      if (!replay.ok()) return replay;
+      // a dict-coded batch referencing ids defined before it arrived: its
+      // rows, in id order, reach a fresh decoder's state exactly.  Under
+      // fanout_mutex_, so no fan-out interleaves mid-catch-up.
+      const Status caught_up = session.connection->Send(
+          EncodeCatchUpFrames(broadcast_dict_.rows()));
+      if (!caught_up.ok()) return caught_up;
     }
     subscribers_.push_back(std::move(subscriber));
   }
@@ -524,11 +501,12 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
       }
       // The blobs are written under fanout_mutex_ too, naming each payload
       // the broadcast dictionary defines by its id.  A fan-out defines an
-      // id and sends its PAYLOAD_DEF to every subscriber in one hold of
-      // this mutex, and a joiner's registration replays defs_tape_ in one
-      // hold, so every id named here is already queued to this standby,
-      // ahead of the CUT_CERT and chunks that follow on the same
-      // connection.  A payload not yet fanned out stays a row.
+      // id and sends the frame carrying its definition to every subscriber
+      // in one hold of this mutex, and a joiner's registration sends its
+      // catch-up frames in one hold, so every id named here is already
+      // queued to this standby, ahead of the CUT_CERT and chunks that
+      // follow on the same connection.  A payload not yet fanned out stays
+      // a row.
       MutexLock fanout_lock(server->fanout_mutex_);
       for (const Subscriber& subscriber : server->subscribers_) {
         if (subscriber.session_id == session_id) {
@@ -547,7 +525,7 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
         CheckpointPoolCounts counts;
         shard_blobs.push_back(SaveCheckpoint(
             *shards[k]->checkpointable(), k == 0 ? cert_bytes : std::string(),
-            server->broadcast_dict_.get(), &counts));
+            &server->broadcast_dict_, &counts));
         server->checkpoint_tx_pool_refs_metric_->Add(counts.refs);
         server->checkpoint_tx_pool_rows_metric_->Add(counts.rows);
       }
@@ -957,14 +935,7 @@ obs::MetricsSnapshot MergeServer::MetricsSnapshotLocked() {
     registry.GetGauge("net.subscribers")
         ->Set(static_cast<int64_t>(subscribers_.size()));
     // One broadcast dictionary serves every subscriber.
-    registry.GetGauge("net.tx.dict.entries")
-        ->Set(broadcast_dict_ == nullptr
-                  ? 0
-                  : static_cast<int64_t>(broadcast_dict_->entries()));
-    // The def tape a joining subscriber or standby is replayed; it holds
-    // every def ever broadcast and never shrinks.
-    registry.GetGauge("net.tx.dict.tape_bytes")
-        ->Set(static_cast<int64_t>(defs_tape_.size()));
+    registry.GetGauge("net.tx.dict.entries")->Set(broadcast_dict_.entries());
   }
   if (merger_ != nullptr) {
     registry.GetGauge("merge.stable_lag_ms")->Set(StableLagMsLocked());

@@ -5,7 +5,7 @@
 // connections.  Per session it:
 //
 //   * parses frames (net/frame.h) and enforces the handshake state machine
-//     HELLO -> WELCOME -> {ELEMENTS|PAYLOAD_DEF|ELEMENTS_DICT|BYE}, with
+//     HELLO -> WELCOME -> {ELEMENTS|ELEMENTS_DICT|BYE}, with
 //     the HELLO's protocol version matched exactly;
 //   * instantiates the merge algorithm on the first publisher HELLO from
 //     the declared stream properties (factory selection, Sec. IV-G) unless
@@ -214,8 +214,8 @@ class MergeServer {
     SessionState state = SessionState::kAwaitHello;
     FrameAssembler assembler;
     std::string name;
-    // Inbound payload dictionary, built by PAYLOAD_DEF frames; created on
-    // first use.
+    // Inbound payload dictionary, built by the defs sections of the
+    // session's ELEMENTS_DICT frames; created on first use.
     std::unique_ptr<PayloadDictDecoder> dict_in;
     // Monotonic µs when the transport last handed this session bytes — the
     // rx half of the batch ingest stamp (obs/latency.h).
@@ -305,17 +305,13 @@ class MergeServer {
   // frames to the standby session's connection.
   Status SendCheckpointLocked(Session& session) LM_REQUIRES(mutex_);
   // Delivers one flushed output batch: in-process sinks per element, then
-  // every subscriber gets the one shared encoded frame buffer (new
-  // PAYLOAD_DEFs + stamped ELEMENTS_DICT).  `origin_us` is the batch's
+  // every subscriber gets the one shared encoded frame buffer (one stamped
+  // ELEMENTS_DICT carrying the batch's new definitions; one intern pass
+  // against the broadcast dictionary).  `origin_us` is the batch's
   // folded origin stamp (0 = unknown), re-broadcast so downstream
   // `lmerge_subscribe --latency` can price publish→delivery.  Dead
   // subscribers are unregistered inline.
   void FanOutBatchLocked(const ElementSequence& batch, int64_t origin_us)
-      LM_REQUIRES(fanout_mutex_) LM_HOT_PATH;
-  // Dictionary-encodes `batch` against the server-wide broadcast dictionary
-  // in ONE intern pass; new PAYLOAD_DEF frames land in the returned parts
-  // AND on defs_tape_ so later joiners can be replayed into sync.
-  DictBatchParts EncodeDictBatchPartsLocked(const ElementSequence& batch)
       LM_REQUIRES(fanout_mutex_) LM_HOT_PATH;
   // Sends BYE (best effort) and releases the session's resources.
   void CloseSessionLocked(Session& session, const std::string& reason,
@@ -374,16 +370,15 @@ class MergeServer {
   mutable Mutex fanout_mutex_ LM_ACQUIRED_AFTER(mutex_);
   std::vector<Subscriber> subscribers_ LM_GUARDED_BY(fanout_mutex_);
   std::vector<ElementSink*> output_sinks_ LM_GUARDED_BY(fanout_mutex_);
-  // Server-wide outbound payload dictionary: PAYLOAD_DEF interning is paid
-  // once per new payload, not once per subscriber.  All subscribers
-  // decode against the same id space, which is sound because every one of
-  // them receives the same frame sequence — late joiners first get
-  // defs_tape_ (every def broadcast so far, in order) replayed at
-  // registration, which reconstructs the dictionary state a from-the-start
-  // subscriber would hold (same capacity, same eviction order).
-  std::unique_ptr<PayloadDictEncoder> broadcast_dict_
-      LM_GUARDED_BY(fanout_mutex_);
-  std::string defs_tape_ LM_GUARDED_BY(fanout_mutex_);
+  // Server-wide outbound payload dictionary: interning a payload and
+  // encoding its definition is paid once per new payload, not once per
+  // subscriber.  All subscribers decode against the same id space, which
+  // is sound because ids are dense and never reused: a late joiner is
+  // first sent the dictionary's rows in id order (EncodeCatchUpFrames) at
+  // registration, which reconstructs the decoder state a from-the-start
+  // subscriber holds.  Once the dictionary is full, first-seen payloads
+  // travel inline and define nothing, so that state never diverges.
+  PayloadDictEncoder broadcast_dict_ LM_GUARDED_BY(fanout_mutex_);
 
   // Cached instrument handles (obs/metrics.h); see docs/OBSERVABILITY.md.
   obs::Counter* rx_bytes_metric_;

@@ -51,13 +51,6 @@ Status StandbyReplica::DecodeFeedFrame(const net::Frame& frame,
                                        std::string* bye_reason) {
   *bye = false;
   switch (frame.type) {
-    case net::FrameType::kPayloadDef: {
-      net::PayloadDefMessage def;
-      const Status status =
-          net::DecodePayloadDefPayload(frame.payload, &def);
-      if (!status.ok()) return status;
-      return dict_.Define(def.id, std::move(def.payload));
-    }
     case net::FrameType::kElementsDict: {
       // The payload decoders replace their output; decode into a scratch
       // and append so callers can accumulate across frames.  The origin

@@ -89,8 +89,7 @@ Status DecodeSequence(Decoder* decoder, ElementSequence* elements) {
   return Status::Ok();
 }
 
-uint32_t PayloadDictEncoder::Intern(
-    const Row& payload, std::vector<std::pair<uint32_t, Row>>* new_defs) {
+uint32_t PayloadDictEncoder::Intern(const Row& payload) {
   // Process-wide dictionary hit-rate instruments; the hit rate is what
   // tells an operator whether dictionary payload coding is earning its keep.
   static obs::Counter* const lookups =
@@ -114,7 +113,6 @@ uint32_t PayloadDictEncoder::Intern(
   const uint32_t id = static_cast<uint32_t>(pinned_.size());
   *slot = id;
   pinned_.push_back(payload);  // pin the rep: identity stays valid
-  new_defs->emplace_back(id, payload);
   return id;
 }
 
@@ -130,37 +128,54 @@ Status PayloadDictDecoder::Define(uint32_t id, Row payload) {
   if (id == kInlinePayloadId) {
     return Status::InvalidArgument("payload def with reserved inline id");
   }
-  if (rows_.size() >= static_cast<int64_t>(capacity_)) {
+  if (rows_.size() >= capacity_) {
     return Status::InvalidArgument("payload dictionary over capacity");
   }
-  auto [slot, inserted] = rows_.Insert(id, Row());
-  if (!inserted) {
+  if (id < rows_.size()) {
     return Status::InvalidArgument("duplicate payload def for id " +
                                    std::to_string(id));
   }
-  *slot = std::move(payload);
+  if (id > rows_.size()) {
+    return Status::InvalidArgument("payload def for id " + std::to_string(id) +
+                                   " skips id " +
+                                   std::to_string(rows_.size()));
+  }
+  rows_.push_back(std::move(payload));
   return Status::Ok();
 }
 
 Status PayloadDictDecoder::Resolve(uint32_t id, Row* payload) const {
-  const Row* found = rows_.Find(id);
-  if (found == nullptr) {
+  if (id >= rows_.size()) {
     return Status::InvalidArgument("undefined payload id " +
                                    std::to_string(id));
   }
-  *payload = *found;
+  *payload = rows_[id];
   return Status::Ok();
 }
 
-void EncodePayloadDef(uint32_t id, const Row& payload, Encoder* encoder) {
-  encoder->WriteVarU64(id);
-  encoder->WriteCompactRow(payload);
+void EncodeDictDefs(std::span<const Row> rows, Encoder* encoder) {
+  encoder->WriteVarU64(rows.size());
+  for (const Row& row : rows) encoder->WriteCompactRow(row);
 }
 
-Status DecodePayloadDef(Decoder* decoder, uint32_t* id, Row* payload) {
-  Status status = decoder->ReadVarU32(id);
+Status DecodeDictDefs(Decoder* decoder, PayloadDictDecoder* dict) {
+  uint32_t count = 0;
+  Status status = decoder->ReadCount(1, &count);  // a row takes >= 1 byte
   if (!status.ok()) return status;
-  return decoder->ReadCompactRow(payload);
+  if (count > dict->capacity() - dict->entries()) {
+    return Status::InvalidArgument(
+        std::to_string(count) + " payload defs overflow the dictionary (" +
+        std::to_string(dict->entries()) + " of " +
+        std::to_string(dict->capacity()) + " entries)");
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    Row row;
+    if (!(status = decoder->ReadCompactRow(&row)).ok()) return status;
+    status = dict->Define(static_cast<uint32_t>(dict->entries()),
+                          std::move(row));
+    if (!status.ok()) return status;
+  }
+  return Status::Ok();
 }
 
 namespace {
@@ -177,7 +192,6 @@ struct DictDeltaState {
 };
 
 void EncodeElementDict(const StreamElement& element, PayloadDictEncoder* dict,
-                       std::vector<std::pair<uint32_t, Row>>* new_defs,
                        DictDeltaState* state, Encoder* encoder) {
   const uint8_t kind = static_cast<uint8_t>(element.kind());
   if (element.kind() == ElementKind::kStable) {
@@ -186,7 +200,7 @@ void EncodeElementDict(const StreamElement& element, PayloadDictEncoder* dict,
     state->prev_time = element.stable_time();
     return;
   }
-  const uint32_t id = dict->Intern(element.payload(), new_defs);
+  const uint32_t id = dict->Intern(element.payload());
   if (id == kInlinePayloadId) {
     encoder->WriteU8(static_cast<uint8_t>(kind | kInlinePayloadBit));
     encoder->WriteCompactRow(element.payload());
@@ -270,16 +284,14 @@ Status DecodeElementDict(Decoder* decoder, const PayloadDictDecoder& dict,
 }  // namespace
 
 void EncodeSequenceDict(const ElementSequence& elements,
-                        PayloadDictEncoder* dict,
-                        std::vector<std::pair<uint32_t, Row>>* new_defs,
-                        Encoder* encoder) {
+                        PayloadDictEncoder* dict, Encoder* encoder) {
   // Typical in-window element: tag + 1-byte id delta + two short time
   // varints.
   encoder->Reserve(2 + elements.size() * 8);
   encoder->WriteVarU64(elements.size());
   DictDeltaState state;
   for (const StreamElement& e : elements) {
-    EncodeElementDict(e, dict, new_defs, &state, encoder);
+    EncodeElementDict(e, dict, &state, encoder);
   }
 }
 

@@ -24,6 +24,35 @@ using ::lmerge::testing_util::Stb;
 
 class SerdeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
+// The ELEMENTS_DICT payload of `elements` encoded against `encoder`: the
+// defs section of the payloads first seen here, the sequence, the stamp.
+std::string DictPayload(const ElementSequence& elements,
+                        PayloadDictEncoder* encoder) {
+  const net::DictBatchParts parts = net::EncodeDictBatchParts(elements, encoder);
+  Encoder stamp;
+  stamp.WriteI64(5);
+  return parts.defs + parts.body + stamp.bytes();
+}
+
+// Decodes an ELEMENTS_DICT payload against a copy of `dict`, so every
+// attempt starts from the same dictionary state.
+Status DecodeDictPayload(const std::string& payload, PayloadDictDecoder dict,
+                         ElementSequence* elements) {
+  int64_t origin_us = 0;
+  return net::DecodeElementsDictPayload(payload, dict, elements, &origin_us);
+}
+
+// A receiver holding every definition `sender` made, in id order.
+PayloadDictDecoder ReceiverOf(const PayloadDictEncoder& sender,
+                              uint32_t capacity = kDefaultPayloadDictCapacity) {
+  PayloadDictDecoder receiver(capacity);
+  for (const Row& row : sender.rows()) {
+    LM_CHECK(receiver.Define(static_cast<uint32_t>(receiver.entries()), row)
+                 .ok());
+  }
+  return receiver;
+}
+
 TEST_P(SerdeFuzzTest, RandomBytesNeverCrashRowDecoder) {
   Rng rng(GetParam());
   for (int round = 0; round < 200; ++round) {
@@ -93,43 +122,39 @@ TEST_P(SerdeFuzzTest, RandomBytesNeverCrashDictDecoders) {
     }
     {
       Decoder decoder(bytes);
-      uint32_t id = 0;
-      Row payload;
-      (void)DecodePayloadDef(&decoder, &id, &payload);
+      PayloadDictDecoder scratch = dict;
+      (void)DecodeDictDefs(&decoder, &scratch);
     }
     {
       Decoder decoder(bytes);
       ElementSequence elements;
       (void)DecodeSequenceDict(&decoder, dict, &elements);
     }
+    {
+      ElementSequence elements;
+      (void)DecodeDictPayload(bytes, dict, &elements);
+    }
   }
 }
 
 TEST_P(SerdeFuzzTest, MutatedDictBuffersFailCleanly) {
   Rng rng(GetParam() * 1009 + 7);
-  // Build a valid dictionary-coded buffer with repeats (so it actually
-  // carries ids) plus an inline escape (the empty payload of Stb).
+  // Build a valid ELEMENTS_DICT payload with repeats (so it actually
+  // carries ids) plus an inline escape (the empty payload of Stb); its
+  // defs section defines both payloads, so a fresh receiver decodes it.
   PayloadDictEncoder encoder;
-  std::vector<std::pair<uint32_t, Row>> defs;
   const ElementSequence original = {
       Ins("dict-payload", 10, 500),   Adj("dict-payload", 10, 500, 700),
       Ins("dict-payload", 20, 600),   Ins("other", 30, 700),
       Stb(40),
   };
-  Encoder body;
-  EncodeSequenceDict(original, &encoder, &defs, &body);
-  const std::string valid = body.TakeBytes();
-
-  // The matching decoder state: apply the defs the encoder emitted.
-  PayloadDictDecoder dict;
-  for (const auto& [id, payload] : defs) {
-    ASSERT_TRUE(dict.Define(id, payload).ok());
-  }
+  const std::string valid = DictPayload(original, &encoder);
+  ASSERT_EQ(valid[0], '\x02');  // two definitions
+  const PayloadDictDecoder fresh;
   {
     // Sanity: the unmutated buffer round-trips.
-    Decoder decoder(valid);
     ElementSequence elements;
-    ASSERT_TRUE(DecodeSequenceDict(&decoder, dict, &elements).ok());
+    ASSERT_TRUE(DecodeDictPayload(valid, fresh, &elements).ok());
     EXPECT_EQ(elements, original);
   }
 
@@ -141,9 +166,8 @@ TEST_P(SerdeFuzzTest, MutatedDictBuffersFailCleanly) {
           rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
       mutated[pos] = static_cast<char>(rng.UniformInt(0, 255));
     }
-    Decoder decoder(mutated);
     ElementSequence elements;
-    const Status status = DecodeSequenceDict(&decoder, dict, &elements);
+    const Status status = DecodeDictPayload(mutated, fresh, &elements);
     if (status.ok()) {
       for (const StreamElement& e : elements) (void)e.ToString();
     }
@@ -152,37 +176,22 @@ TEST_P(SerdeFuzzTest, MutatedDictBuffersFailCleanly) {
 
 TEST_P(SerdeFuzzTest, TruncatedDictBuffersReturnStatus) {
   PayloadDictEncoder encoder;
-  std::vector<std::pair<uint32_t, Row>> defs;
   const ElementSequence original = {Ins("trunc-me", 1, 10),
-                                    Ins("trunc-me", 2, 20), Stb(3)};
-  Encoder body;
-  EncodeSequenceDict(original, &encoder, &defs, &body);
-  const std::string valid = body.TakeBytes();
-  PayloadDictDecoder dict;
-  for (const auto& [id, payload] : defs) {
-    ASSERT_TRUE(dict.Define(id, payload).ok());
-  }
+                                    Ins("trunc-me", 2, 20),
+                                    StreamElement::Insert(
+                                        Row::OfIntAndString(9, "def"), 3, 4),
+                                    Stb(3)};
+  const std::string valid = DictPayload(original, &encoder);
+  const PayloadDictDecoder fresh;
   // Every strict prefix must fail with a Status (count mismatch or short
-  // read), never crash and never succeed.
+  // read), never crash and never succeed, whether the cut lands in the
+  // defs section, the sequence or the stamp.
   for (size_t len = 0; len < valid.size(); ++len) {
-    const std::string prefix = valid.substr(0, len);
-    Decoder decoder(prefix);
     ElementSequence elements;
-    Status status = DecodeSequenceDict(&decoder, dict, &elements);
     // A prefix may decode fewer elements without error only if the decoder
-    // cannot tell (it can: the count is explicit), so require failure.
-    EXPECT_FALSE(status.ok()) << "prefix length " << len;
-  }
-  // Same for PAYLOAD_DEF payloads.
-  Encoder def_encoder;
-  EncodePayloadDef(7, Row::OfIntAndString(9, "def"), &def_encoder);
-  const std::string def_bytes = def_encoder.TakeBytes();
-  for (size_t len = 0; len < def_bytes.size(); ++len) {
-    const std::string prefix = def_bytes.substr(0, len);
-    Decoder decoder(prefix);
-    uint32_t id = 0;
-    Row payload;
-    EXPECT_FALSE(DecodePayloadDef(&decoder, &id, &payload).ok())
+    // cannot tell (it can: the counts are explicit), so require failure.
+    EXPECT_FALSE(DecodeDictPayload(valid.substr(0, len), fresh, &elements)
+                     .ok())
         << "prefix length " << len;
   }
 }
@@ -255,10 +264,13 @@ TEST(VarintHostileTest, ElevenByteAndOverflowingVarintsFail) {
   EXPECT_FALSE(DecodeDictBody(DictBody(1, std::string(1, '\0') + eleven),
                               dict)
                    .ok());
-  Decoder def_decoder(wide_bytes);
-  uint32_t id = 0;
-  Row payload;
-  EXPECT_FALSE(DecodePayloadDef(&def_decoder, &id, &payload).ok());
+  // ...and as a defs section's count.
+  for (const std::string& count : {eleven, wide_bytes}) {
+    Decoder def_decoder(count);
+    PayloadDictDecoder receiver;
+    EXPECT_FALSE(DecodeDictDefs(&def_decoder, &receiver).ok());
+    EXPECT_EQ(receiver.entries(), 0);
+  }
 }
 
 TEST(VarintHostileTest, CountLargerThanBytesLeftFails) {
@@ -268,16 +280,15 @@ TEST(VarintHostileTest, CountLargerThanBytesLeftFails) {
   const std::string one_stable("\x02\x00", 2);
   EXPECT_FALSE(DecodeDictBody(DictBody(1000, one_stable), dict).ok());
   EXPECT_FALSE(DecodeDictBody(DictBody(~uint64_t{0}, one_stable), dict).ok());
-  // A row field count larger than the bytes left, in a PAYLOAD_DEF.
+  // A row field count larger than the bytes left, in a defs section.
   Encoder def;
-  def.WriteVarU64(3);       // id
+  def.WriteVarU64(1);       // def count
   def.WriteVarU64(100000);  // field count
   def.WriteU8(0);
   const std::string def_bytes = def.TakeBytes();
   Decoder decoder(def_bytes);
-  uint32_t id = 0;
-  Row payload;
-  EXPECT_FALSE(DecodePayloadDef(&decoder, &id, &payload).ok());
+  EXPECT_FALSE(DecodeDictDefs(&decoder, &dict).ok());
+  EXPECT_EQ(dict.entries(), 1);
 }
 
 TEST(VarintHostileTest, IdDeltaLandingOnUndefinedOrReservedIdFails) {
@@ -352,18 +363,14 @@ TEST(VarintHostileTest, ExtremeTimesTruncatedAtEveryByteFail) {
   // strict prefix of the body must still fail.
   // Capacity 1: the second payload escapes inline.
   PayloadDictEncoder encoder(/*capacity=*/1);
-  std::vector<std::pair<uint32_t, Row>> defs;
   const ElementSequence original = {
       Ins("far", kMinTimestamp, kInfinity), Stb(kInfinity),
       Adj("far", kMinTimestamp, kInfinity, 0),
       StreamElement::Insert(Row::OfIntAndString(-9, "inline"), 1, 2)};
   Encoder body;
-  EncodeSequenceDict(original, &encoder, &defs, &body);
+  EncodeSequenceDict(original, &encoder, &body);
   const std::string valid = body.TakeBytes();
-  PayloadDictDecoder dict;
-  for (const auto& [id, payload] : defs) {
-    ASSERT_TRUE(dict.Define(id, payload).ok());
-  }
+  const PayloadDictDecoder dict = ReceiverOf(encoder);
   {
     Decoder decoder(valid);
     ElementSequence elements;
@@ -384,11 +391,19 @@ TEST(PayloadDictTest, UnknownIdIsAnErrorNotACrash) {
   EXPECT_NE(status.ToString().find("12345"), std::string::npos);
 }
 
-TEST(PayloadDictTest, DuplicateAndReservedDefsRejected) {
+TEST(PayloadDictTest, DuplicateReservedAndSkippedDefsRejected) {
   PayloadDictDecoder dict;
+  for (uint32_t id = 0; id < 3; ++id) {
+    ASSERT_TRUE(dict.Define(id, Row::OfInt(id)).ok());
+  }
   ASSERT_TRUE(dict.Define(3, Row::OfString("first")).ok());
   EXPECT_FALSE(dict.Define(3, Row::OfString("second")).ok());
   EXPECT_FALSE(dict.Define(kInlinePayloadId, Row::OfString("nope")).ok());
+  // Ids arrive densely, in order: id 5 before id 4 is refused.
+  const Status skipped = dict.Define(5, Row::OfString("skips 4"));
+  EXPECT_FALSE(skipped.ok());
+  EXPECT_NE(skipped.ToString().find("skips id 4"), std::string::npos);
+  EXPECT_EQ(dict.entries(), 4);
   // The original binding survives the rejected redefinition.
   Row out;
   ASSERT_TRUE(dict.Resolve(3, &out).ok());
@@ -399,16 +414,12 @@ TEST(PayloadDictTest, CapacityOverflowFallsBackToInline) {
   // A capacity-2 encoder interns two payloads, then escapes the third
   // inline; the decoder side needs no entry for inline payloads.
   PayloadDictEncoder encoder(/*capacity=*/2);
-  std::vector<std::pair<uint32_t, Row>> defs;
   const ElementSequence elements = {Ins("a", 1, 10), Ins("b", 2, 20),
                                     Ins("c", 3, 30), Ins("a", 4, 40)};
   Encoder body;
-  EncodeSequenceDict(elements, &encoder, &defs, &body);
-  EXPECT_EQ(defs.size(), 2u);  // "c" overflowed to inline
-  PayloadDictDecoder dict(/*capacity=*/2);
-  for (const auto& [id, payload] : defs) {
-    ASSERT_TRUE(dict.Define(id, payload).ok());
-  }
+  EncodeSequenceDict(elements, &encoder, &body);
+  EXPECT_EQ(encoder.entries(), 2);  // "c" overflowed to inline
+  const PayloadDictDecoder dict = ReceiverOf(encoder, /*capacity=*/2);
   const std::string bytes = body.TakeBytes();
   Decoder decoder(bytes);
   ElementSequence got;
@@ -509,13 +520,10 @@ struct SharedDictionary {
   PayloadDictDecoder receiver;
 
   SharedDictionary() {
-    std::vector<std::pair<uint32_t, Row>> defs;
     for (int i = 0; i < 3; ++i) {
-      (void)sender.Intern(Row::OfString("key-" + std::to_string(i)), &defs);
+      (void)sender.Intern(Row::OfString("key-" + std::to_string(i)));
     }
-    for (auto& [id, row] : defs) {
-      LM_CHECK(receiver.Define(id, std::move(row)).ok());
-    }
+    receiver = ReceiverOf(sender);
   }
 };
 

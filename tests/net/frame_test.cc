@@ -93,14 +93,17 @@ TEST(FrameTest, ConfigurableLimitEnforced) {
 }
 
 TEST(FrameTest, UnknownFrameTypeRejected) {
-  // 0x63 is past the known range; 3 (the retired single-ELEMENT frame)
-  // lies inside it but is never accepted.
-  for (const char tag : {'\x63', '\x03'}) {
+  // 0x63 is past the known range; 3 (the retired single-ELEMENT frame) and
+  // 7 (the retired PAYLOAD_DEF frame) lie inside it but are never accepted.
+  for (const char tag : {'\x63', '\x03', '\x07'}) {
     FrameAssembler assembler;
     const std::string bytes = std::string("\x00\x00\x00\x00", 4) + tag;
     EXPECT_FALSE(assembler.Feed(bytes).ok()) << static_cast<int>(tag);
     EXPECT_TRUE(assembler.poisoned());
   }
+  EXPECT_FALSE(IsKnownFrameType(3));
+  EXPECT_FALSE(IsKnownFrameType(static_cast<uint8_t>(FrameType::kPayloadDef)));
+  EXPECT_TRUE(IsKnownFrameType(static_cast<uint8_t>(FrameType::kElementsDict)));
 }
 
 TEST(FrameTest, GarbageAfterValidFramePoisonsOnConsumption) {

@@ -153,12 +153,6 @@ TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
   int64_t oldest_origin = 0;
   for (const Frame& frame : sub.DrainFrames()) {
     switch (frame.type) {
-      case FrameType::kPayloadDef: {
-        PayloadDefMessage def;
-        ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-        ASSERT_TRUE(dict.Define(def.id, std::move(def.payload)).ok());
-        break;
-      }
       case FrameType::kElementsDict: {
         ElementSequence elements;
         int64_t origin_us = 0;

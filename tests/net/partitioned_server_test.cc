@@ -252,12 +252,6 @@ TEST(PartitionedServerTest, PartitionedSubscriberSeesExactlyTheMergedOutput) {
   ElementSequence received;
   for (const Frame& frame : sub.DrainFrames()) {
     switch (frame.type) {
-      case FrameType::kPayloadDef: {
-        PayloadDefMessage def;
-        ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-        ASSERT_TRUE(dict.Define(def.id, std::move(def.payload)).ok());
-        break;
-      }
       case FrameType::kElementsDict: {
         ElementSequence batch;
         int64_t origin_us = 0;

@@ -100,23 +100,11 @@ TEST(ProtocolTest, BatchesOfOneRoundTrip) {
     EXPECT_EQ(decoded, ElementSequence{element});
     EXPECT_EQ(origin_us, 5);
 
-    FrameAssembler assembler;
-    ASSERT_TRUE(
-        assembler.Feed(EncodeElementsDictFrame({element}, &encoder, 6)).ok());
-    Frame frame;
     decoded.clear();
-    while (assembler.Next(&frame)) {
-      if (frame.type == FrameType::kPayloadDef) {
-        PayloadDefMessage def;
-        ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-        ASSERT_TRUE(decoder_dict.Define(def.id, def.payload).ok());
-        continue;
-      }
-      ASSERT_EQ(frame.type, FrameType::kElementsDict);
-      ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, decoder_dict,
-                                            &decoded, &origin_us)
-                      .ok());
-    }
+    ASSERT_TRUE(DecodeElementsDictPayload(
+                    PayloadOf(EncodeElementsDictFrame({element}, &encoder, 6)),
+                    decoder_dict, &decoded, &origin_us)
+                    .ok());
     EXPECT_EQ(decoded, ElementSequence{element});
     EXPECT_EQ(origin_us, 6);
   }
@@ -198,25 +186,69 @@ TEST(ProtocolTest, TruncationsFailCleanly) {
   }
 }
 
-TEST(ProtocolTest, PayloadDefFrameRoundTrip) {
-  PayloadDefMessage def;
-  def.id = 42;
-  def.payload = Row::OfIntAndString(7, "defined-once");
-  PayloadDefMessage decoded;
+// Every frame in `bytes`, which must all be ELEMENTS_DICT.
+std::vector<std::string> DictPayloadsOf(const std::string& bytes) {
+  FrameAssembler assembler;
+  EXPECT_TRUE(assembler.Feed(bytes).ok());
+  std::vector<std::string> payloads;
+  Frame frame;
+  while (assembler.Next(&frame)) {
+    EXPECT_EQ(frame.type, FrameType::kElementsDict);
+    payloads.push_back(frame.payload);
+  }
+  return payloads;
+}
+
+// A batch that defines k payloads and then references them: one frame,
+// whose defs section takes the receiver's next ids, so a second batch
+// references them without defining anything.
+TEST(ProtocolTest, BatchDefinesItsPayloadsThenReferencesThem) {
+  constexpr int kDefs = 5;
+  ElementSequence batch;
+  for (int i = 0; i < kDefs; ++i) {
+    batch.push_back(Ins("def-" + std::to_string(i), i, 100 + i));
+  }
+  for (int i = kDefs - 1; i >= 0; --i) {
+    batch.push_back(Adj("def-" + std::to_string(i), i, 100 + i, 200));
+  }
+  batch.push_back(Stb(kDefs));
+  PayloadDictEncoder encoder;
+  const DictBatchParts parts = EncodeDictBatchParts(batch, &encoder);
+  EXPECT_EQ(encoder.entries(), kDefs);
+  EXPECT_EQ(static_cast<uint8_t>(parts.defs[0]), kDefs);  // varint count
+  const std::string frame = AssembleElementsDictFrame(parts, 77);
+  EXPECT_EQ(frame.size(), kFrameHeaderBytes + parts.defs.size() +
+                              parts.body.size() + 8);
+  const std::vector<std::string> payloads = DictPayloadsOf(frame);
+  ASSERT_EQ(payloads.size(), 1u);
+
+  PayloadDictDecoder dict;
+  ElementSequence decoded;
+  int64_t origin_us = 0;
   ASSERT_TRUE(
-      DecodePayloadDefPayload(PayloadOf(EncodePayloadDefFrame(def)), &decoded)
-          .ok());
-  EXPECT_EQ(decoded.id, 42u);
-  EXPECT_EQ(decoded.payload, def.payload);
-  // Trailing bytes rejected, like every other message.
-  EXPECT_FALSE(DecodePayloadDefPayload(
-                   PayloadOf(EncodePayloadDefFrame(def)) + "x", &decoded)
-                   .ok());
+      DecodeElementsDictPayload(payloads[0], dict, &decoded, &origin_us).ok());
+  EXPECT_EQ(decoded, batch);
+  EXPECT_EQ(origin_us, 77);
+  ASSERT_EQ(dict.entries(), kDefs);
+  for (int i = 0; i < kDefs; ++i) {
+    Row row;
+    ASSERT_TRUE(dict.Resolve(static_cast<uint32_t>(i), &row).ok());
+    EXPECT_EQ(row, Row::OfString("def-" + std::to_string(i)));
+  }
+  // Same payloads again: an empty defs section, references only.
+  const DictBatchParts again = EncodeDictBatchParts(batch, &encoder);
+  EXPECT_EQ(again.defs, std::string(1, '\0'));
+  ASSERT_TRUE(DecodeElementsDictPayload(
+                  PayloadOf(AssembleElementsDictFrame(again, 78)), dict,
+                  &decoded, &origin_us)
+                  .ok());
+  EXPECT_EQ(decoded, batch);
+  EXPECT_EQ(dict.entries(), kDefs);
 }
 
 // The dictionary path must be byte-equivalent to the inline path after one
 // full encode -> frame -> assemble -> decode cycle, including the defs the
-// encoder emits ahead of the first referencing batch.
+// first referencing batch carries.
 TEST(ProtocolTest, ElementsDictFrameRoundTripMatchesInline) {
   const ElementSequence batch1 = {Ins("hot", 1, 10), Ins("cold", 2, 20),
                                   Adj("hot", 1, 10, 30), Stb(3)};
@@ -224,35 +256,23 @@ TEST(ProtocolTest, ElementsDictFrameRoundTripMatchesInline) {
 
   PayloadDictEncoder encoder;
   PayloadDictDecoder decoder_dict;
-  FrameAssembler assembler;
   ElementSequence got;
-  int def_frames = 0;
   int dict_frames = 0;
   for (const ElementSequence* batch : {&batch1, &batch2}) {
-    ASSERT_TRUE(
-        assembler.Feed(EncodeElementsDictFrame(*batch, &encoder, 1)).ok());
-    Frame frame;
-    while (assembler.Next(&frame)) {
-      if (frame.type == FrameType::kPayloadDef) {
-        ++def_frames;
-        PayloadDefMessage def;
-        ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-        ASSERT_TRUE(decoder_dict.Define(def.id, def.payload).ok());
-      } else {
-        ASSERT_EQ(frame.type, FrameType::kElementsDict);
-        ++dict_frames;
-        ElementSequence decoded;
-        int64_t origin_us = 0;
-        ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, decoder_dict,
-                                              &decoded, &origin_us)
-                        .ok());
-        got.insert(got.end(), decoded.begin(), decoded.end());
-      }
+    for (const std::string& payload :
+         DictPayloadsOf(EncodeElementsDictFrame(*batch, &encoder, 1))) {
+      ++dict_frames;
+      ElementSequence decoded;
+      int64_t origin_us = 0;
+      ASSERT_TRUE(DecodeElementsDictPayload(payload, decoder_dict, &decoded,
+                                            &origin_us)
+                      .ok());
+      got.insert(got.end(), decoded.begin(), decoded.end());
     }
   }
-  // Two distinct payloads -> two defs, emitted exactly once despite "hot"
-  // recurring in both batches; one ELEMENTS_DICT frame per Send.
-  EXPECT_EQ(def_frames, 2);
+  // Two distinct payloads -> two defs, carried exactly once despite "hot"
+  // recurring in both batches; one ELEMENTS_DICT frame per batch.
+  EXPECT_EQ(decoder_dict.entries(), 2);
   EXPECT_EQ(dict_frames, 2);
   ElementSequence expected = batch1;
   expected.insert(expected.end(), batch2.begin(), batch2.end());
@@ -263,21 +283,15 @@ TEST(ProtocolTest, ElementsDictFrameRoundTripMatchesInline) {
 }
 
 TEST(ProtocolTest, ElementsDictPayloadWithUnknownIdFails) {
-  // Encode against one dictionary, decode against an empty one: the ids in
-  // the body are undefined on the receiving side.
+  // The first batch defines the payload; decoding only the second, which
+  // references it, against an empty dictionary finds the id undefined.
   PayloadDictEncoder encoder;
   const ElementSequence batch = {Ins("known-only-to-sender", 1, 10),
                                  Ins("known-only-to-sender", 2, 20)};
-  FrameAssembler assembler;
-  ASSERT_TRUE(
-      assembler.Feed(EncodeElementsDictFrame(batch, &encoder, 1)).ok());
-  Frame frame;
-  std::string dict_payload;
-  while (assembler.Next(&frame)) {
-    if (frame.type == FrameType::kElementsDict) dict_payload = frame.payload;
-  }
-  ASSERT_FALSE(dict_payload.empty());
-  const PayloadDictDecoder empty_dict;
+  (void)EncodeElementsDictFrame(batch, &encoder, 1);
+  const std::string dict_payload =
+      PayloadOf(EncodeElementsDictFrame(batch, &encoder, 1));
+  PayloadDictDecoder empty_dict;
   ElementSequence decoded;
   int64_t origin_us = 0;
   const Status status = DecodeElementsDictPayload(dict_payload, empty_dict,
@@ -292,20 +306,24 @@ TEST(ProtocolTest, ElementsDictPayloadWithUnknownIdFails) {
 TEST(ProtocolTest, HostileDictPayloadsFailCleanly) {
   PayloadDictDecoder dict;
   ASSERT_TRUE(dict.Define(0, Row::OfString("zero")).ok());
+  // An empty defs section, `body`, then the stamp.
   const auto stamped = [](const std::string& body) {
     Encoder encoder;
     encoder.WriteI64(42);
-    return body + encoder.TakeBytes();
+    return std::string(1, '\0') + body + encoder.TakeBytes();
   };
   const auto fails = [&](const std::string& payload) {
+    PayloadDictDecoder scratch = dict;
     ElementSequence decoded;
     int64_t origin_us = 0;
-    return !DecodeElementsDictPayload(payload, dict, &decoded, &origin_us)
+    return !DecodeElementsDictPayload(payload, scratch, &decoded, &origin_us)
                 .ok();
   };
   const std::string eleven(10, '\x80');
   // 11-byte varint count.
   EXPECT_TRUE(fails(stamped(eleven + std::string(1, '\0'))));
+  // 11-byte varint def count.
+  EXPECT_TRUE(fails(eleven + stamped(std::string("\x00", 1))));
   // Count 5 with one element's bytes (the stamp must not count as
   // elements).
   EXPECT_TRUE(fails(stamped(std::string("\x05\x02\x00", 3))));
@@ -327,51 +345,141 @@ TEST(ProtocolTest, HostileDictPayloadsFailCleanly) {
   EXPECT_FALSE(fails(stamped(std::string("\x01\x02\x00", 3))));
 
   // Every strict prefix of a real stamped payload fails, whether the cut
-  // lands in the stamp or in a varint of the body.
+  // lands in the defs section, in the stamp or in a varint of the body.
   PayloadDictEncoder encoder;
   const ElementSequence batch = {Ins("p", kMinTimestamp, kInfinity),
                                  Adj("p", kMinTimestamp, kInfinity, 7),
-                                 Stb(kInfinity)};
-  FrameAssembler assembler;
-  ASSERT_TRUE(assembler.Feed(EncodeElementsDictFrame(batch, &encoder, 99))
-                  .ok());
-  PayloadDictDecoder session_dict;
-  Frame frame;
-  std::string body;
-  while (assembler.Next(&frame)) {
-    if (frame.type == FrameType::kPayloadDef) {
-      PayloadDefMessage def;
-      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-      // Every strict prefix of the def fails too.
-      for (size_t len = 0; len < frame.payload.size(); ++len) {
-        PayloadDefMessage cut;
-        EXPECT_FALSE(
-            DecodePayloadDefPayload(frame.payload.substr(0, len), &cut).ok())
-            << "def prefix " << len;
-      }
-      ASSERT_TRUE(session_dict.Define(def.id, def.payload).ok());
-    } else {
-      body = frame.payload;
-    }
+                                 Ins("q", 3, 9), Stb(kInfinity)};
+  const std::string payload =
+      PayloadOf(EncodeElementsDictFrame(batch, &encoder, 99));
+  ASSERT_EQ(payload[0], '\x02');  // defines "p" and "q"
+  {
+    PayloadDictDecoder session_dict;
+    ElementSequence decoded;
+    int64_t origin_us = 0;
+    ASSERT_TRUE(
+        DecodeElementsDictPayload(payload, session_dict, &decoded, &origin_us)
+            .ok());
+    EXPECT_EQ(decoded, batch);
+    EXPECT_EQ(origin_us, 99);
   }
-  ElementSequence decoded;
-  int64_t origin_us = 0;
-  ASSERT_TRUE(
-      DecodeElementsDictPayload(body, session_dict, &decoded, &origin_us)
-          .ok());
-  EXPECT_EQ(decoded, batch);
-  EXPECT_EQ(origin_us, 99);
-  for (size_t len = 0; len < body.size(); ++len) {
+  for (size_t len = 0; len < payload.size(); ++len) {
+    PayloadDictDecoder session_dict;
     ElementSequence cut;
-    EXPECT_FALSE(DecodeElementsDictPayload(body.substr(0, len), session_dict,
-                                           &cut, &origin_us)
+    int64_t origin_us = 0;
+    EXPECT_FALSE(DecodeElementsDictPayload(payload.substr(0, len),
+                                           session_dict, &cut, &origin_us)
                      .ok())
         << "prefix " << len;
   }
-  // An 11-byte varint id in a PAYLOAD_DEF.
-  PayloadDefMessage def;
-  EXPECT_FALSE(
-      DecodePayloadDefPayload(eleven + std::string(2, '\0'), &def).ok());
+}
+
+// A def count larger than the bytes left, or past the receiver's capacity,
+// is refused before anything is allocated or defined.
+TEST(ProtocolTest, OversizedDefCountsAreRefused) {
+  Encoder stamp;
+  stamp.WriteI64(1);
+  // Three one-field rows, the empty sequence, the stamp.
+  std::string rows;
+  for (const char* tag : {"a", "b", "c"}) {
+    Encoder row;
+    row.WriteCompactRow(Row::OfString(tag));
+    rows += row.bytes();
+  }
+  const auto payload_with_count = [&](uint64_t count) {
+    Encoder head;
+    head.WriteVarU64(count);
+    return head.bytes() + rows + std::string(1, '\0') + stamp.bytes();
+  };
+  const auto decode = [&](const std::string& payload,
+                          PayloadDictDecoder* dict) {
+    ElementSequence decoded;
+    int64_t origin_us = 0;
+    return DecodeElementsDictPayload(payload, *dict, &decoded, &origin_us);
+  };
+  {
+    PayloadDictDecoder dict;
+    ASSERT_TRUE(decode(payload_with_count(3), &dict).ok());
+    EXPECT_EQ(dict.entries(), 3);
+  }
+  // Counts the remaining bytes cannot hold, up to the largest 32-bit one.
+  for (const uint64_t count :
+       {uint64_t{1000}, uint64_t{1} << 31, uint64_t{0xffffffff}}) {
+    PayloadDictDecoder dict;
+    const Status status = decode(payload_with_count(count), &dict);
+    EXPECT_FALSE(status.ok()) << count;
+    EXPECT_NE(status.ToString().find("exceeds buffer"), std::string::npos);
+    EXPECT_EQ(dict.entries(), 0);
+  }
+  // Past 32 bits.
+  {
+    PayloadDictDecoder dict;
+    EXPECT_FALSE(decode(payload_with_count(uint64_t{1} << 40), &dict).ok());
+    EXPECT_EQ(dict.entries(), 0);
+  }
+  // Three defs into a capacity-2 dictionary, and into one with a single
+  // free slot left: refused as a whole, nothing defined.
+  {
+    PayloadDictDecoder dict(/*capacity=*/2);
+    const Status status = decode(payload_with_count(3), &dict);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("overflow the dictionary"),
+              std::string::npos);
+    EXPECT_EQ(dict.entries(), 0);
+  }
+  {
+    PayloadDictDecoder dict(/*capacity=*/3);
+    ASSERT_TRUE(dict.Define(0, Row::OfString("first")).ok());
+    EXPECT_FALSE(decode(payload_with_count(3), &dict).ok());
+    EXPECT_EQ(dict.entries(), 1);
+  }
+}
+
+// A late joiner's catch-up: zero-element, stamp-0 frames of at most
+// kCheckpointChunkBytes that define a dictionary's rows in id order.
+TEST(ProtocolTest, CatchUpFramesRebuildTheDictionary) {
+  EXPECT_TRUE(EncodeCatchUpFrames({}).empty());
+  PayloadDictEncoder encoder;
+  ElementSequence batch;
+  for (int i = 0; i < 1200; ++i) {
+    batch.push_back(Ins(std::string(500, 'x') + std::to_string(i), i, i + 1));
+  }
+  // One row larger than a whole chunk rides alone.
+  batch.push_back(Ins(std::string(kCheckpointChunkBytes + 10, 'y'), 1, 2));
+  batch.push_back(Ins("tail", 1, 2));
+  (void)EncodeDictBatchParts(batch, &encoder);
+  const std::vector<std::string> payloads =
+      DictPayloadsOf(EncodeCatchUpFrames(encoder.rows()));
+  ASSERT_GE(payloads.size(), 4u);
+  PayloadDictDecoder dict;
+  for (const std::string& payload : payloads) {
+    if (payload.size() <= kCheckpointChunkBytes) {
+      EXPECT_LE(kFrameHeaderBytes + payload.size(), kCheckpointChunkBytes);
+    } else {
+      EXPECT_EQ(payload[0], '\x01');  // the oversized row alone
+    }
+    ElementSequence none;
+    int64_t origin_us = -1;
+    ASSERT_TRUE(
+        DecodeElementsDictPayload(payload, dict, &none, &origin_us).ok());
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(origin_us, 0);
+  }
+  ASSERT_EQ(dict.entries(), encoder.entries());
+  for (uint32_t id = 0; id < encoder.rows().size(); ++id) {
+    Row row;
+    ASSERT_TRUE(dict.Resolve(id, &row).ok());
+    EXPECT_EQ(row, encoder.rows()[id]);
+  }
+  // From that state the sender's next batch decodes.
+  const ElementSequence next = {Ins("tail", 5, 6), Ins("fresh", 7, 8)};
+  ElementSequence decoded;
+  int64_t origin_us = 0;
+  ASSERT_TRUE(DecodeElementsDictPayload(
+                  PayloadOf(EncodeElementsDictFrame(next, &encoder, 3)), dict,
+                  &decoded, &origin_us)
+                  .ok());
+  EXPECT_EQ(decoded, next);
 }
 
 TEST(ProtocolTest, HandshakeCarriesAnyVersionVerbatim) {
@@ -695,26 +803,14 @@ TEST(ProtocolTest, StampedElementsDictRoundTrip) {
   const ElementSequence batch = {Ins("hot", 1, 10), Ins("hot", 2, 20)};
   PayloadDictEncoder encoder;
   PayloadDictDecoder decoder_dict;
-  FrameAssembler assembler;
-  ASSERT_TRUE(assembler
-                  .Feed(EncodeElementsDictFrame(batch, &encoder,
-                                                /*origin_us=*/987654))
-                  .ok());
-  Frame frame;
+  const std::vector<std::string> payloads = DictPayloadsOf(
+      EncodeElementsDictFrame(batch, &encoder, /*origin_us=*/987654));
+  ASSERT_EQ(payloads.size(), 1u);
   ElementSequence decoded;
   int64_t origin_us = 0;
-  while (assembler.Next(&frame)) {
-    if (frame.type == FrameType::kPayloadDef) {
-      PayloadDefMessage def;
-      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-      ASSERT_TRUE(decoder_dict.Define(def.id, def.payload).ok());
-      continue;
-    }
-    ASSERT_EQ(frame.type, FrameType::kElementsDict);
-    ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, decoder_dict,
-                                          &decoded, &origin_us)
-                    .ok());
-  }
+  ASSERT_TRUE(DecodeElementsDictPayload(payloads[0], decoder_dict, &decoded,
+                                        &origin_us)
+                  .ok());
   EXPECT_EQ(decoded, batch);
   EXPECT_EQ(origin_us, 987654);
 }
@@ -730,21 +826,15 @@ TEST(ProtocolTest, DecodersRejectUnstampedPayloads) {
   EXPECT_FALSE(
       DecodeElementsPayload(inline_body.bytes(), &decoded, &origin_us).ok());
   PayloadDictEncoder encoder;
-  PayloadDictDecoder decoder_dict;
   const DictBatchParts parts = EncodeDictBatchParts(batch, &encoder);
-  FrameAssembler assembler;
-  ASSERT_TRUE(assembler.Feed(parts.defs).ok());
-  Frame frame;
-  while (assembler.Next(&frame)) {
-    PayloadDefMessage def;
-    ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-    ASSERT_TRUE(decoder_dict.Define(def.id, def.payload).ok());
-  }
-  EXPECT_FALSE(DecodeElementsDictPayload(parts.body, decoder_dict, &decoded,
-                                         &origin_us)
+  PayloadDictDecoder unstamped_dict;
+  EXPECT_FALSE(DecodeElementsDictPayload(parts.defs + parts.body,
+                                         unstamped_dict, &decoded, &origin_us)
                    .ok());
-  EXPECT_TRUE(DecodeElementsDictPayload(parts.body + std::string(8, '\0'),
-                                        decoder_dict, &decoded, &origin_us)
+  PayloadDictDecoder decoder_dict;
+  EXPECT_TRUE(DecodeElementsDictPayload(
+                  parts.defs + parts.body + std::string(8, '\0'),
+                  decoder_dict, &decoded, &origin_us)
                   .ok());
   EXPECT_EQ(decoded, batch);
 }

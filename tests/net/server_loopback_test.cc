@@ -138,19 +138,27 @@ TEST(ServerLoopbackTest, GarbageBytesTearDownOnlyThatSession) {
   TestPeer good = ConnectPeer(&server, "good");
   Handshake(&server, &good, PublisherHello("good"));
 
-  // A hostile length prefix before HELLO, and a frame with the retired
-  // tag 3 (the old single-ELEMENT frame) from a handshaked publisher.
+  // A hostile length prefix before HELLO, and frames with the retired
+  // tags 3 (the old single-ELEMENT frame) and 7 (the old PAYLOAD_DEF: id 0,
+  // a one-field row) from handshaked publishers.
   TestPeer garbage = ConnectPeer(&server, "garbage");
   EXPECT_FALSE(
       server.OnBytes(garbage.session_id, "\xff\xff\xff\xff garbage").ok());
   TestPeer retired = ConnectPeer(&server, "retired");
   Handshake(&server, &retired, PublisherHello("retired"));
-  EXPECT_EQ(server.active_publishers(), 2);
+  TestPeer retired_def = ConnectPeer(&server, "retired-def");
+  Handshake(&server, &retired_def, PublisherHello("retired-def"));
+  EXPECT_EQ(server.active_publishers(), 3);
   EXPECT_FALSE(server
                    .OnBytes(retired.session_id,
                             std::string("\x01\x00\x00\x00\x03x", 6))
                    .ok());
-  for (TestPeer* evil : {&garbage, &retired}) {
+  EXPECT_FALSE(server
+                   .OnBytes(retired_def.session_id,
+                            std::string("\x04\x00\x00\x00\x07\x00\x01\x02\x00",
+                                        9))
+                   .ok());
+  for (TestPeer* evil : {&garbage, &retired, &retired_def}) {
     const std::vector<Frame> frames = evil->DrainFrames();
     ASSERT_EQ(frames.size(), 1u);
     EXPECT_EQ(frames[0].type, FrameType::kBye);
@@ -555,17 +563,11 @@ TEST(ServerLoopbackTest, SubscriberReceivesExactlyTheMergedOutput) {
   }
 
   server.Flush();  // delivery is enqueue-only; quiesce before reading
-  // A subscriber receives dictionary-coded output: PAYLOAD_DEF frames
-  // defining each first-seen payload, then stamped ELEMENTS_DICT batches.
+  // A subscriber receives dictionary-coded output: stamped ELEMENTS_DICT
+  // batches, each defining the payloads first seen in it.
   PayloadDictDecoder dict;
   ElementSequence received;
   for (const Frame& frame : sub.DrainFrames()) {
-    if (frame.type == FrameType::kPayloadDef) {
-      PayloadDefMessage def;
-      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-      ASSERT_TRUE(dict.Define(def.id, std::move(def.payload)).ok());
-      continue;
-    }
     ASSERT_EQ(frame.type, FrameType::kElementsDict);
     ElementSequence batch;
     int64_t origin_us = -1;
@@ -581,6 +583,100 @@ TEST(ServerLoopbackTest, SubscriberReceivesExactlyTheMergedOutput) {
   }
   EXPECT_EQ(received, merged.elements());
   EXPECT_FALSE(received.empty());
+}
+
+// Decodes a subscriber's ELEMENTS_DICT frames against its dictionary,
+// appending the elements to *out.
+void DecodeOutputFrames(const std::vector<Frame>& frames,
+                        PayloadDictDecoder* dict, ElementSequence* out) {
+  for (const Frame& frame : frames) {
+    ASSERT_EQ(frame.type, FrameType::kElementsDict);
+    ElementSequence batch;
+    int64_t origin_us = 0;
+    ASSERT_TRUE(
+        DecodeElementsDictPayload(frame.payload, *dict, &batch, &origin_us)
+            .ok());
+    out->insert(out->end(), batch.begin(), batch.end());
+  }
+}
+
+// A subscriber registering after more than kCheckpointChunkBytes of
+// definitions went out is caught up by zero-element, stamp-0 ELEMENTS_DICT
+// frames of at most kCheckpointChunkBytes each, and from then on decodes
+// exactly what a subscriber present from the start decodes.
+TEST(ServerLoopbackTest, LateSubscriberCatchesUpInChunkedDefinitionFrames) {
+  MergeServer server;
+  HelloMessage sub_hello;
+  sub_hello.role = PeerRole::kSubscriber;
+  TestPeer early = ConnectPeer(&server, "early");
+  Handshake(&server, &early, sub_hello);
+  TestPeer pub = ConnectPeer(&server, "pub");
+  Handshake(&server, &pub, PublisherHello("pub"));
+
+  // 600 distinct ~1 KiB payloads: about 2.3 chunks of definitions.
+  std::vector<std::string> tags;
+  for (int i = 0; i < 600; ++i) {
+    tags.push_back(std::string(1000, static_cast<char>('a' + i % 26)) +
+                   std::to_string(i));
+  }
+  PayloadDictEncoder pub_dict;
+  Timestamp vs = 1;
+  const auto publish = [&](size_t begin, size_t end) {
+    ElementSequence batch;
+    for (size_t i = begin; i < end; ++i) {
+      batch.push_back(Ins(tags[i % tags.size()], vs, vs + 1000));
+      ++vs;
+    }
+    batch.push_back(Stb(vs));
+    ASSERT_TRUE(server
+                    .OnBytes(pub.session_id,
+                             EncodeElementsDictFrame(batch, &pub_dict,
+                                                     kTestOriginUs))
+                    .ok());
+  };
+  for (size_t i = 0; i < tags.size(); i += 100) publish(i, i + 100);
+  server.Flush();
+  PayloadDictDecoder early_dict;
+  ElementSequence early_before;
+  DecodeOutputFrames(early.DrainFrames(), &early_dict, &early_before);
+  ASSERT_EQ(early_dict.entries(), static_cast<int64_t>(tags.size()));
+
+  TestPeer late = ConnectPeer(&server, "late");
+  ASSERT_TRUE(
+      server.OnBytes(late.session_id, EncodeHelloFrame(sub_hello)).ok());
+  const std::vector<Frame> joined = late.DrainFrames();
+  ASSERT_GE(joined.size(), 3u);  // WELCOME + at least two catch-up frames
+  EXPECT_EQ(joined[0].type, FrameType::kWelcome);
+  PayloadDictDecoder late_dict;
+  for (size_t f = 1; f < joined.size(); ++f) {
+    EXPECT_EQ(joined[f].type, FrameType::kElementsDict);
+    EXPECT_LE(kFrameHeaderBytes + joined[f].payload.size(),
+              kCheckpointChunkBytes);
+    ElementSequence none;
+    int64_t origin_us = -1;
+    ASSERT_TRUE(DecodeElementsDictPayload(joined[f].payload, late_dict, &none,
+                                          &origin_us)
+                    .ok());
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(origin_us, 0);
+  }
+  EXPECT_EQ(late_dict.entries(), early_dict.entries());
+  EXPECT_EQ(server.MetricsSnapshot().Value("net.tx.dict.entries"),
+            late_dict.entries());
+
+  // Output after the join repeats old payloads and defines new ones.
+  for (size_t i = 300; i < 900; i += 100) publish(i, i + 100);
+  tags.push_back("brand-new");
+  publish(tags.size() - 1, tags.size());
+  server.Flush();
+  ElementSequence early_after;
+  DecodeOutputFrames(early.DrainFrames(), &early_dict, &early_after);
+  ElementSequence late_after;
+  DecodeOutputFrames(late.DrainFrames(), &late_dict, &late_after);
+  EXPECT_FALSE(late_after.empty());
+  EXPECT_EQ(late_after, early_after);
+  EXPECT_EQ(late_dict.entries(), early_dict.entries());
+  EXPECT_EQ(late_dict.entries(), static_cast<int64_t>(tags.size()));
 }
 
 TEST(ServerLoopbackTest, LaggingPublisherReceivesFeedback) {

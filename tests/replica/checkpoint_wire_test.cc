@@ -64,18 +64,12 @@ HelloMessage PublisherHello(const std::string& name) {
 }
 
 // Decodes the element-bearing frames in `frames` (maintaining `dict` from
-// PAYLOAD_DEF frames) and returns the element count.
+// their defs sections) and returns the element count.
 int64_t CountElements(const std::vector<Frame>& frames,
                       PayloadDictDecoder* dict) {
   int64_t count = 0;
   for (const Frame& frame : frames) {
     switch (frame.type) {
-      case FrameType::kPayloadDef: {
-        PayloadDefMessage def;
-        EXPECT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-        EXPECT_TRUE(dict->Define(def.id, std::move(def.payload)).ok());
-        break;
-      }
       case FrameType::kElementsDict: {
         ElementSequence elements;
         int64_t origin_us = 0;
@@ -92,16 +86,19 @@ int64_t CountElements(const std::vector<Frame>& frames,
   return count;
 }
 
-// Drains `peer`'s frames after a CHECKPOINT_REQUEST: PAYLOAD_DEFs go into
-// `dict`, and the CUT_CERT and the chunks reassemble into `blob`.
+// Drains `peer`'s frames after a CHECKPOINT_REQUEST: ELEMENTS_DICT defs
+// sections go into `dict`, and the CUT_CERT and the chunks reassemble into
+// `blob`.
 void ReceiveCheckpoint(TestPeer* peer, PayloadDictDecoder* dict,
                        CutCertMessage* cut, std::string* blob) {
   bool have_cert = false;
   for (const Frame& frame : peer->DrainFrames()) {
-    if (frame.type == FrameType::kPayloadDef) {
-      PayloadDefMessage def;
-      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-      ASSERT_TRUE(dict->Define(def.id, std::move(def.payload)).ok());
+    if (frame.type == FrameType::kElementsDict) {
+      ElementSequence elements;
+      int64_t origin_us = 0;
+      ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, *dict, &elements,
+                                            &origin_us)
+                      .ok());
     } else if (frame.type == FrameType::kCutCert) {
       ASSERT_TRUE(DecodeCutCert(frame.payload, cut).ok());
       have_cert = true;
@@ -281,11 +278,11 @@ TEST(CheckpointWireTest, ServedCheckpointRestoresAndCertifiesTheCut) {
   EXPECT_EQ(resolved.max_stable(), cut.cert.output_stable);
 }
 
-TEST(CheckpointWireTest, LateStandbyResolvesThroughDefsTape) {
+TEST(CheckpointWireTest, LateStandbyResolvesThroughCatchUpFrames) {
   // A standby that subscribes after output has flowed learns the broadcast
-  // dictionary from the def tape replayed at its registration.  The blob it
-  // then receives names every pooled payload by id, and a fresh server
-  // adopts it against the dictionary the tape built.
+  // dictionary from the catch-up frames sent at its registration.  The
+  // blob it then receives names every pooled payload by id, and a fresh
+  // server adopts it against the dictionary the catch-up built.
   MergeServerOptions options;
   options.variant = MergeVariant::kLMR4;
   MergeServer server(options);
@@ -309,11 +306,12 @@ TEST(CheckpointWireTest, LateStandbyResolvesThroughDefsTape) {
       server.OnBytes(pub.session_id, EncodeElementsFrame(batch, /*origin_us=*/1000))
           .ok());
   server.Flush();
-  const int64_t tape_bytes =
-      server.MetricsSnapshot().Value("net.tx.dict.tape_bytes", -1);
-  EXPECT_GT(tape_bytes, 0);
+  const int64_t tx_entries =
+      server.MetricsSnapshot().Value("net.tx.dict.entries", -1);
+  EXPECT_EQ(tx_entries, kEvents);
 
-  // The standby's first bytes are its WELCOME and then the whole tape.
+  // The standby's first bytes are its WELCOME and then zero-element
+  // catch-up frames defining every broadcast payload.
   TestPeer standby = ConnectPeer(&server, "standby");
   ASSERT_TRUE(server
                   .OnBytes(standby.session_id,
@@ -322,19 +320,27 @@ TEST(CheckpointWireTest, LateStandbyResolvesThroughDefsTape) {
   std::string joined;
   ASSERT_TRUE(standby.client->TryReceive(&joined).ok());
   ASSERT_TRUE(standby.assembler.Feed(joined).ok());
-  Frame welcome;
-  ASSERT_TRUE(standby.assembler.Next(&welcome));
-  ASSERT_EQ(welcome.type, FrameType::kWelcome);
-  EXPECT_EQ(static_cast<int64_t>(joined.size() - kFrameHeaderBytes -
-                                 welcome.payload.size()),
-            tape_bytes);
+  Frame frame;
+  ASSERT_TRUE(standby.assembler.Next(&frame));
+  ASSERT_EQ(frame.type, FrameType::kWelcome);
+  PayloadDictDecoder dict;
+  while (standby.assembler.Next(&frame)) {
+    ASSERT_EQ(frame.type, FrameType::kElementsDict);
+    ElementSequence none;
+    int64_t origin_us = -1;
+    ASSERT_TRUE(
+        DecodeElementsDictPayload(frame.payload, dict, &none, &origin_us)
+            .ok());
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(origin_us, 0);
+  }
+  EXPECT_EQ(dict.entries(), tx_entries);
 
   const int64_t refs_before = CounterSum("net.checkpoint.tx.pool_refs");
   const int64_t rows_before = CounterSum("net.checkpoint.tx.pool_rows");
   ASSERT_TRUE(
       server.OnBytes(standby.session_id, EncodeCheckpointRequestFrame())
           .ok());
-  PayloadDictDecoder dict;
   CutCertMessage cut;
   std::string blob;
   ReceiveCheckpoint(&standby, &dict, &cut, &blob);

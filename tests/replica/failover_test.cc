@@ -138,8 +138,8 @@ CheckpointPoolCounts PoolCounts(const std::string& blob) {
 // standby (the Sec. V-B join protocol dedups everything pre-delivered).
 // A `late_standby` subscribes only after the first quarter has been merged
 // and fanned out to a plain subscriber, so it learns the broadcast
-// dictionary from the def tape; that quarter of the output is then taken
-// from the primary's own sink.
+// dictionary from its catch-up frames; that quarter of the output is then
+// taken from the primary's own sink.
 void RunFailover(MergeVariant variant, uint64_t seed, int merge_threads = 1,
                  bool late_standby = false) {
   SCOPED_TRACE(::testing::Message()
@@ -284,7 +284,7 @@ TEST(FailoverTest, PartitionedR3PlusSeed2) {
 }
 
 // A standby that joins after output has flowed resolves the blob's
-// references through the def tape replayed at its registration, for one
+// references through the catch-up frames sent at its registration, for one
 // shard and for four.
 TEST(FailoverTest, LateStandbyR3PlusSeed1) {
   RunFailover(MergeVariant::kLMR3Plus, 1, /*merge_threads=*/1,

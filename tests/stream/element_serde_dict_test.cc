@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/serde.h"
@@ -20,38 +20,30 @@ using ::lmerge::testing_util::Adj;
 using ::lmerge::testing_util::Ins;
 using ::lmerge::testing_util::Stb;
 
-using Defs = std::vector<std::pair<uint32_t, Row>>;
-
 // One direction of a session: the sender's dictionary and the receiver's,
-// kept in step through PAYLOAD_DEF payloads like the wire does.
+// kept in step through defs sections like the wire does.
 class DictSession {
  public:
   explicit DictSession(uint32_t capacity = kDefaultPayloadDictCapacity)
       : sender_(capacity), receiver_(capacity) {}
 
-  // Encodes `batch`, ships every new def through its own PAYLOAD_DEF
-  // payload, then decodes the body.  Returns the body size in bytes.
+  // Encodes `batch`, ships the payloads it defined in a defs section, then
+  // decodes the section and the body.  Returns the body size in bytes.
   size_t RoundTrip(const ElementSequence& batch, ElementSequence* out) {
-    Defs defs;
+    const size_t first_new = sender_.rows().size();
     Encoder body;
-    EncodeSequenceDict(batch, &sender_, &defs, &body);
-    for (const auto& [id, payload] : defs) {
-      Encoder def;
-      EncodePayloadDef(id, payload, &def);
-      const std::string bytes = def.TakeBytes();
-      Decoder decoder(bytes);
-      uint32_t got_id = 0;
-      Row got_payload;
-      EXPECT_TRUE(DecodePayloadDef(&decoder, &got_id, &got_payload).ok());
-      EXPECT_TRUE(decoder.AtEnd());
-      EXPECT_EQ(got_id, id);
-      EXPECT_TRUE(receiver_.Define(got_id, std::move(got_payload)).ok());
-    }
-    const std::string bytes = body.TakeBytes();
+    EncodeSequenceDict(batch, &sender_, &body);
+    Encoder defs;
+    EncodeDictDefs(std::span<const Row>(sender_.rows()).subspan(first_new),
+                   &defs);
+    const std::string bytes = defs.TakeBytes() + body.TakeBytes();
     Decoder decoder(bytes);
+    EXPECT_TRUE(DecodeDictDefs(&decoder, &receiver_).ok());
+    EXPECT_EQ(receiver_.entries(), sender_.entries());
+    const size_t body_begin = bytes.size() - decoder.remaining();
     EXPECT_TRUE(DecodeSequenceDict(&decoder, receiver_, out).ok());
     EXPECT_TRUE(decoder.AtEnd());
-    return bytes.size();
+    return bytes.size() - body_begin;
   }
 
   void ExpectRoundTrip(const ElementSequence& batch) {
@@ -160,14 +152,15 @@ TEST(ElementSerdeDictTest, CompactRowsRoundTripEveryValueType) {
                  Value(std::numeric_limits<int64_t>::max()), Value(2.5),
                  Value(std::string()), Value(std::string(300, 'x'))});
   Encoder encoder;
-  EncodePayloadDef(kInlinePayloadId - 1, row, &encoder);
+  EncodeDictDefs({&row, 1}, &encoder);
   const std::string bytes = encoder.TakeBytes();
   Decoder decoder(bytes);
-  uint32_t id = 0;
-  Row got;
-  ASSERT_TRUE(DecodePayloadDef(&decoder, &id, &got).ok());
+  PayloadDictDecoder receiver;
+  ASSERT_TRUE(DecodeDictDefs(&decoder, &receiver).ok());
   EXPECT_TRUE(decoder.AtEnd());
-  EXPECT_EQ(id, kInlinePayloadId - 1);
+  ASSERT_EQ(receiver.entries(), 1);
+  Row got;
+  ASSERT_TRUE(receiver.Resolve(0, &got).ok());
   EXPECT_EQ(got, row);
 }
 
@@ -178,14 +171,13 @@ TEST(ElementSerdeDictTest, CompactRowsRoundTripEveryValueType) {
 // layout this replaced spent 21 bytes on every insert.
 TEST(ElementSerdeDictTest, InWindowInsertBatchIsAtMostTenBytesPerElement) {
   PayloadDictEncoder sender;
-  Defs defs;
   std::vector<Row> payloads;
   for (int i = 0; i < 50000; ++i) {
     payloads.push_back(Row::OfIntAndString(i % 400, "payload-" +
                                                         std::to_string(i)));
-    sender.Intern(payloads.back(), &defs);
+    sender.Intern(payloads.back());
   }
-  ASSERT_EQ(defs.size(), payloads.size());
+  ASSERT_EQ(sender.entries(), static_cast<int64_t>(payloads.size()));
   ElementSequence batch;
   Timestamp vs = 1'700'000'000'000'000;  // an absolute microsecond clock
   for (int i = 0; i < 64; ++i) {
@@ -196,16 +188,17 @@ TEST(ElementSerdeDictTest, InWindowInsertBatchIsAtMostTenBytesPerElement) {
                                           vs + 2'000'000 + i % 50));
   }
   Encoder body;
-  Defs no_defs;
-  EncodeSequenceDict(batch, &sender, &no_defs, &body);
-  EXPECT_TRUE(no_defs.empty());
+  EncodeSequenceDict(batch, &sender, &body);
+  EXPECT_EQ(sender.entries(), static_cast<int64_t>(payloads.size()));
   EXPECT_LE(body.bytes().size(), batch.size() * 10)
       << "ELEMENTS_DICT body grew to " << body.bytes().size()
       << " bytes for " << batch.size() << " inserts";
 
   PayloadDictDecoder receiver;
-  for (const auto& [id, payload] : defs) {
-    ASSERT_TRUE(receiver.Define(id, payload).ok());
+  for (const Row& payload : sender.rows()) {
+    ASSERT_TRUE(
+        receiver.Define(static_cast<uint32_t>(receiver.entries()), payload)
+            .ok());
   }
   const std::string bytes = body.TakeBytes();
   Decoder decoder(bytes);
