@@ -120,7 +120,7 @@
   LM_THREAD_ANNOTATION__(annotate("lmerge::merge_thread_only"))
 
 // The function is on the per-element hot path (ProcessBatch, ring drains,
-// the aggregator forward loop, serialize-once encode).  The analyzer
+// serialize-once encode).  The analyzer
 // rejects transitive heap allocation (operator new, malloc-family,
 // unreserved container growth) reachable from it unless the site is in the
 // machine-readable allowlist with a justification (amortized index growth,

@@ -34,41 +34,8 @@ Status ReadCheckpointEntryStream(Decoder* decoder, uint32_t stream_count,
   return Status::Ok();
 }
 
-void MergeAlgorithm::ExportMetrics(obs::MetricsRegistry* registry) const {
-  registry->GetExportedCounter("merge.in.inserts")->Set(stats_.inserts_in);
-  registry->GetExportedCounter("merge.in.adjusts")->Set(stats_.adjusts_in);
-  registry->GetExportedCounter("merge.in.stables")->Set(stats_.stables_in);
-  registry->GetExportedCounter("merge.out.inserts")->Set(stats_.inserts_out);
-  registry->GetExportedCounter("merge.out.adjusts")->Set(stats_.adjusts_out);
-  registry->GetExportedCounter("merge.out.stables")->Set(stats_.stables_out);
-  registry->GetExportedCounter("merge.dropped")->Set(stats_.dropped);
-  registry->GetExportedCounter("merge.index_probes")->Set(index_probes_);
-  registry->GetGauge("merge.state_bytes")->Set(StateBytes());
-  registry->GetGauge("merge.streams")->Set(stream_count());
-  registry->GetGauge("merge.streams_active")->Set(active_stream_count());
-  // kMinTimestamp (no output stable yet) is exported verbatim; consumers
-  // render it as "-inf" (see Timestamp docs).
-  registry->GetGauge("merge.stable")->Set(max_stable_);
-
-  for (int s = 0; s < stream_count(); ++s) {
-    const PerInputStats& in = per_input_[static_cast<size_t>(s)];
-    const std::string prefix = "merge.input." + std::to_string(s) + ".";
-    registry->GetExportedCounter(prefix + "inserts_in")->Set(in.inserts_in);
-    registry->GetExportedCounter(prefix + "adjusts_in")->Set(in.adjusts_in);
-    registry->GetExportedCounter(prefix + "stables_in")->Set(in.stables_in);
-    registry->GetExportedCounter(prefix + "elements_in")->Set(in.elements_in());
-    registry->GetExportedCounter(prefix + "dropped")->Set(in.dropped);
-    registry->GetExportedCounter(prefix + "contributed")->Set(in.contributed);
-    registry->GetExportedCounter(prefix + "adjusts_contributed")
-        ->Set(in.adjusts_contributed);
-    registry->GetGauge(prefix + "stable_point")->Set(in.stable_point);
-    registry->GetGauge(prefix + "active")
-        ->Set(stream_active(s) ? 1 : 0);
-  }
-}
-
 MergeOutputStats AggregateShardStats(std::span<MergeAlgorithm* const> shards,
-                                     int64_t stables_out) {
+                                     const MergeAlgorithm& output) {
   LM_CHECK(!shards.empty());
   MergeOutputStats total = shards[0]->stats();
   for (size_t k = 1; k < shards.size(); ++k) {
@@ -80,7 +47,7 @@ MergeOutputStats AggregateShardStats(std::span<MergeAlgorithm* const> shards,
     total.stables_in = std::min(total.stables_in, s.stables_in);
     total.dropped += s.dropped;
   }
-  total.stables_out = stables_out;
+  total.stables_out = output.stats().stables_out;
   return total;
 }
 
@@ -107,11 +74,11 @@ std::vector<PerInputStats> AggregateShardPerInputStats(
   return total;
 }
 
-void ExportAggregatedMergeMetrics(std::span<MergeAlgorithm* const> shards,
-                                  int64_t stables_out, Timestamp output_stable,
-                                  obs::MetricsRegistry* registry) {
+void ExportMergeMetrics(std::span<MergeAlgorithm* const> shards,
+                        const MergeAlgorithm& output,
+                        obs::MetricsRegistry* registry) {
   LM_CHECK(!shards.empty());
-  const MergeOutputStats total = AggregateShardStats(shards, stables_out);
+  const MergeOutputStats total = AggregateShardStats(shards, output);
   registry->GetExportedCounter("merge.in.inserts")->Set(total.inserts_in);
   registry->GetExportedCounter("merge.in.adjusts")->Set(total.adjusts_in);
   registry->GetExportedCounter("merge.in.stables")->Set(total.stables_in);
@@ -130,7 +97,9 @@ void ExportAggregatedMergeMetrics(std::span<MergeAlgorithm* const> shards,
   registry->GetGauge("merge.streams")->Set(shards[0]->stream_count());
   registry->GetGauge("merge.streams_active")
       ->Set(shards[0]->active_stream_count());
-  registry->GetGauge("merge.stable")->Set(output_stable);
+  // kMinTimestamp (no output stable yet) is exported verbatim; consumers
+  // render it as "-inf" (see Timestamp docs).
+  registry->GetGauge("merge.stable")->Set(output.max_stable());
   registry->GetGauge("merge.shards")
       ->Set(static_cast<int64_t>(shards.size()));
 

@@ -215,14 +215,6 @@ class MergeAlgorithm {
   // lookups); the work term behind the Sec. VI runtime curves.
   int64_t index_probes() const { return index_probes_; }
 
-  // Publishes stats(), per_input_stats(), index_probes(), and max_stable()
-  // as "merge."-prefixed gauges (see docs/OBSERVABILITY.md for the
-  // catalog).  Call from the merge thread (e.g. via
-  // ConcurrentMerger::CallOnMergeThread): reads the same plain counters the
-  // hot path mutates.
-  void ExportMetrics(obs::MetricsRegistry* registry) const
-      LM_MERGE_THREAD_ONLY;
-
  protected:
   void EmitInsert(const Row& payload, Timestamp vs, Timestamp ve) {
     ++stats_.inserts_out;
@@ -291,36 +283,39 @@ class MergeAlgorithm {
 };
 
 // ---------------------------------------------------------------------------
-// Aggregated views over a partitioned merge's shard algorithm instances
-// (engine/partitioned.h).  Each input element is routed to exactly one shard
-// except stable() elements, which are broadcast to every shard — so routed
-// counters (inserts/adjusts in, drops, contributions, emissions) SUM across
-// shards while broadcast counters (stables_in, stable_point) take the MIN:
-// the value every shard has applied.  The min is the replay-safe reading —
-// a cut certificate must not claim a stable point some shard has not
-// consumed yet — and at quiesce all shards have applied every stable, so
-// the min equals the single-threaded value.  The output stable count
-// belongs to the aggregator, not any shard.
-// Every shard must have the same stream registry (the router fans AddStream
-// and RemoveStream to all of them).
+// Aggregated views over a merge's shard algorithm instances (one for the
+// single-threaded merger, N for engine/partitioned.h).  Each input element
+// is routed to exactly one shard except stable() elements, which are
+// broadcast to every shard — so routed counters (inserts/adjusts in, drops,
+// contributions, emissions) SUM across shards while broadcast counters
+// (stables_in, stable_point) take the MIN: the value every shard has
+// applied.  The min is the replay-safe reading — a cut certificate must not
+// claim a stable point some shard has not consumed yet — and at quiesce all
+// shards have applied every stable, so the min equals the single-threaded
+// value.  The output's stable count and stable point belong to the
+// algorithm that emits the output: the lone shard, or the partitioned
+// merger's shard union (shard stables never reach its output).  Every shard
+// must have the same stream registry (the router fans AddStream and
+// RemoveStream to all of them).  Read them at a barrier
+// (Merger::CallAtBarrier): they read the plain counters the hot path
+// mutates.
 // ---------------------------------------------------------------------------
 
-// Output totals across shards.  `stables_out` is the aggregator's own
-// emitted-stable count (shard-emitted stables are swallowed by the
-// min-frontier aggregation and never reach the output).
+// Output totals across shards, with `output`'s emitted-stable count.
 MergeOutputStats AggregateShardStats(std::span<MergeAlgorithm* const> shards,
-                                     int64_t stables_out);
+                                     const MergeAlgorithm& output);
 
 // Per-input table across shards, same sum/min rules per row.
 std::vector<PerInputStats> AggregateShardPerInputStats(
     std::span<MergeAlgorithm* const> shards);
 
-// The partitioned counterpart of MergeAlgorithm::ExportMetrics: publishes
-// the aggregated "merge."-prefixed gauges.  `output_stable` is the
-// aggregator's min-across-frontiers stable point.
-void ExportAggregatedMergeMetrics(std::span<MergeAlgorithm* const> shards,
-                                  int64_t stables_out, Timestamp output_stable,
-                                  obs::MetricsRegistry* registry);
+// Publishes the merge's "merge."-prefixed instruments (docs/OBSERVABILITY.md
+// has the catalog): the aggregated totals and per-input rows, index probes
+// and state bytes summed over the shards, `output`'s stable point, and the
+// shard count — the same names for one shard and for N.
+void ExportMergeMetrics(std::span<MergeAlgorithm* const> shards,
+                        const MergeAlgorithm& output,
+                        obs::MetricsRegistry* registry);
 
 }  // namespace lmerge
 

@@ -69,25 +69,29 @@ Status ConcurrentMerger::Precheck(int stream,
   return algorithm_->ValidateElement(element);
 }
 
-void ConcurrentMerger::EnqueueBlocking(int stream, StreamElement element) {
+void ConcurrentMerger::EnqueueBlocking(int stream,
+                                       std::span<StreamElement> batch) {
   InputSlot& slot = *slots_[static_cast<size_t>(stream)];
-  // Commit the element to the books before it becomes visible, so pending_
-  // never transiently reads 0 while work is in flight.
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  int spins = 0;
-  while (!slot.ring.TryPush(element)) {
-    if (++spins < 64) continue;
-    if (spins == 64) stalls_metric_->Increment();
-    WakeMerge();
-    MutexLock lock(slot.wait_mutex);
-    slot.producer_waiting.store(true, std::memory_order_release);
-    // Timed wait: a notify can race the flag, so the timeout is the
-    // lost-wakeup backstop; backpressure latency stays bounded at ~1ms.
-    (void)slot.wait_cv.WaitFor(lock, std::chrono::milliseconds(1));
-    slot.producer_waiting.store(false, std::memory_order_release);
+  const int64_t n = static_cast<int64_t>(batch.size());
+  // Commit the batch to the books before any of it becomes visible, so
+  // pending_ never transiently reads 0 while work is in flight.
+  pending_.fetch_add(n, std::memory_order_relaxed);
+  for (StreamElement& element : batch) {
+    int spins = 0;
+    while (!slot.ring.TryPush(element)) {
+      if (++spins < 64) continue;
+      if (spins == 64) stalls_metric_->Increment();
+      WakeMerge();
+      MutexLock lock(slot.wait_mutex);
+      slot.producer_waiting.store(true, std::memory_order_release);
+      // Timed wait: a notify can race the flag, so the timeout is the
+      // lost-wakeup backstop; backpressure latency stays bounded at ~1ms.
+      (void)slot.wait_cv.WaitFor(lock, std::chrono::milliseconds(1));
+      slot.producer_waiting.store(false, std::memory_order_release);
+    }
   }
-  slot.enqueued_count += 1;
-  delivered_.fetch_add(1, std::memory_order_release);
+  slot.enqueued_count += batch.size();
+  delivered_.fetch_add(n, std::memory_order_release);
   WakeMerge();
 }
 
@@ -115,24 +119,6 @@ void ConcurrentMerger::WakeMerge() {
   }
 }
 
-void ConcurrentMerger::Deliver(int stream, const StreamElement& element) {
-  LM_CHECK(stream >= 0 &&
-           stream < slot_count_.load(std::memory_order_acquire));
-  EnqueueBlocking(stream, element);
-}
-
-Status ConcurrentMerger::TryDeliver(int stream, const StreamElement& element) {
-  const Status status = Precheck(stream, element);
-  if (!status.ok()) return status;
-  EnqueueBlocking(stream, element);
-  return Status::Ok();
-}
-
-Status ConcurrentMerger::TryDeliverBatch(int stream,
-                                         std::span<StreamElement> batch) {
-  return TryDeliverBatch(stream, batch, obs::IngestStamp());
-}
-
 Status ConcurrentMerger::TryDeliverBatch(int stream,
                                          std::span<StreamElement> batch,
                                          const obs::IngestStamp& stamp) {
@@ -149,16 +135,8 @@ Status ConcurrentMerger::TryDeliverBatch(int stream,
       break;
     }
   }
-  PushStamp(stream, valid, stamp);
-  for (StreamElement& element : batch.first(valid)) {
-    EnqueueBlocking(stream, std::move(element));
-  }
+  if (valid > 0) DeliverBatch(stream, batch.first(valid), stamp);
   return failure;
-}
-
-void ConcurrentMerger::DeliverBatch(int stream,
-                                    std::span<StreamElement> batch) {
-  DeliverBatch(stream, batch, obs::IngestStamp());
 }
 
 void ConcurrentMerger::DeliverBatch(int stream,
@@ -167,9 +145,7 @@ void ConcurrentMerger::DeliverBatch(int stream,
   LM_CHECK(stream >= 0 &&
            stream < slot_count_.load(std::memory_order_acquire));
   PushStamp(stream, batch.size(), stamp);
-  for (StreamElement& element : batch) {
-    EnqueueBlocking(stream, std::move(element));
-  }
+  EnqueueBlocking(stream, batch);
 }
 
 int ConcurrentMerger::AddStream() {
@@ -236,22 +212,6 @@ Status ConcurrentMerger::error() const {
   return error_;
 }
 
-obs::MetricsSnapshot ConcurrentMerger::MetricsSnapshot() {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  // The algorithm's counters are plain ints owned by the merge thread;
-  // export them from there so the snapshot is a consistent point between
-  // batches.
-  CallOnMergeThread([this, &registry] {
-    algorithm_->ExportMetrics(&registry);
-  });
-  registry.GetExportedCounter("engine.delivered")->Set(delivered_count());
-  registry.GetGauge("engine.pending")
-      ->Set(pending_.load(std::memory_order_acquire));
-  registry.GetGauge("engine.streams")
-      ->Set(slot_count_.load(std::memory_order_acquire));
-  return registry.Snapshot();
-}
-
 void ConcurrentMerger::RecordError(const Status& status) {
   MutexLock lock(control_mutex_);
   if (error_.ok()) error_ = status;
@@ -284,8 +244,12 @@ size_t ConcurrentMerger::DrainRing(int stream) {
     slot.stamp_ring.PopFront();
   }
   obs::SetCurrentIngestStamp(batch_stamp);
-  const bool timed = obs::MetricsRegistry::enabled();
-  if (timed && batch_stamp.rx_us != 0) {
+  // The ingest-latency stages belong to batches read off a socket: only
+  // those carry an rx stamp (a PartitionedMerger shard clears it before
+  // handing its output to the aggregator, so that hop adds no samples).
+  const bool timed =
+      obs::MetricsRegistry::enabled() && batch_stamp.rx_us != 0;
+  if (timed) {
     const int64_t wait_us = obs::MonotonicMicros() - batch_stamp.rx_us;
     rx_to_merge_metric_->Record(wait_us > 0 ? wait_us : 0);
   }
@@ -414,19 +378,6 @@ void ConcurrentMerger::CallAtBarrier(
   });
 }
 
-Status ConcurrentMerger::AdoptOutputView(int stream) {
-  Status status = Status::Ok();
-  CallOnMergeThread(
-      [this, stream, &status] { status = algorithm_->AdoptOutputView(stream); });
-  return status;
-}
-
-MergeOutputStats ConcurrentMerger::StatsSnapshot() {
-  MergeOutputStats stats;
-  CallOnMergeThread([this, &stats] { stats = algorithm_->stats(); });
-  return stats;
-}
-
 bool ConcurrentMerger::Responsive(std::chrono::milliseconds timeout) {
   // The no-op only runs once the merge thread reaches its control-op point
   // between batches; a wedged ProcessBatch or dead thread times out.  An
@@ -434,19 +385,6 @@ bool ConcurrentMerger::Responsive(std::chrono::milliseconds timeout) {
   // against a promise this merger still owns.
   std::future<int> done = CallOnMergeThreadAsync([] {});
   return done.wait_for(timeout) == std::future_status::ready;
-}
-
-MergerInputSnapshot ConcurrentMerger::InputSnapshot() {
-  MergerInputSnapshot snapshot;
-  CallOnMergeThread([this, &snapshot] {
-    snapshot.per_input = algorithm_->per_input_stats();
-    snapshot.active.resize(snapshot.per_input.size());
-    for (size_t s = 0; s < snapshot.per_input.size(); ++s) {
-      snapshot.active[s] = algorithm_->stream_active(static_cast<int>(s));
-    }
-    snapshot.totals = algorithm_->stats();
-  });
-  return snapshot;
 }
 
 }  // namespace lmerge

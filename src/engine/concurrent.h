@@ -8,7 +8,7 @@
 // network resources", Sec. II-2).
 //
 // Architecture: every input stream owns a bounded SPSC ring buffer; the
-// producer side (Deliver/TryDeliver/TryDeliverBatch) validates and enqueues
+// producer side (TryDeliverBatch/DeliverBatch) validates and enqueues
 // without ever touching merge state, and a single internal merge thread
 // drains the rings round-robin, handing each drained chunk to
 // MergeAlgorithm::ProcessBatch.  A full ring blocks its producer
@@ -19,6 +19,10 @@
 // across streams is nondeterministic but each stream's order is preserved —
 // the same contract the old global-mutex design gave, minus the lock
 // convoy.
+//
+// The same engine runs every merge thread of a PartitionedMerger: each
+// shard, and the aggregator that unions the shards' outputs (one input
+// stream per shard, fed by the shards' after_batch hooks).
 
 #ifndef LMERGE_ENGINE_CONCURRENT_H_
 #define LMERGE_ENGINE_CONCURRENT_H_
@@ -57,7 +61,8 @@ struct ConcurrentMergerOptions {
   // Instrument-name scope: metrics register as "<scope>.batches",
   // "<scope>.busy_us", ... — "engine" for the process-wide single merger,
   // "merge.shard.N" for a PartitionedMerger's per-shard mergers so skew is
-  // visible per shard (docs/OBSERVABILITY.md).
+  // visible per shard, "merge.agg" for its aggregator
+  // (docs/OBSERVABILITY.md).
   std::string metrics_scope = "engine";
 };
 
@@ -81,22 +86,7 @@ class ConcurrentMerger : public Merger {
   ConcurrentMerger(const ConcurrentMerger&) = delete;
   ConcurrentMerger& operator=(const ConcurrentMerger&) = delete;
 
-  // Thread-safe single-element delivery for trusted callers managing their
-  // own threads; blocks while the stream's ring is full.  At most one
-  // thread may deliver to a given stream at a time (SPSC).
-  void Deliver(int stream, const StreamElement& element) override;
-
-  // Like Deliver, but validates first and reports failure instead of
-  // aborting — the entry point for *untrusted* inputs (network publishers):
-  // a malformed element tears down one session, not the process.
-  // Enqueue-only: Ok means accepted, not yet merged (see WaitIdle).
-  Status TryDeliver(int stream, const StreamElement& element) override;
-
-  // Batched TryDeliver: validates and enqueues the elements in order,
-  // moving them out of `batch`.  On a validation failure the elements
-  // before the failing one stay enqueued (same prefix semantics as
-  // element-wise delivery) and the error is returned.
-  Status TryDeliverBatch(int stream, std::span<StreamElement> batch) override;
+  using Merger::TryDeliverBatch;
 
   // Stamped TryDeliverBatch for the latency pipeline: the whole batch is
   // validated first, then the ingest stamp for the valid prefix is pushed
@@ -108,14 +98,11 @@ class ConcurrentMerger : public Merger {
   Status TryDeliverBatch(int stream, std::span<StreamElement> batch,
                          const obs::IngestStamp& stamp) override;
 
-  // Trusted batched delivery: enqueues every element of `batch` (moved out)
-  // without re-validating.  The PartitionedMerger routing path uses this
+  // Trusted stamped delivery: enqueues every element of `batch` (moved out)
+  // without re-validating.  PartitionedMerger uses it twice: its router,
   // after validating a publisher batch once up front, so split sub-batches
   // keep the exact prefix-on-error semantics without paying validation per
-  // shard.
-  void DeliverBatch(int stream, std::span<StreamElement> batch);
-
-  // Stamped trusted delivery, same contract plus the stamp side-channel.
+  // shard; and each shard's hand-off of its output to the aggregator.
   void DeliverBatch(int stream, std::span<StreamElement> batch,
                     const obs::IngestStamp& stamp);
 
@@ -153,9 +140,7 @@ class ConcurrentMerger : public Merger {
     return delivered_.load(std::memory_order_acquire);
   }
 
-  // Elements enqueued but not yet merged; the partitioned merger sums this
-  // across shards for the "engine.pending" gauge.
-  int64_t pending_count() const {
+  int64_t pending_count() const override {
     return pending_.load(std::memory_order_acquire);
   }
 
@@ -173,18 +158,10 @@ class ConcurrentMerger : public Merger {
     return algorithm_->algorithm_case();
   }
 
-  // Merger barrier/snapshot surface; all run `fn`/the copy on the merge
-  // thread via CallOnMergeThread (span of exactly one algorithm).
+  // Runs `fn` on the merge thread via CallOnMergeThread, over a span of
+  // exactly one algorithm.
   void CallAtBarrier(
       std::function<void(std::span<MergeAlgorithm* const>)> fn) override;
-  Status AdoptOutputView(int stream) override;
-  MergeOutputStats StatsSnapshot() override;
-  MergerInputSnapshot InputSnapshot() override;
-
-  // Exports the algorithm's stats (on the merge thread, race-free) plus the
-  // engine's own gauges into the global registry and returns its snapshot.
-  // Safe to call from any thread while deliveries are in flight.
-  obs::MetricsSnapshot MetricsSnapshot() override;
 
   // /readyz probe: posts a no-op control op and waits up to `timeout` for
   // the merge thread to run it.  False means the thread is wedged or dead.
@@ -234,9 +211,15 @@ class ConcurrentMerger : public Merger {
     std::promise<int> result;
   };
 
+  const MergeAlgorithm& output_algorithm() const override {
+    return *algorithm_;
+  }
+
   // Producer side.
   Status Precheck(int stream, const StreamElement& element) const;
-  void EnqueueBlocking(int stream, StreamElement element);
+  // Moves `batch` into the stream's ring in order, blocking while it is
+  // full.
+  void EnqueueBlocking(int stream, std::span<StreamElement> batch);
   void PushStamp(int stream, size_t count, const obs::IngestStamp& stamp);
   void WakeMerge();
 
@@ -290,6 +273,8 @@ class ConcurrentMerger : public Merger {
   obs::Histogram* batch_size_metric_;
   obs::Histogram* ring_occupancy_metric_;
   // Latency-pipeline stages (unscoped names: shards aggregate process-wide).
+  // Recorded only for drains that carry an rx stamp, so the aggregator hop,
+  // fed rx-less stamps, adds no samples.
   obs::Histogram* rx_to_merge_metric_;
   obs::Histogram* merge_us_metric_;
 

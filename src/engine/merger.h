@@ -1,20 +1,21 @@
 // Merger: the engine-side delivery interface shared by the single-threaded
 // ConcurrentMerger and the sharded PartitionedMerger.
 //
-// Producers (network sessions, test drivers) deliver per-stream elements and
+// Producers (network sessions, test drivers) deliver per-stream batches and
 // never touch algorithm state; how the merge itself is scheduled — one merge
-// thread (engine/concurrent.h) or N shard threads behind a stable-point
-// aggregator (engine/partitioned.h) — is an implementation choice hidden
-// behind this interface.  MakeMerger (engine/partitioned.h) is the one way
-// MergeServer builds either: one shard is a plain ConcurrentMerger, more are
-// a PartitionedMerger, so `--merge-threads=N` is a pure configuration
-// switch.
+// thread (engine/concurrent.h) or N shard threads whose outputs a shard
+// union recombines (engine/partitioned.h) — is an implementation choice
+// hidden behind this interface.  MakeMerger (engine/partitioned.h) is the
+// one way MergeServer builds either: one shard is a plain ConcurrentMerger,
+// more are a PartitionedMerger, so `--merge-threads=N` is a pure
+// configuration switch.
 //
 // Algorithm state is only ever touched by merge threads.  Callers that need
-// a consistent view (stats, checkpoints, output-view adoption) go through
-// CallAtBarrier / the snapshot helpers, which run between batches on every
-// shard at once — the sharded generalization of
-// ConcurrentMerger::CallOnMergeThread.
+// a consistent view go through CallAtBarrier, which runs between batches on
+// every shard at once — the sharded generalization of
+// ConcurrentMerger::CallOnMergeThread.  The snapshot surface built on it
+// (stats, per-input table, output-view adoption, the merge.* metrics) is
+// written once, here, for one shard and for N.
 
 #ifndef LMERGE_ENGINE_MERGER_H_
 #define LMERGE_ENGINE_MERGER_H_
@@ -22,10 +23,8 @@
 #include <chrono>
 #include <functional>
 #include <span>
-#include <thread>
 #include <vector>
 
-#include "common/check.h"
 #include "common/status.h"
 #include "core/merge_algorithm.h"
 #include "obs/latency.h"
@@ -47,27 +46,21 @@ class Merger {
  public:
   virtual ~Merger() = default;
 
-  // Thread-safe single-element delivery for trusted callers; blocks on
-  // backpressure.  At most one thread may deliver to a given stream at a
-  // time (SPSC contract).
-  virtual void Deliver(int stream, const StreamElement& element) = 0;
-
   // Validates first and reports failure instead of aborting — the entry
-  // point for untrusted inputs.  Enqueue-only: Ok means accepted, not yet
-  // merged (see WaitIdle).
-  virtual Status TryDeliver(int stream, const StreamElement& element) = 0;
+  // point for untrusted inputs.  Validates and enqueues in order, moving
+  // elements out of `batch`; on a validation failure the elements before
+  // the failing one stay enqueued (prefix semantics) and the error is
+  // returned.  Enqueue-only: Ok means accepted, not yet merged (see
+  // WaitIdle).  At most one thread may deliver to a given stream at a time
+  // (SPSC contract); a full ring blocks the caller (backpressure).
+  Status TryDeliverBatch(int stream, std::span<StreamElement> batch) {
+    return TryDeliverBatch(stream, batch, obs::IngestStamp());
+  }
 
-  // Batched TryDeliver: validates and enqueues in order, moving elements
-  // out of `batch`.  On a validation failure the elements before the
-  // failing one stay enqueued (prefix semantics) and the error is returned.
-  virtual Status TryDeliverBatch(int stream,
-                                 std::span<StreamElement> batch) = 0;
-
-  // Stamped delivery: like TryDeliverBatch, additionally attaching the
-  // batch's ingest stamp for the latency pipeline
-  // (docs/OBSERVABILITY.md).  The stamp is observability side-channel
-  // data: implementations may drop it under pressure (a lost latency
-  // sample), never the elements.
+  // Stamped delivery: additionally attaches the batch's ingest stamp for
+  // the latency pipeline (docs/OBSERVABILITY.md).  The stamp is
+  // observability side-channel data: implementations may drop it under
+  // pressure (a lost latency sample), never the elements.
   virtual Status TryDeliverBatch(int stream, std::span<StreamElement> batch,
                                  const obs::IngestStamp& stamp) = 0;
 
@@ -87,6 +80,10 @@ class Merger {
 
   virtual int64_t delivered_count() const = 0;
 
+  // Elements enqueued but not yet merged and emitted (the "engine.pending"
+  // gauge).
+  virtual int64_t pending_count() const = 0;
+
   // First asynchronous delivery error; Ok when none.  Once set, subsequent
   // batches are discarded.
   virtual Status error() const = 0;
@@ -97,28 +94,15 @@ class Merger {
   // The wrapped algorithm's case (identical across shards).
   virtual AlgorithmCase algorithm_case() const = 0;
 
-  // Runs `fn` at a point where NO shard is mid-batch — the race-free way to
-  // observe or mutate algorithm state while deliveries are in flight.  The
-  // span holds every shard's algorithm (size 1 for the single-threaded
-  // merger); all of them stand between two elements of one consistent cut,
-  // so cross-shard state (checkpoints, cut certificates) describes a single
-  // barrier.  `fn` must not call back into this merger.
+  // Runs `fn` at a point where NO shard is mid-batch and everything the
+  // shards emitted has reached the sink — the race-free way to observe or
+  // mutate algorithm state while deliveries are in flight.  The span holds
+  // every shard's algorithm (size 1 for the single-threaded merger); all of
+  // them stand between two elements of one consistent cut, so cross-shard
+  // state (checkpoints, cut certificates) describes a single barrier.  `fn`
+  // must not call back into this merger.
   virtual void CallAtBarrier(
       std::function<void(std::span<MergeAlgorithm* const>)> fn) = 0;
-
-  // Seeds stream `stream`'s per-input views from the output's own views on
-  // every shard (MergeAlgorithm::AdoptOutputView at one barrier).
-  virtual Status AdoptOutputView(int stream) = 0;
-
-  // Output totals, aggregated across shards at a barrier.
-  virtual MergeOutputStats StatsSnapshot() = 0;
-
-  // Per-input counters + active flags + totals, one consistent barrier copy.
-  virtual MergerInputSnapshot InputSnapshot() = 0;
-
-  // Exports algorithm + engine instruments into the global registry and
-  // returns its snapshot.  Safe to call while deliveries are in flight.
-  virtual obs::MetricsSnapshot MetricsSnapshot() = 0;
 
   // Liveness probe for /readyz: posts a no-op onto every merge thread and
   // waits up to `timeout` for all of them to run it.  False means some
@@ -126,26 +110,26 @@ class Merger {
   // while true means each one reached its control-op point.
   virtual bool Responsive(std::chrono::milliseconds timeout) = 0;
 
-  // Spawns one thread per input, each delivering its sequence in order
-  // (cross-stream interleaving is up to the scheduler), joins them, and
-  // waits until everything is merged.  Aborts on delivery errors (inputs
-  // are trusted replicas).
-  void Run(const std::vector<ElementSequence>& inputs) {
-    std::vector<std::thread> threads;
-    threads.reserve(inputs.size());
-    for (size_t s = 0; s < inputs.size(); ++s) {
-      threads.emplace_back([this, s, &inputs] {
-        for (const StreamElement& element : inputs[s]) {
-          Deliver(static_cast<int>(s), element);
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    WaitIdle();
-    const Status status = error();
-    LM_CHECK_MSG(status.ok(), "concurrent delivery failed: %s",
-                 status.ToString().c_str());
-  }
+  // Seeds stream `stream`'s per-input views from the output's own views on
+  // every shard (MergeAlgorithm::AdoptOutputView at one barrier).
+  Status AdoptOutputView(int stream);
+
+  // Output totals, aggregated across shards at a barrier.
+  MergeOutputStats StatsSnapshot();
+
+  // Per-input counters + active flags + totals, one consistent barrier copy.
+  MergerInputSnapshot InputSnapshot();
+
+  // Exports the merge.* instruments (ExportMergeMetrics at a barrier) and
+  // the engine.* gauges into the global registry and returns its snapshot.
+  // Safe to call while deliveries are in flight.
+  obs::MetricsSnapshot MetricsSnapshot();
+
+ private:
+  // The algorithm whose output reaches the sink: the lone shard, or the
+  // partitioned merger's shard union.  Its stable count and stable point
+  // are the output's.  Read it only inside CallAtBarrier.
+  virtual const MergeAlgorithm& output_algorithm() const = 0;
 };
 
 }  // namespace lmerge

@@ -1,15 +1,62 @@
 #include "engine/partitioned.h"
 
-#include <algorithm>
-#include <chrono>
 #include <future>
 #include <string>
 #include <utility>
 
 #include "obs/latency.h"
-#include "obs/trace.h"
+#include "operators/union_op.h"
 
 namespace lmerge {
+
+namespace {
+
+// The aggregator's algorithm: UnionOp's rule over the shards' outputs, one
+// input stream per shard.  Inserts and adjusts pass straight through (an
+// event and all its revisions live on one shard); a shard's stables only
+// advance its frontier, and stable(g) goes out when the minimum g across
+// frontiers advances.  Only its emitted-stable count and max_stable()
+// describe the output; the shards hold every other counter.
+class ShardUnion : public MergeAlgorithm {
+ public:
+  // `frontiers` are the shards' stable points at construction (restored
+  // state included), so a restored merge does not re-announce them.
+  ShardUnion(std::vector<Timestamp> frontiers, AlgorithmCase shard_case,
+             ElementSink* sink)
+      : MergeAlgorithm(static_cast<int>(frontiers.size()), sink),
+        frontier_(std::move(frontiers)),
+        shard_case_(shard_case),
+        out_(sink) {
+    max_stable_ = frontier_.merged();
+  }
+
+  AlgorithmCase algorithm_case() const override { return shard_case_; }
+
+  Status OnInsert(int /*shard*/, const StreamElement& element) override {
+    out_->OnElement(element);
+    return Status::Ok();
+  }
+  Status OnAdjust(int /*shard*/, const StreamElement& element) override {
+    out_->OnElement(element);
+    return Status::Ok();
+  }
+  void OnStable(int shard, Timestamp t) override {
+    if (!frontier_.Advance(shard, t)) return;
+    max_stable_ = frontier_.merged();
+    EmitStable(max_stable_);
+  }
+
+  int64_t StateBytes() const override {
+    return static_cast<int64_t>(sizeof(Timestamp)) * stream_count();
+  }
+
+ private:
+  MinFrontier frontier_;
+  AlgorithmCase shard_case_;
+  ElementSink* out_;
+};
+
+}  // namespace
 
 std::unique_ptr<Merger> MakeMerger(ShardAlgorithmFactory factory,
                                    ElementSink* sink,
@@ -30,37 +77,25 @@ std::unique_ptr<Merger> MakeMerger(ShardAlgorithmFactory factory,
 PartitionedMerger::PartitionedMerger(ShardAlgorithmFactory factory,
                                      ElementSink* sink,
                                      PartitionedMergerOptions options)
-    : num_shards_(options.shards),
-      options_(std::move(options)),
-      sink_(sink) {
+    : num_shards_(options.shards), options_(std::move(options)) {
   LM_CHECK(num_shards_ >= 2);
   LM_CHECK(sink != nullptr);
-  LM_CHECK(options_.out_ring_capacity >= 2);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  agg_batches_metric_ = registry.GetCounter("merge.agg.batches");
-  agg_stalls_metric_ = registry.GetCounter("merge.agg.backpressure_stalls");
-  shards_.reserve(static_cast<size_t>(num_shards_));
-  algorithms_.reserve(static_cast<size_t>(num_shards_));
+  // Build every shard algorithm first: the aggregator starts from their
+  // stable points.  Restore-style factories rebuild state without
+  // emitting, so the output buffers stay empty until the shard merge
+  // threads start below.
+  std::vector<std::unique_ptr<MergeAlgorithm>> owned;
+  std::vector<Timestamp> frontiers;
   for (int i = 0; i < num_shards_; ++i) {
-    auto shard = std::make_unique<Shard>(options_.out_ring_capacity,
-                                          options_.max_batch);
-    shard->sink.parent_ = this;
-    shard->sink.shard_ = i;
-    // Restore-style factories rebuild state without emitting, so the sink
-    // is quiescent until the shard's merge thread starts below.
-    std::unique_ptr<MergeAlgorithm> algorithm = factory(i, &shard->sink);
+    auto shard = std::make_unique<Shard>();
+    shard->output.parent = this;
+    shard->output.shard = i;
+    shard->output.elements.resize(options_.max_batch);
+    std::unique_ptr<MergeAlgorithm> algorithm = factory(i, &shard->output);
     LM_CHECK(algorithm != nullptr);
-    shard->frontier = algorithm->max_stable();
+    frontiers.push_back(algorithm->max_stable());
     algorithms_.push_back(algorithm.get());
-    const std::string scope = "merge.shard." + std::to_string(i);
-    shard->elements_metric = registry.GetCounter(scope + ".elements");
-    shard->routed_batch_metric = registry.GetHistogram(scope + ".routed_batch");
-    ConcurrentMergerOptions shard_options;
-    shard_options.ring_capacity = options_.ring_capacity;
-    shard_options.max_batch = options_.max_batch;
-    shard_options.metrics_scope = scope;
-    shard->merger = std::make_unique<ConcurrentMerger>(
-        std::move(algorithm), std::move(shard_options));
+    owned.push_back(std::move(algorithm));
     shards_.push_back(std::move(shard));
   }
   for (int i = 1; i < num_shards_; ++i) {
@@ -69,6 +104,36 @@ PartitionedMerger::PartitionedMerger(ShardAlgorithmFactory factory,
     LM_CHECK(algorithms_[static_cast<size_t>(i)]->algorithm_case() ==
              algorithms_[0]->algorithm_case());
   }
+
+  ConcurrentMergerOptions agg_options;
+  agg_options.ring_capacity = options_.out_ring_capacity;
+  agg_options.max_batch = options_.max_batch;
+  agg_options.after_batch = std::move(options_.after_batch);
+  agg_options.metrics_scope = "merge.agg";
+  auto shard_union = std::make_unique<ShardUnion>(
+      std::move(frontiers), algorithms_[0]->algorithm_case(), sink);
+  union_ = shard_union.get();
+  aggregator_ = std::make_unique<ConcurrentMerger>(std::move(shard_union),
+                                                   std::move(agg_options));
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  for (int i = 0; i < num_shards_; ++i) {
+    Shard* shard = shards_[static_cast<size_t>(i)].get();
+    const std::string scope = "merge.shard." + std::to_string(i);
+    shard->elements_metric = registry.GetCounter(scope + ".elements");
+    shard->routed_batch_metric =
+        registry.GetHistogram(scope + ".routed_batch");
+    ConcurrentMergerOptions shard_options;
+    shard_options.ring_capacity = options_.ring_capacity;
+    shard_options.max_batch = options_.max_batch;
+    shard_options.metrics_scope = scope;
+    shard_options.after_batch = [this, shard] {
+      HandOffOutput(&shard->output);
+    };
+    shard->merger = std::make_unique<ConcurrentMerger>(
+        std::move(owned[static_cast<size_t>(i)]), std::move(shard_options));
+  }
+
   const int n = algorithms_[0]->stream_count();
   LM_CHECK(static_cast<size_t>(n) <= kMaxStreams);
   active_.reserve(kMaxStreams);
@@ -77,25 +142,6 @@ PartitionedMerger::PartitionedMerger(ShardAlgorithmFactory factory,
         algorithms_[0]->stream_active(s)));
   }
   stream_count_.store(n, std::memory_order_release);
-  Timestamp global = shards_[0]->frontier;
-  for (int i = 1; i < num_shards_; ++i) {
-    global = std::min(global, shards_[static_cast<size_t>(i)]->frontier);
-  }
-  output_stable_.store(global, std::memory_order_release);
-  agg_thread_ = std::thread([this] { AggregatorLoop(); });
-}
-
-PartitionedMerger::~PartitionedMerger() {
-  // Stop the shard mergers first: each drains its remaining input into the
-  // still-running aggregator (a full output ring would otherwise deadlock
-  // the shard's final drain).  Only then stop the aggregator, which exits
-  // after forwarding everything the shards emitted.
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->merger.reset();
-  }
-  agg_stop_.store(true, std::memory_order_release);
-  WakeAggregator();
-  if (agg_thread_.joinable()) agg_thread_.join();
 }
 
 Status PartitionedMerger::Precheck(int stream,
@@ -118,47 +164,13 @@ bool PartitionedMerger::AnyShardPoisoned() const {
   return false;
 }
 
-void PartitionedMerger::Deliver(int stream, const StreamElement& element) {
-  LM_CHECK(stream >= 0 &&
-           stream < stream_count_.load(std::memory_order_acquire));
-  StreamElement copy = element;
-  RouteBatch(stream, std::span<StreamElement>(&copy, 1));
-}
-
-Status PartitionedMerger::TryDeliver(int stream,
-                                     const StreamElement& element) {
-  const Status status = Precheck(stream, element);
-  if (!status.ok()) return status;
-  StreamElement copy = element;
-  RouteBatch(stream, std::span<StreamElement>(&copy, 1));
-  return Status::Ok();
-}
-
 Status PartitionedMerger::TryDeliverBatch(int stream,
-                                          std::span<StreamElement> batch) {
+                                          std::span<StreamElement> batch,
+                                          const obs::IngestStamp& stamp) {
   // Validation is stateless, so validating the whole batch up front and
   // then routing the valid prefix is equivalent to element-wise
   // validate-then-enqueue — the prefix before a failing element stays
   // delivered, exactly ConcurrentMerger's semantics.
-  size_t valid = batch.size();
-  Status failure = Status::Ok();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Status status = Precheck(stream, batch[i]);
-    if (!status.ok()) {
-      valid = i;
-      failure = status;
-      break;
-    }
-  }
-  RouteBatch(stream, batch.subspan(0, valid));
-  return failure;
-}
-
-Status PartitionedMerger::TryDeliverBatch(int stream,
-                                          std::span<StreamElement> batch,
-                                          const obs::IngestStamp& stamp) {
-  // Same valid-prefix routing as the unstamped overload, with the stamp
-  // attached to every shard sub-batch.
   size_t valid = batch.size();
   Status failure = Status::Ok();
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -211,6 +223,19 @@ void PartitionedMerger::RouteBatch(int stream,
   }
 }
 
+void PartitionedMerger::HandOffOutput(OutputBuffer* output) {
+  if (output->size == 0) return;
+  // The origin rides on to the fan-out; the rx stamp stays behind, so the
+  // ingest-latency stages are recorded once, by the shard that merged the
+  // batch (ConcurrentMerger::DrainRing).
+  obs::IngestStamp stamp = obs::CurrentIngestStamp();
+  stamp.rx_us = 0;
+  aggregator_->DeliverBatch(
+      output->shard,
+      std::span<StreamElement>(output->elements.data(), output->size), stamp);
+  output->size = 0;
+}
+
 int PartitionedMerger::AddStream() {
   MutexLock lock(control_mutex_);
   int id = -1;
@@ -243,18 +268,21 @@ void PartitionedMerger::RemoveStream(int stream) {
 }
 
 void PartitionedMerger::WaitIdle() {
-  // Everything enqueued before this call sits in some shard's input rings;
-  // per-shard WaitIdle covers all of it, and the out_pending_ wait covers
-  // the aggregator's forwarding of the resulting output.  The aggregator
-  // emits stable(g) BEFORE decrementing pending for the stable element
-  // that advanced g, so pending == 0 implies all stables are out too.
+  // A shard counts an element as merged only after its after_batch hook
+  // has handed the resulting output to the aggregator, so once every shard
+  // is idle the aggregator's books cover all of it.
   for (const std::unique_ptr<Shard>& shard : shards_) {
     shard->merger->WaitIdle();
   }
-  MutexLock lock(out_idle_mutex_);
-  while (out_pending_.load(std::memory_order_acquire) != 0) {
-    out_idle_cv_.Wait(lock);
+  aggregator_->WaitIdle();
+}
+
+int64_t PartitionedMerger::pending_count() const {
+  int64_t pending = aggregator_->pending_count();
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    pending += shard->merger->pending_count();
   }
+  return pending;
 }
 
 Status PartitionedMerger::error() const {
@@ -291,17 +319,12 @@ void PartitionedMerger::CallAtBarrier(
       barrier_cv_.Wait(barrier_lock);
     }
   }
-  // All shards stand between batches; nothing new can enter the output
-  // rings, so once the aggregator's books hit zero its state (frontiers,
-  // output stable, stables_out) is frozen and fully applied.  A shard that
-  // was blocked on a full output ring mid-batch finished that batch before
-  // parking — the aggregator kept draining throughout.
-  {
-    MutexLock idle_lock(out_idle_mutex_);
-    while (out_pending_.load(std::memory_order_acquire) != 0) {
-      out_idle_cv_.Wait(idle_lock);
-    }
-  }
+  // All shards stand between batches, each having handed its last batch's
+  // output to the aggregator (a shard blocked on a full aggregator ring
+  // finished that hand-off before parking — the aggregator kept draining).
+  // Nothing new can reach the aggregator, so once it is idle the shard
+  // union's state is frozen and the sink has everything.
+  aggregator_->WaitIdle();
   fn(std::span<MergeAlgorithm* const>(algorithms_.data(),
                                       algorithms_.size()));
   {
@@ -312,215 +335,20 @@ void PartitionedMerger::CallAtBarrier(
   for (std::future<int>& f : parked) f.get();
 }
 
-Status PartitionedMerger::AdoptOutputView(int stream) {
-  Status status = Status::Ok();
-  CallAtBarrier([stream, &status](std::span<MergeAlgorithm* const> shards) {
-    for (MergeAlgorithm* algorithm : shards) {
-      const Status shard_status = algorithm->AdoptOutputView(stream);
-      if (status.ok() && !shard_status.ok()) status = shard_status;
-    }
-  });
-  return status;
-}
-
-MergeOutputStats PartitionedMerger::StatsSnapshot() {
-  MergeOutputStats stats;
-  CallAtBarrier([this, &stats](std::span<MergeAlgorithm* const> shards) {
-    stats = AggregateShardStats(
-        shards, stables_out_.load(std::memory_order_relaxed));
-  });
-  return stats;
-}
-
-MergerInputSnapshot PartitionedMerger::InputSnapshot() {
-  MergerInputSnapshot snapshot;
-  CallAtBarrier([this, &snapshot](std::span<MergeAlgorithm* const> shards) {
-    snapshot.per_input = AggregateShardPerInputStats(shards);
-    snapshot.active.resize(snapshot.per_input.size());
-    for (size_t s = 0; s < snapshot.per_input.size(); ++s) {
-      snapshot.active[s] = shards[0]->stream_active(static_cast<int>(s));
-    }
-    snapshot.totals = AggregateShardStats(
-        shards, stables_out_.load(std::memory_order_relaxed));
-  });
-  return snapshot;
-}
-
-obs::MetricsSnapshot PartitionedMerger::MetricsSnapshot() {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  CallAtBarrier([this, &registry](std::span<MergeAlgorithm* const> shards) {
-    ExportAggregatedMergeMetrics(shards,
-                                 stables_out_.load(std::memory_order_relaxed),
-                                 output_stable_.load(std::memory_order_relaxed),
-                                 &registry);
-  });
-  int64_t pending = out_pending_.load(std::memory_order_acquire);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    pending += shard->merger->pending_count();
-  }
-  registry.GetExportedCounter("engine.delivered")->Set(delivered_count());
-  registry.GetGauge("engine.pending")->Set(pending);
-  registry.GetGauge("engine.streams")
-      ->Set(stream_count_.load(std::memory_order_acquire));
-  return registry.Snapshot();
-}
-
 bool PartitionedMerger::Responsive(std::chrono::milliseconds timeout) {
-  // One concurrent ping per shard against a shared deadline, so the probe
-  // costs max(shard latencies), not their sum.
+  // One concurrent ping per merge thread against a shared deadline, so the
+  // probe costs max(thread latencies), not their sum.
   std::vector<std::future<int>> pings;
-  pings.reserve(shards_.size());
+  pings.reserve(shards_.size() + 1);
   for (const std::unique_ptr<Shard>& shard : shards_) {
     pings.push_back(shard->merger->CallOnMergeThreadAsync([] {}));
   }
+  pings.push_back(aggregator_->CallOnMergeThreadAsync([] {}));
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (std::future<int>& ping : pings) {
     if (ping.wait_until(deadline) != std::future_status::ready) return false;
   }
   return true;
-}
-
-void PartitionedMerger::EnqueueOutput(int shard, const StreamElement& element) {
-  Shard& s = *shards_[static_cast<size_t>(shard)];
-  // Stamp relay, shard half: the shard's merge thread republishes its
-  // input batch's stamp thread-locally (engine/concurrent.cc); record it
-  // into the side ring whenever it changes, keyed by the cumulative output
-  // position, so the aggregator can re-derive "which stamp was in force"
-  // for each drained element.  The push cannot fail (Shard sizes the side
-  // ring past its bound).
-  const obs::IngestStamp& current = obs::CurrentIngestStamp();
-  if (!(current == s.out_last_stamp)) {
-    OutStamp entry;
-    entry.begin_count = s.out_enqueued;
-    entry.stamp = current;
-    LM_CHECK(s.out_stamp_ring.TryPush(entry));
-    s.out_last_stamp = current;
-  }
-  s.out_enqueued += 1;
-  // Commit to the books before the push so out_pending_ never transiently
-  // reads 0 while output is in flight (same protocol as
-  // ConcurrentMerger::EnqueueBlocking).
-  out_pending_.fetch_add(1, std::memory_order_relaxed);
-  StreamElement copy = element;
-  int spins = 0;
-  while (!s.out_ring.TryPush(copy)) {
-    if (++spins < 64) continue;
-    if (spins == 64) agg_stalls_metric_->Increment();
-    WakeAggregator();
-    MutexLock lock(s.wait_mutex);
-    s.producer_waiting.store(true, std::memory_order_release);
-    (void)s.wait_cv.WaitFor(lock, std::chrono::milliseconds(1));
-    s.producer_waiting.store(false, std::memory_order_release);
-  }
-  WakeAggregator();
-}
-
-void PartitionedMerger::WakeAggregator() {
-  if (agg_sleeping_.load(std::memory_order_acquire)) {
-    {
-      MutexLock lock(agg_wake_mutex_);
-    }
-    agg_wake_cv_.NotifyOne();
-  }
-}
-
-void PartitionedMerger::AggregatorLoop() {
-  std::vector<StreamElement> scratch;
-  scratch.reserve(options_.max_batch);
-  int idle_rounds = 0;
-  while (true) {
-    size_t work = 0;
-    for (int i = 0; i < num_shards_; ++i) {
-      work += DrainShardOutput(i, &scratch);
-    }
-    if (work > 0) {
-      idle_rounds = 0;
-      continue;
-    }
-    if (agg_stop_.load(std::memory_order_acquire) &&
-        out_pending_.load(std::memory_order_acquire) == 0) {
-      break;
-    }
-    // Same idle backoff as ConcurrentMerger::MergeLoop; the 1ms timeout is
-    // the lost-wakeup backstop for WakeAggregator's unlocked check.
-    ++idle_rounds;
-    if (idle_rounds < 128) continue;
-    if (idle_rounds < 160) {
-      std::this_thread::yield();
-      continue;
-    }
-    MutexLock lock(agg_wake_mutex_);
-    agg_sleeping_.store(true, std::memory_order_release);
-    (void)agg_wake_cv_.WaitFor(lock, std::chrono::milliseconds(1));
-    agg_sleeping_.store(false, std::memory_order_release);
-  }
-}
-
-size_t PartitionedMerger::DrainShardOutput(int shard,
-                                           std::vector<StreamElement>* scratch) {
-  Shard& s = *shards_[static_cast<size_t>(shard)];
-  scratch->clear();
-  const size_t n = s.out_ring.Pop(scratch, options_.max_batch);
-  if (n == 0) return 0;
-  agg_batches_metric_->Increment();
-  // Stamp relay, aggregator half: elements drained here carry the stamp in
-  // force at their position.  Fold the carried-over stamp with every relay
-  // entry that began inside this chunk (the chunk is charged its oldest
-  // element) and republish thread-locally for the downstream sink; the last
-  // entry stays in force for the next chunk.
-  s.out_drained += n;
-  obs::IngestStamp chunk_stamp = s.agg_stamp;
-  while (OutStamp* entry = s.out_stamp_ring.Peek()) {
-    if (entry->begin_count >= s.out_drained) break;
-    s.agg_stamp = entry->stamp;
-    chunk_stamp.FoldOldest(entry->stamp);
-    s.out_stamp_ring.PopFront();
-  }
-  obs::SetCurrentIngestStamp(chunk_stamp);
-  {
-    LMERGE_TRACE_SPAN("agg_batch", "engine");
-    for (size_t i = 0; i < n; ++i) ForwardElement(shard, (*scratch)[i]);
-  }
-  if (options_.after_batch) options_.after_batch();
-  // Decrement only after after_batch so WaitIdle/barrier waiters observe a
-  // flushed sink, not just delivered-to-a-buffer elements.
-  if (out_pending_.fetch_sub(static_cast<int64_t>(n),
-                             std::memory_order_acq_rel) ==
-      static_cast<int64_t>(n)) {
-    MutexLock lock(out_idle_mutex_);
-    out_idle_cv_.NotifyAll();
-  }
-  if (s.producer_waiting.load(std::memory_order_acquire)) {
-    {
-      MutexLock lock(s.wait_mutex);
-    }
-    s.wait_cv.NotifyAll();
-  }
-  return n;
-}
-
-void PartitionedMerger::ForwardElement(int shard, StreamElement& element) {
-  Shard& s = *shards_[static_cast<size_t>(shard)];
-  if (element.is_stable()) {
-    // A shard's stable only promises quiescence of its own keys: fold it
-    // into the shard frontier and emit the global minimum when it advances.
-    if (element.stable_time() > s.frontier) {
-      s.frontier = element.stable_time();
-      Timestamp global = shards_[0]->frontier;
-      for (int i = 1; i < num_shards_; ++i) {
-        global = std::min(global, shards_[static_cast<size_t>(i)]->frontier);
-      }
-      if (global > output_stable_.load(std::memory_order_relaxed)) {
-        output_stable_.store(global, std::memory_order_release);
-        stables_out_.fetch_add(1, std::memory_order_relaxed);
-        sink_->OnElement(StreamElement::Stable(global));
-      }
-    }
-  } else {
-    sink_->OnElement(element);
-  }
-  // out_pending_ is decremented by the caller (DrainShardOutput) after the
-  // whole chunk and its after_batch flush, so idle waiters see flushed data.
 }
 
 }  // namespace lmerge

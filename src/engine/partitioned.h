@@ -16,16 +16,20 @@
 // stream for its key subset; interleaving them element-wise preserves
 // per-shard order, so the union is a valid presentation of the full merged
 // TDB *except* for stable() elements — shard i's stable(Vc) only promises
-// quiescence of shard i's keys.  The aggregator therefore tracks a
-// per-shard stable frontier (running max of that shard's emitted stables),
-// swallows shard stables, and emits stable(g) whenever the global minimum g
-// across frontiers advances.  Because each shard emits its elements before
-// the stable that covers them and the aggregator drains per-shard FIFO
-// rings, every element with Vs < g from every shard has already been
-// forwarded when stable(g) goes out — the output is a valid physical
-// stream, and its reconstitution at every stable point equals the
-// single-threaded merge's (tests/core/batch_equivalence_test.cc proves
-// this per variant/seed/shard-count).
+// quiescence of shard i's keys.  The shards' outputs are therefore unioned
+// under UnionOp's rule (operators/union_op.h, Sec. I): each shard's
+// after_batch hook hands its batch's output to one more ConcurrentMerger,
+// the aggregator, whose algorithm (one input stream per shard) passes
+// inserts and adjusts through, folds shard stables into per-shard
+// frontiers, and emits stable(g) whenever the minimum g across frontiers
+// advances.  Because each shard emits its elements before the stable that
+// covers them and the aggregator drains per-shard FIFO rings, every element
+// with Vs < g from every shard has already been forwarded when stable(g)
+// goes out — the output is a valid physical stream, and its reconstitution
+// at every stable point equals the single-threaded merge's
+// (tests/core/batch_equivalence_test.cc proves this per
+// variant/seed/shard-count).  Rings, backpressure, stamps, parking and idle
+// waits of that hop are the aggregator ConcurrentMerger's own.
 //
 // Control operations (AddStream/RemoveStream/checkpoint cuts) become
 // fan-out barriers: every shard parks between two batches at once, the
@@ -45,8 +49,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "common/hash.h"
@@ -55,7 +57,6 @@
 #include "core/merge_algorithm.h"
 #include "engine/concurrent.h"
 #include "engine/merger.h"
-#include "engine/spsc_ring.h"
 #include "obs/latency.h"
 #include "obs/metrics.h"
 #include "stream/element.h"
@@ -72,11 +73,11 @@ struct PartitionedMergerOptions {
   size_t ring_capacity = 4096;
   // Upper bound on elements per ProcessBatch drain inside each shard.
   size_t max_batch = 1024;
-  // Capacity of each shard's output ring (shard merge thread -> aggregator).
-  // A full output ring blocks the shard's merge thread (backpressure),
-  // bounding recombination memory.
+  // Capacity of the aggregator's input ring per shard (shard merge thread
+  // -> aggregator).  A full ring blocks the shard's merge thread
+  // (backpressure), bounding recombination memory.
   size_t out_ring_capacity = 4096;
-  // Invoked on the output thread after each forwarded chunk — the
+  // Invoked on the output thread after each batch it emits — the
   // aggregator, or the merge thread of a one-shard merger; embedders use it
   // to flush per-batch output buffers.
   std::function<void()> after_batch;
@@ -97,24 +98,24 @@ using ShardAlgorithmFactory =
 
 // The one way to build a merge engine: `options.shards` algorithms made by
 // `factory`, recombined into `sink`.  One shard is a ConcurrentMerger that
-// owns factory(0, sink) and emits straight into `sink` — no aggregator
-// thread, output ring or routing; two or more are a PartitionedMerger.
+// owns factory(0, sink) and emits straight into `sink` — no aggregator or
+// routing; two or more are a PartitionedMerger.
 std::unique_ptr<Merger> MakeMerger(ShardAlgorithmFactory factory,
                                    ElementSink* sink,
                                    PartitionedMergerOptions options);
 
 class PartitionedMerger : public Merger {
  public:
-  // `sink` receives the recombined output on the aggregator thread (the
-  // same single-threaded sink contract ConcurrentMerger gives).  Starts
-  // `options.shards` (>= 2) merge threads plus the aggregator thread
-  // immediately.
+  // `sink` receives the recombined output on the aggregator's merge thread
+  // (the same single-threaded sink contract ConcurrentMerger gives).
+  // Starts `options.shards` (>= 2) shard merge threads plus the
+  // aggregator's immediately.
   PartitionedMerger(ShardAlgorithmFactory factory, ElementSink* sink,
                     PartitionedMergerOptions options = {});
 
   // Drains all enqueued work through every shard and the aggregator, then
-  // stops and joins all threads.
-  ~PartitionedMerger() override;
+  // stops and joins all threads (member order: shards_ before aggregator_).
+  ~PartitionedMerger() override = default;
 
   PartitionedMerger(const PartitionedMerger&) = delete;
   PartitionedMerger& operator=(const PartitionedMerger&) = delete;
@@ -129,16 +130,12 @@ class PartitionedMerger : public Merger {
     return static_cast<int>(key % static_cast<uint64_t>(num_shards));
   }
 
-  // Merger delivery surface.  Stables are broadcast to every shard;
-  // inserts/adjusts route by key hash.  SPSC contract per stream as usual.
-  void Deliver(int stream, const StreamElement& element) override;
-  Status TryDeliver(int stream, const StreamElement& element) override;
-  Status TryDeliverBatch(int stream, std::span<StreamElement> batch) override;
+  using Merger::TryDeliverBatch;
 
-  // Stamped delivery: the batch's ingest stamp follows each routed
-  // sub-batch into its shard merger, and from there across the aggregator
-  // to the recombined output (see the stamp relay comment on
-  // EnqueueOutput).
+  // Merger delivery surface.  Stables are broadcast to every shard;
+  // inserts/adjusts route by key hash.  The batch's ingest stamp follows
+  // each routed sub-batch into its shard merger, and from there (origin
+  // only) across the aggregator to the recombined output.
   Status TryDeliverBatch(int stream, std::span<StreamElement> batch,
                          const obs::IngestStamp& stamp) override;
 
@@ -148,18 +145,17 @@ class PartitionedMerger : public Merger {
   void RemoveStream(int stream) override;
 
   // Blocks until every element enqueued so far has passed through its shard
-  // AND the aggregator has forwarded all resulting output (stable emissions
-  // included).
+  // AND the aggregator has emitted all resulting output (stables included).
   void WaitIdle() override;
 
   // The recombined output's stable point: min across shard frontiers.
-  Timestamp max_stable() const override {
-    return output_stable_.load(std::memory_order_acquire);
-  }
+  Timestamp max_stable() const override { return aggregator_->max_stable(); }
 
   int64_t delivered_count() const override {
     return delivered_.load(std::memory_order_acquire);
   }
+
+  int64_t pending_count() const override;
 
   // First asynchronous error any shard hit; Ok when none.
   Status error() const override;
@@ -170,89 +166,40 @@ class PartitionedMerger : public Merger {
   }
 
   // Parks every shard's merge thread between two batches, drains the
-  // aggregator to empty, then runs `fn` on the caller thread over the span
-  // of all shard algorithms — one consistent cut across the whole
-  // partitioned state (see merger.h).
+  // aggregator, then runs `fn` on the caller thread over the span of all
+  // shard algorithms — one consistent cut across the whole partitioned
+  // state (see merger.h).
   void CallAtBarrier(
       std::function<void(std::span<MergeAlgorithm* const>)> fn) override;
 
-  Status AdoptOutputView(int stream) override;
-  MergeOutputStats StatsSnapshot() override;
-  MergerInputSnapshot InputSnapshot() override;
-  obs::MetricsSnapshot MetricsSnapshot() override;
-
-  // /readyz probe: pings every shard's merge thread against one shared
-  // deadline.  A wedged aggregator is caught transitively — its full output
-  // rings block the shards mid-batch, so their pings time out too.
+  // /readyz probe: pings every shard's merge thread and the aggregator's
+  // against one shared deadline.
   bool Responsive(std::chrono::milliseconds timeout) override;
 
-  // Output stables emitted by the aggregator (shard-emitted stables are
-  // swallowed by the min-frontier aggregation and never reach the output).
-  int64_t stables_out() const {
-    return stables_out_.load(std::memory_order_acquire);
-  }
-
  private:
-  // Shard-side output sink: pushes every element the shard algorithm emits
-  // into the shard's output ring (blocking when full), running on that
-  // shard's merge thread.
-  class ShardOutput : public ElementSink {
-   public:
+  // Collects what a shard algorithm emits during one batch, for
+  // HandOffOutput (shard-merge-thread-only).  Sized once: a batch that
+  // emits more than fits hands the full buffer off mid-batch, so emitting
+  // never allocates.
+  struct OutputBuffer : ElementSink {
     void OnElement(const StreamElement& element) override {
-      parent_->EnqueueOutput(shard_, element);
+      elements[size++] = element;
+      if (size == elements.size()) parent->HandOffOutput(this);
     }
-
-   private:
-    friend class PartitionedMerger;
-    PartitionedMerger* parent_ = nullptr;
-    int shard_ = 0;
-  };
-
-  // Stamp relay entry: "output elements from cumulative position
-  // `begin_count` on carry `stamp`, until a later entry supersedes it."
-  // Pushed by the shard merge thread only when its thread-local stamp
-  // changes.
-  struct OutStamp {
-    uint64_t begin_count = 0;
-    obs::IngestStamp stamp;
+    PartitionedMerger* parent = nullptr;
+    int shard = 0;  // the aggregator input stream it feeds
+    ElementSequence elements;
+    size_t size = 0;
   };
 
   struct Shard {
-    Shard(size_t out_capacity, size_t max_batch)
-        : out_ring(out_capacity),
-          out_stamp_ring(out_ring.capacity() + max_batch + 1) {}
-    ShardOutput sink;
+    OutputBuffer output;
     std::unique_ptr<ConcurrentMerger> merger;  // owns the shard algorithm
-    SpscRing<StreamElement> out_ring;  // shard merge thread -> aggregator
-    // Latency side-channel beside the output ring (shard merge thread ->
-    // aggregator).  Bound: every entry is pushed just ahead of its first
-    // element and leaves once that element counts as drained, so entries
-    // in flight are at most the outputs in the ring, plus one drain's worth
-    // (max_batch) popped but not yet counted, plus the element about to be
-    // pushed.  Sized to that bound it never fills, and the push is checked.
-    SpscRing<OutStamp> out_stamp_ring;
-    // Cumulative outputs enqueued (shard-merge-thread-only) / drained
-    // (aggregator-only) — the matching key for OutStamp ranges.
-    uint64_t out_enqueued = 0;
-    uint64_t out_drained = 0;
-    // Last stamp pushed into the relay (shard-merge-thread-only): push only
-    // on change.
-    obs::IngestStamp out_last_stamp;
-    // The stamp in force for the next drained element (aggregator-only).
-    obs::IngestStamp agg_stamp;
-    // Parking for the shard merge thread when the output ring is full
-    // (mirrors ConcurrentMerger::InputSlot backpressure; the mutex guards
-    // no data, it only sequences the park/notify handshake).
-    std::atomic<bool> producer_waiting{false};
-    Mutex wait_mutex;
-    CondVar wait_cv;
-    // The shard's stable frontier: running max of stables it emitted.
-    // Aggregator-thread-only once running (read under quiescence by
-    // CallAtBarrier callers).
-    Timestamp frontier = kMinTimestamp;
     obs::Counter* elements_metric = nullptr;       // merge.shard.N.elements
     obs::Histogram* routed_batch_metric = nullptr;  // merge.shard.N.routed_batch
   };
+
+  const MergeAlgorithm& output_algorithm() const override { return *union_; }
 
   // Producer side.
   Status Precheck(int stream, const StreamElement& element) const;
@@ -261,21 +208,19 @@ class PartitionedMerger : public Merger {
   // the sub-batches to the shard mergers' trusted DeliverBatch, attaching
   // `stamp` to each sub-batch (empty = unstamped).
   void RouteBatch(int stream, std::span<StreamElement> batch,
-                  const obs::IngestStamp& stamp = obs::IngestStamp());
+                  const obs::IngestStamp& stamp);
 
-  // Shard-thread side.
-  void EnqueueOutput(int shard, const StreamElement& element) LM_HOT_PATH;
-  void WakeAggregator();
-
-  // Aggregator-thread side.
-  void AggregatorLoop() LM_HOT_PATH;
-  size_t DrainShardOutput(int shard, std::vector<StreamElement>* scratch)
-      LM_HOT_PATH;
-  void ForwardElement(int shard, StreamElement& element) LM_HOT_PATH;
+  // A shard's after_batch hook, on its merge thread: hands what its
+  // algorithm emitted to the aggregator's input stream for that shard.
+  void HandOffOutput(OutputBuffer* output);
 
   int num_shards_ = 0;
   PartitionedMergerOptions options_;
-  ElementSink* sink_;  // aggregator-thread-only
+
+  // Declared before shards_ so it is destroyed after them: each shard's
+  // final drain still hands its output to a running aggregator.
+  std::unique_ptr<ConcurrentMerger> aggregator_;
+  const MergeAlgorithm* union_ = nullptr;  // owned by aggregator_
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<MergeAlgorithm*> algorithms_;  // owned by shards_[i]->merger
@@ -286,14 +231,7 @@ class PartitionedMerger : public Merger {
   std::vector<std::unique_ptr<std::atomic<bool>>> active_;
   std::atomic<int> stream_count_{0};
 
-  std::atomic<Timestamp> output_stable_{kMinTimestamp};
   std::atomic<int64_t> delivered_{0};
-  std::atomic<int64_t> stables_out_{0};
-  // Elements emitted by shards but not yet forwarded by the aggregator
-  // (incremented before the output-ring push, decremented after the
-  // element's full effect — stable emission included — is applied).
-  std::atomic<int64_t> out_pending_{0};
-  std::atomic<bool> agg_stop_{false};
 
   // Serializes AddStream/RemoveStream/CallAtBarrier so all shards apply
   // registry changes in one global order and barriers never interleave.
@@ -307,21 +245,6 @@ class PartitionedMerger : public Merger {
   CondVar barrier_cv_;
   std::atomic<int> barrier_arrived_{0};
   std::atomic<bool> barrier_release_{false};
-
-  // WaitIdle/barrier parking on out_pending_ == 0 (guards no data; nests
-  // under control_mutex_ inside CallAtBarrier).
-  Mutex out_idle_mutex_ LM_ACQUIRED_AFTER(control_mutex_);
-  CondVar out_idle_cv_;
-
-  // Aggregator parking when idle (leaf; guards no data).
-  Mutex agg_wake_mutex_;
-  CondVar agg_wake_cv_;
-  std::atomic<bool> agg_sleeping_{false};
-
-  obs::Counter* agg_batches_metric_;
-  obs::Counter* agg_stalls_metric_;
-
-  std::thread agg_thread_;
 };
 
 }  // namespace lmerge

@@ -158,7 +158,6 @@ CreateLoopbackPair(const std::string& first_name,
 
 struct LoopbackListener::State {
   Mutex mutex;
-  CondVar acceptable;
   std::deque<std::unique_ptr<Connection>> pending LM_GUARDED_BY(mutex);
   bool closed LM_GUARDED_BY(mutex) = false;
   int event_fd = -1;  // signalled on Connect and Close, cleared in TryAccept
@@ -182,22 +181,8 @@ std::unique_ptr<Connection> LoopbackListener::Connect(
     if (state_->closed) return nullptr;
     state_->pending.push_back(std::move(pair.second));
   }
-  state_->acceptable.NotifyOne();
   SignalEvent(state_->event_fd);
   return std::move(pair.first);
-}
-
-Status LoopbackListener::Accept(std::unique_ptr<Connection>* connection) {
-  MutexLock lock(state_->mutex);
-  while (state_->pending.empty() && !state_->closed) {
-    state_->acceptable.Wait(lock);
-  }
-  if (state_->pending.empty()) {
-    return Status::FailedPrecondition("listener closed");
-  }
-  *connection = std::move(state_->pending.front());
-  state_->pending.pop_front();
-  return Status::Ok();
 }
 
 Status LoopbackListener::TryAccept(std::unique_ptr<Connection>* connection) {
@@ -224,7 +209,6 @@ void LoopbackListener::Close() {
     MutexLock lock(state_->mutex);
     state_->closed = true;
   }
-  state_->acceptable.NotifyAll();
   SignalEvent(state_->event_fd);
 }
 

@@ -27,7 +27,7 @@ CreateLoopbackPair(const std::string& first_name = "loopback:a",
                    const std::string& second_name = "loopback:b");
 
 // A Listener over loopback pairs: Connect() returns the client endpoint and
-// queues the matching server endpoint for Accept().
+// queues the matching server endpoint for TryAccept().
 class LoopbackListener : public Listener {
  public:
   LoopbackListener();
@@ -37,7 +37,6 @@ class LoopbackListener : public Listener {
   // after Close().
   std::unique_ptr<Connection> Connect(const std::string& client_name);
 
-  Status Accept(std::unique_ptr<Connection>* connection) override;
   Status TryAccept(std::unique_ptr<Connection>* connection) override;
   int pollable_fd() const override;
   void Close() override;

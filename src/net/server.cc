@@ -1153,11 +1153,11 @@ class IoConnection : public Connection {
     if (!registered_.load(std::memory_order_acquire)) return;
     const bool want_out = !queue_.empty() && !send_failed_;
     if (want_out == epollout_armed_) return;
-    const int fd = inner_->readable_fd();
-    if (fd < 0) return;
     const uint32_t events =
         EPOLLIN | (want_out ? static_cast<uint32_t>(EPOLLOUT) : 0);
-    if (loop_->Interest(fd, events).ok()) epollout_armed_ = want_out;
+    if (loop_->Interest(inner_->readable_fd(), events).ok()) {
+      epollout_armed_ = want_out;
+    }
   }
 
   std::unique_ptr<Connection> inner_;
@@ -1232,9 +1232,6 @@ bool LoopPingRegistry::Ping(std::chrono::milliseconds timeout) {
 
 void ServeLoop(Listener* listener, MergeServer* server,
                const ServeLoopOptions& options) {
-  // The event-loop transport requires pollable endpoints; both shipped
-  // transports (tcp, loopback) are.
-  LM_CHECK(listener->pollable_fd() >= 0);
   const int io_threads = std::max(1, options.io_threads);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter* slow_disconnects =
@@ -1322,11 +1319,6 @@ void ServeLoop(Listener* listener, MergeServer* server,
       session->loop = loop;
       session->loop_index = loop_index;
       session->fd = session->connection->readable_fd();
-      if (session->fd < 0) {
-        // Non-pollable connection from a pollable listener: cannot serve.
-        session->connection->Close();
-        continue;
-      }
       session->last_rx_ms.store(NowMs(), std::memory_order_relaxed);
       session->id = server->OnConnect(session->connection.get());
       {

@@ -236,7 +236,8 @@ class MergeServer {
   };
 
   // Buffers merged output on the merger's output thread (the merge thread
-  // of a one-shard merger, the aggregator thread of a partitioned one)
+  // of a one-shard merger, the aggregator's merge thread of a partitioned
+  // one)
   // and flushes it as whole batches through FanOutBatchLocked.  That thread
   // must NEVER take the server lock (a producer blocked on ring
   // backpressure may hold it) — Flush takes only the leaf fanout_mutex_.

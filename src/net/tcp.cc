@@ -144,40 +144,8 @@ class TcpListener : public Listener {
     ::close(fd_);
   }
 
-  Status Accept(std::unique_ptr<Connection>* connection) override {
-    sockaddr_storage addr;
-    socklen_t addr_len = sizeof(addr);
-    while (true) {
-      const int fd =
-          ::accept(fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          // The listen fd went non-blocking (a TryAccept user also calls
-          // the blocking API, e.g. in tests): park on poll until ready.
-          pollfd pfd{fd_, POLLIN, 0};
-          if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) {
-            return Status::Internal(ErrnoMessage("poll", errno));
-          }
-          continue;
-        }
-        return Status::Internal(ErrnoMessage("accept", errno));
-      }
-      SetNoDelay(fd);
-      *connection = std::make_unique<TcpConnection>(
-          fd, SockaddrToString(addr));
-      return Status::Ok();
-    }
-  }
-
   Status TryAccept(std::unique_ptr<Connection>* connection) override {
     connection->reset();
-    // Flip the listen fd non-blocking on first use; the blocking Accept
-    // above handles the resulting EAGAINs via poll.
-    if (!nonblocking_.exchange(true, std::memory_order_relaxed)) {
-      const int flags = ::fcntl(fd_, F_GETFL, 0);
-      (void)::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-    }
     sockaddr_storage addr;
     socklen_t addr_len = sizeof(addr);
     while (true) {
@@ -199,7 +167,8 @@ class TcpListener : public Listener {
 
   void Close() override {
     if (!closed_.exchange(true, std::memory_order_relaxed)) {
-      // Wakes a blocked accept() on Linux (returns EINVAL).
+      // On Linux the listen fd then polls readable and accept() fails
+      // (EINVAL), which TryAccept reports as closed.
       ::shutdown(fd_, SHUT_RDWR);
     }
   }
@@ -210,7 +179,6 @@ class TcpListener : public Listener {
   int fd_;
   int port_;
   std::atomic<bool> closed_{false};
-  std::atomic<bool> nonblocking_{false};
 };
 
 Status Resolve(const std::string& host, int port, bool passive,
@@ -239,7 +207,10 @@ Status TcpListen(int port, std::unique_ptr<Listener>* listener,
   if (!status.ok()) return status;
   status = Status::Internal("no usable address for listen");
   for (addrinfo* ai = addrs; ai != nullptr; ai = ai->ai_next) {
-    const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+    // Non-blocking from the start: the listener is only ever polled and
+    // drained with TryAccept.
+    const int fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_NONBLOCK,
+                            ai->ai_protocol);
     if (fd < 0) {
       status = Status::Internal(ErrnoMessage("socket", errno));
       continue;

@@ -2,7 +2,7 @@
 //
 // IPv4/IPv6 via getaddrinfo; TCP_NODELAY on every connection (the protocol
 // frames its own writes, Nagle only adds latency).  Close() uses shutdown()
-// so a blocked Receive/Accept on another thread wakes immediately; the file
+// so a blocked Receive on another thread wakes immediately; the file
 // descriptor itself is released in the destructor, which keeps fd-reuse
 // races out of concurrent teardown.
 

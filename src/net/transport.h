@@ -68,9 +68,8 @@ class Connection {
 
   // A file descriptor that polls readable (epoll/poll) whenever Receive
   // or TryReceive would make progress — the socket itself for TCP, an
-  // eventfd signalled on writes for loopback.  -1 when the transport is
-  // not pollable (such a connection needs a pump thread).
-  virtual int readable_fd() const { return -1; }
+  // eventfd signalled on writes for loopback.
+  virtual int readable_fd() const = 0;
 
   // Half-close for shutdown: wakes any blocked Receive on either end.
   // Idempotent.
@@ -86,23 +85,17 @@ class Listener {
  public:
   virtual ~Listener() = default;
 
-  // Blocks until a connection arrives or the listener is closed (which
-  // surfaces as a Status error).
-  virtual Status Accept(std::unique_ptr<Connection>* connection) = 0;
-
   // Non-blocking accept: on Ok, `*connection` holds the new connection or
   // stays null when none is pending right now.  An error means the
-  // listener is closed.  Only meaningful on pollable listeners.
-  virtual Status TryAccept(std::unique_ptr<Connection>* connection) {
-    connection->reset();
-    return Status::FailedPrecondition("listener is not pollable");
-  }
+  // listener is closed.  Callers wait on pollable_fd() between calls.
+  virtual Status TryAccept(std::unique_ptr<Connection>* connection) = 0;
 
   // Polls readable whenever TryAccept would yield a connection (or the
-  // listener closed); -1 when not pollable.
-  virtual int pollable_fd() const { return -1; }
+  // listener closed).
+  virtual int pollable_fd() const = 0;
 
-  // Unblocks pending and future Accepts.  Idempotent.
+  // Makes pollable_fd() readable and every later TryAccept fail.
+  // Idempotent.
   virtual void Close() = 0;
 
   // Bound port for TCP listeners (useful with ephemeral port 0); -1 when

@@ -133,10 +133,6 @@ void HttpExporter::OnAccept() {
       return;
     }
     const int fd = connection->readable_fd();
-    if (fd < 0) {
-      connection->Close();
-      continue;
-    }
     Client& client = clients_[fd];
     client.connection = std::move(connection);
     const Status added = loop_.Add(

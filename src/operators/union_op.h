@@ -18,11 +18,42 @@
 
 namespace lmerge {
 
+// The union's progress rule on its own: each input's frontier is the
+// running max of its stables, and the output stable point is the minimum
+// across frontiers.  Shared by UnionOp and the partitioned merger's shard
+// union (engine/partitioned.cc), which starts from restored frontiers.
+class MinFrontier {
+ public:
+  explicit MinFrontier(std::vector<Timestamp> frontiers)
+      : frontiers_(std::move(frontiers)),
+        merged_(*std::min_element(frontiers_.begin(), frontiers_.end())) {}
+
+  // Folds stable(t) from input `input`; true when that advances the output
+  // stable point, which merged() then returns.
+  bool Advance(int input, Timestamp t) {
+    Timestamp& mine = frontiers_[static_cast<size_t>(input)];
+    if (t <= mine) return false;
+    mine = t;
+    const Timestamp merged =
+        *std::min_element(frontiers_.begin(), frontiers_.end());
+    if (merged <= merged_) return false;
+    merged_ = merged;
+    return true;
+  }
+
+  Timestamp merged() const { return merged_; }
+
+ private:
+  std::vector<Timestamp> frontiers_;
+  Timestamp merged_;
+};
+
 class UnionOp : public Operator {
  public:
   UnionOp(std::string name, int input_count)
       : Operator(std::move(name), input_count),
-        stables_(static_cast<size_t>(input_count), kMinTimestamp) {
+        frontier_(std::vector<Timestamp>(
+            static_cast<size_t>(std::max(input_count, 1)), kMinTimestamp)) {
     LM_CHECK(input_count >= 1);
   }
 
@@ -44,19 +75,13 @@ class UnionOp : public Operator {
       Emit(element);
       return;
     }
-    Timestamp& mine = stables_[static_cast<size_t>(port)];
-    mine = std::max(mine, element.stable_time());
-    const Timestamp merged =
-        *std::min_element(stables_.begin(), stables_.end());
-    if (merged > emitted_stable_) {
-      emitted_stable_ = merged;
-      EmitStable(merged);
+    if (frontier_.Advance(port, element.stable_time())) {
+      EmitStable(frontier_.merged());
     }
   }
 
  private:
-  std::vector<Timestamp> stables_;
-  Timestamp emitted_stable_ = kMinTimestamp;
+  MinFrontier frontier_;
 };
 
 }  // namespace lmerge

@@ -233,7 +233,7 @@ TEST_P(PartitionedEquivalence, ShardingIsSemanticallyInvisible) {
           return CreateMergeAlgorithm(variant, num_streams, sink, policy);
         },
         &partitioned_out, options);
-    merger.Run(tapes);
+    testing_util::RunReplicas(&merger, tapes);
 
     // (1) validity + (2) frozen-prefix equivalence at every stable point.
     Tdb prefix;

@@ -21,6 +21,8 @@
 namespace lmerge {
 namespace {
 
+using testing_util::DeliverOne;
+using testing_util::RunReplicas;
 using workload::GeneratorConfig;
 using workload::GeneratePhysicalVariant;
 using workload::GenerateHistory;
@@ -64,7 +66,7 @@ TEST_P(ConcurrentMergeTest, ThreadedReplicasConverge) {
     CollectingSink merged;
     auto algo = CreateMergeAlgorithm(variant, 4, &merged);
     ConcurrentMerger merger(algo.get());
-    merger.Run(replicas);
+    RunReplicas(&merger, replicas);
     EXPECT_EQ(merger.delivered_count(),
               static_cast<int64_t>(replicas[0].size() + replicas[1].size() +
                                    replicas[2].size() + replicas[3].size()));
@@ -87,18 +89,22 @@ TEST(ConcurrentMergeTest, OrderedReplicasUnderR0) {
   CollectingSink merged;
   auto algo = CreateMergeAlgorithm(MergeVariant::kLMR0, 3, &merged);
   ConcurrentMerger merger(algo.get());
-  merger.Run(replicas);
+  RunReplicas(&merger, replicas);
   EXPECT_TRUE(Tdb::Reconstitute(merged.elements())
                   .Equals(Tdb::Reconstitute(stream)));
 }
 
-TEST(ConcurrentMergeTest, ManualDeliverIsThreadSafeEntryPoint) {
+TEST(ConcurrentMergeTest, OneElementBatchesMerge) {
   CollectingSink merged;
   auto algo = CreateMergeAlgorithm(MergeVariant::kLMR3Plus, 2, &merged);
   ConcurrentMerger merger(algo.get());
-  merger.Deliver(0, StreamElement::Insert(Row::OfString("A"), 1, 10));
-  merger.Deliver(1, StreamElement::Insert(Row::OfString("A"), 1, 10));
-  merger.Deliver(0, StreamElement::Stable(20));
+  ASSERT_TRUE(DeliverOne(&merger, 0,
+                         StreamElement::Insert(Row::OfString("A"), 1, 10))
+                  .ok());
+  ASSERT_TRUE(DeliverOne(&merger, 1,
+                         StreamElement::Insert(Row::OfString("A"), 1, 10))
+                  .ok());
+  ASSERT_TRUE(DeliverOne(&merger, 0, StreamElement::Stable(20)).ok());
   merger.WaitIdle();  // delivery is enqueue-only; quiesce before reading
   EXPECT_EQ(merger.delivered_count(), 3);
   EXPECT_EQ(merger.max_stable(), 20);
@@ -109,17 +115,17 @@ TEST(ConcurrentMergeTest, TryDeliverRejectsInvalidAndInactive) {
   CollectingSink merged;
   auto algo = CreateMergeAlgorithm(MergeVariant::kLMR3Plus, 1, &merged);
   ConcurrentMerger merger(algo.get());
-  EXPECT_TRUE(
-      merger.TryDeliver(0, StreamElement::Insert(Row::OfString("A"), 1, 10))
-          .ok());
+  EXPECT_TRUE(DeliverOne(&merger, 0,
+                         StreamElement::Insert(Row::OfString("A"), 1, 10))
+                  .ok());
   // Ve < Vs is caught at the door, before it reaches the merge thread.
+  EXPECT_FALSE(DeliverOne(&merger, 0,
+                          StreamElement::Insert(Row::OfString("B"), 10, 1))
+                   .ok());
   EXPECT_FALSE(
-      merger.TryDeliver(0, StreamElement::Insert(Row::OfString("B"), 10, 1))
-          .ok());
-  EXPECT_FALSE(
-      merger.TryDeliver(7, StreamElement::Stable(5)).ok());  // out of range
+      DeliverOne(&merger, 7, StreamElement::Stable(5)).ok());  // out of range
   merger.RemoveStream(0);
-  EXPECT_FALSE(merger.TryDeliver(0, StreamElement::Stable(5)).ok());
+  EXPECT_FALSE(DeliverOne(&merger, 0, StreamElement::Stable(5)).ok());
   merger.WaitIdle();
   EXPECT_TRUE(merger.error().ok());
 }
@@ -241,11 +247,15 @@ TEST(ConcurrentMergeTest, StreamChurnUnderLoadConverges) {
     // Initial streams deliver fully; stream 1 detaches mid-way through and
     // stream 0 carries the run to completion.
     threads.emplace_back([&] {
-      for (const StreamElement& e : replicas[0]) merger.Deliver(0, e);
+      for (const StreamElement& e : replicas[0]) {
+        ASSERT_TRUE(DeliverOne(&merger, 0, e).ok());
+      }
     });
     threads.emplace_back([&] {
       const size_t half = replicas[1].size() / 2;
-      for (size_t i = 0; i < half; ++i) merger.Deliver(1, replicas[1][i]);
+      for (size_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(DeliverOne(&merger, 1, replicas[1][i]).ok());
+      }
       merger.RemoveStream(1);
     });
     // Joiners register at racing times, then replay their replica in full.
@@ -255,7 +265,7 @@ TEST(ConcurrentMergeTest, StreamChurnUnderLoadConverges) {
         ASSERT_GE(stream, kInitial);
         const ElementSequence& replica = replicas[kInitial + j];
         for (const StreamElement& e : replica) {
-          ASSERT_TRUE(merger.TryDeliver(stream, e).ok());
+          ASSERT_TRUE(DeliverOne(&merger, stream, e).ok());
         }
         if (j == 0) merger.RemoveStream(stream);  // join then leave again
       });

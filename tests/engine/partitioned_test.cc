@@ -3,7 +3,8 @@
 // under threaded delivery across variants/seeds/shard counts, the physical
 // validity of the recombined output stream, stream churn at 4 shards,
 // consistent-cut barriers, error handling, skew backpressure, the
-// per-shard metrics surface, and MakeMerger's one-shard/many-shard split.
+// per-shard metrics surface, and MakeMerger's one-shard/many-shard split
+// with its shared merge.* surface.
 
 #include "engine/partitioned.h"
 
@@ -12,7 +13,9 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <span>
+#include <string>
 #include <thread>
 
 #include "core/factory.h"
@@ -25,6 +28,9 @@
 namespace lmerge {
 namespace {
 
+using testing_util::CountKinds;
+using testing_util::DeliverOne;
+using testing_util::RunReplicas;
 using workload::GeneratorConfig;
 using workload::GeneratePhysicalVariant;
 using workload::GenerateHistory;
@@ -132,7 +138,7 @@ TEST_P(PartitionedMergeTest, ThreadedReplicasConverge) {
   options.shards = shards;
   PartitionedMerger merger(MakeFactory(variant, 4), &merged, options);
   EXPECT_EQ(merger.shard_count(), shards);
-  merger.Run(replicas);
+  RunReplicas(&merger, replicas);
   EXPECT_TRUE(merger.error().ok());
   EXPECT_EQ(merger.max_stable(), closing_stable);
   ExpectValidPhysicalStream(merged.elements());
@@ -156,7 +162,7 @@ TEST_P(PartitionedMergeTest, ThreadedReplicasConverge) {
   EXPECT_EQ(stats.inserts_in, inserts);
   EXPECT_EQ(stats.adjusts_in, adjusts);
   EXPECT_EQ(stats.stables_in, stables);
-  EXPECT_EQ(stats.stables_out, merger.stables_out());
+  EXPECT_EQ(stats.stables_out, CountKinds(merged.elements()).stables);
   EXPECT_EQ(merger.delivered_count(), inserts + adjusts + stables);
 }
 
@@ -185,7 +191,7 @@ TEST(MakeMergerTest, OneShardIsDirectMoreArePartitioned) {
               shards == 1);
     EXPECT_EQ(dynamic_cast<PartitionedMerger*>(merger.get()) != nullptr,
               shards > 1);
-    merger->Run(replicas);
+    RunReplicas(merger.get(), replicas);
     EXPECT_TRUE(merger->error().ok());
     EXPECT_EQ(merger->max_stable(), history.stable_times.back());
     ExpectValidPhysicalStream(merged.elements());
@@ -195,23 +201,79 @@ TEST(MakeMergerTest, OneShardIsDirectMoreArePartitioned) {
   }
 }
 
+// The merge.* names one MetricsSnapshot() call writes, outside the
+// per-shard and aggregator engine scopes.  The registry is process-wide and
+// keeps every name an earlier merger registered, so each candidate is first
+// set to a sentinel and the written set is what no longer reads it.
+std::set<std::string> ExportedMergeNames(Merger* merger) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  constexpr int64_t kUnwritten = -424242;
+  const auto engine_scope = [](const std::string& name) {
+    return name.starts_with("merge.shard.") || name.starts_with("merge.agg.");
+  };
+  const obs::MetricsSnapshot registered = registry.Snapshot();
+  for (const obs::MetricValue* value : registered.WithPrefix("merge.")) {
+    if (engine_scope(value->name)) continue;
+    if (value->kind == obs::InstrumentKind::kGauge) {
+      registry.GetGauge(value->name)->Set(kUnwritten);
+    } else if (value->kind == obs::InstrumentKind::kCounter) {
+      registry.GetExportedCounter(value->name)->Set(kUnwritten);
+    }
+  }
+  std::set<std::string> names;
+  const obs::MetricsSnapshot exported = merger->MetricsSnapshot();
+  for (const obs::MetricValue* value : exported.WithPrefix("merge.")) {
+    if (!engine_scope(value->name) && value->value != kUnwritten) {
+      names.insert(value->name);
+    }
+  }
+  return names;
+}
+
+// One shard and N export one merge.* surface: the same names (the engine
+// scopes aside), with merge.shards naming the shard count.
+TEST(MakeMergerTest, OneAndTwoShardsExportTheSameMergeNames) {
+  obs::MetricsRegistry::set_enabled(true);
+  const LogicalHistory history = ClosedHistory(37);
+  const std::vector<ElementSequence> replicas =
+      DisorderedReplicas(history, 2, 37);
+  std::set<std::string> names_at[3];
+  for (int shards : {1, 2}) {
+    CollectingSink merged;
+    PartitionedMergerOptions options;
+    options.shards = shards;
+    std::unique_ptr<Merger> merger = MakeMerger(
+        MakeFactory(MergeVariant::kLMR3Plus, 2), &merged, options);
+    RunReplicas(merger.get(), replicas);
+    names_at[shards] = ExportedMergeNames(merger.get());
+    const obs::MetricsSnapshot snapshot = merger->MetricsSnapshot();
+    EXPECT_EQ(snapshot.Value("merge.shards"), shards);
+    EXPECT_EQ(snapshot.Value("merge.stable"), history.stable_times.back());
+    EXPECT_EQ(snapshot.Value("merge.out.stables"),
+              CountKinds(merged.elements()).stables);
+  }
+  obs::MetricsRegistry::set_enabled(false);
+  EXPECT_TRUE(names_at[1].contains("merge.state_bytes"));
+  EXPECT_EQ(names_at[1], names_at[2]);
+}
+
 TEST(PartitionedMergeTest, TryDeliverRejectsInvalidAndInactive) {
   CollectingSink merged;
   PartitionedMergerOptions options;
   options.shards = 2;
   PartitionedMerger merger(MakeFactory(MergeVariant::kLMR3Plus, 1), &merged,
                            options);
-  EXPECT_TRUE(
-      merger.TryDeliver(0, StreamElement::Insert(Row::OfString("A"), 1, 10))
-          .ok());
+  EXPECT_TRUE(DeliverOne(&merger, 0,
+                         StreamElement::Insert(Row::OfString("A"), 1, 10))
+                  .ok());
   // Ve < Vs is caught at the door on the routing thread.
+  EXPECT_FALSE(DeliverOne(&merger, 0,
+                          StreamElement::Insert(Row::OfString("B"), 10, 1))
+                   .ok());
   EXPECT_FALSE(
-      merger.TryDeliver(0, StreamElement::Insert(Row::OfString("B"), 10, 1))
-          .ok());
-  EXPECT_FALSE(
-      merger.TryDeliver(7, StreamElement::Stable(5)).ok());  // out of range
+      DeliverOne(&merger, 7, StreamElement::Stable(5)).ok());  // out of range
   merger.RemoveStream(0);
-  EXPECT_FALSE(merger.TryDeliver(0, StreamElement::Stable(5)).ok());
+  EXPECT_FALSE(DeliverOne(&merger, 0, StreamElement::Stable(5)).ok());
   merger.WaitIdle();
   EXPECT_TRUE(merger.error().ok());
 }
@@ -262,11 +324,15 @@ TEST(PartitionedMergeTest, StreamChurnUnderLoadConverges) {
 
     std::vector<std::thread> threads;
     threads.emplace_back([&] {
-      for (const StreamElement& e : replicas[0]) merger.Deliver(0, e);
+      for (const StreamElement& e : replicas[0]) {
+        ASSERT_TRUE(DeliverOne(&merger, 0, e).ok());
+      }
     });
     threads.emplace_back([&] {
       const size_t half = replicas[1].size() / 2;
-      for (size_t i = 0; i < half; ++i) merger.Deliver(1, replicas[1][i]);
+      for (size_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(DeliverOne(&merger, 1, replicas[1][i]).ok());
+      }
       merger.RemoveStream(1);
     });
     for (int j = 0; j < kJoiners; ++j) {
@@ -275,7 +341,7 @@ TEST(PartitionedMergeTest, StreamChurnUnderLoadConverges) {
         ASSERT_GE(stream, kInitial);
         const ElementSequence& replica = replicas[kInitial + j];
         for (const StreamElement& e : replica) {
-          ASSERT_TRUE(merger.TryDeliver(stream, e).ok());
+          ASSERT_TRUE(DeliverOne(&merger, stream, e).ok());
         }
         if (j == 0) merger.RemoveStream(stream);  // join then leave again
       });
@@ -311,9 +377,11 @@ TEST(PartitionedMergeTest, BarrierSpansEveryShardAtOneCut) {
   std::atomic<bool> stop{false};
   std::thread producer([&] {
     for (int i = 0; !stop.load(); ++i) {
-      merger.Deliver(0, StreamElement::Insert(
-                            Row::OfString("p" + std::to_string(i % 97)),
-                            i, i + 50));
+      ASSERT_TRUE(DeliverOne(&merger, 0,
+                             StreamElement::Insert(
+                                 Row::OfString("p" + std::to_string(i % 97)),
+                                 i, i + 50))
+                      .ok());
     }
   });
   for (int round = 0; round < 10; ++round) {
@@ -362,10 +430,13 @@ TEST(PartitionedMergeTest, SkewedRoutingBackpressuresAndStaysCorrect) {
   options.shards = 4;
   options.ring_capacity = 16;  // tiny rings so the hot shard pushes back
   options.out_ring_capacity = 16;
+  // Two-element shard output buffers: most batches hand their output to
+  // the aggregator mid-batch, not only from after_batch.
+  options.max_batch = 2;
   options.route_override = [](const StreamElement&, int) { return 0; };
   PartitionedMerger merger(MakeFactory(MergeVariant::kLMR3Plus, 3), &merged,
                            options);
-  merger.Run(replicas);
+  RunReplicas(&merger, replicas);
   EXPECT_TRUE(merger.error().ok());
   EXPECT_EQ(merger.max_stable(), history.stable_times.back());
   ExpectValidPhysicalStream(merged.elements());
@@ -409,7 +480,7 @@ TEST(PartitionedMergeTest, MetricsExposeShardSkewAndAggregates) {
   options.shards = 2;
   PartitionedMerger merger(MakeFactory(MergeVariant::kLMR3Plus, 2), &merged,
                            options);
-  merger.Run(replicas);
+  RunReplicas(&merger, replicas);
   const obs::MetricsSnapshot snapshot = merger.MetricsSnapshot();
   obs::MetricsRegistry::set_enabled(false);
 

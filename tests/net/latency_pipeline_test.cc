@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,11 +110,30 @@ TEST_F(LatencyPipelineTest, ThreadLocalStampIsPerThread) {
   obs::SetCurrentIngestStamp(obs::IngestStamp());
 }
 
-TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
+// Merge batches the shard merge threads drained: "engine.batches" for the
+// single merger, the "merge.shard.<k>.batches" sum for a partitioned one.
+int64_t ShardBatches(const obs::MetricsSnapshot& snapshot, int shards) {
+  if (shards == 1) return snapshot.Value("engine.batches");
+  int64_t batches = 0;
+  for (int k = 0; k < shards; ++k) {
+    batches += snapshot.Value("merge.shard." + std::to_string(k) + ".batches");
+  }
+  return batches;
+}
+
+// Parameterized over --merge-threads: at N >= 2 the stamp crosses the
+// aggregator hop, which must keep the origin and record no latency stage.
+class StampedPublishTest : public LatencyPipelineTest,
+                           public ::testing::WithParamInterface<int> {};
+
+TEST_P(StampedPublishTest, StampedPublishFeedsEveryStageHistogram) {
+  const int shards = GetParam();
   const obs::MetricsSnapshot before =
       obs::MetricsRegistry::Global().Snapshot();
 
-  MergeServer server;
+  MergeServerOptions options;
+  options.merge_threads = shards;
+  MergeServer server(options);
   TestPeer sub = ConnectPeer(&server, "sub");
   Handshake(&server, &sub, PeerRole::kSubscriber, "sub");
   TestPeer pub = ConnectPeer(&server, "pub");
@@ -146,6 +166,15 @@ TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
   }
   // The stable-lag gauge exists and is sane once a merger is live.
   EXPECT_GE(after.Value("merge.stable_lag_ms", -1), 0);
+  // One sample per shard merge batch: the aggregator hop adds none.
+  const int64_t batches = ShardBatches(after, shards) -
+                          ShardBatches(before, shards);
+  EXPECT_GT(batches, 0);
+  for (const char* stage : {"latency.rx_to_merge_us", "latency.merge_us"}) {
+    EXPECT_EQ(HistogramCount(after, stage) - HistogramCount(before, stage),
+              batches)
+        << stage;
+  }
 
   // The origin stamp is republished on the fan-out frames.
   PayloadDictDecoder dict;
@@ -176,6 +205,9 @@ TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
   EXPECT_GT(delivered, 0);
   EXPECT_LE(oldest_origin, obs::MonotonicMicros());
 }
+
+INSTANTIATE_TEST_SUITE_P(MergeThreads, StampedPublishTest,
+                         ::testing::Values(1, 3));
 
 TEST_F(LatencyPipelineTest, ReadyProbesBothEngines) {
   // No merger yet: trivially ready.

@@ -6,6 +6,7 @@
 #include "net/tcp.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <thread>
 
@@ -36,12 +37,14 @@ TEST(TcpTest, ConnectSendReceiveClose) {
   ASSERT_TRUE(TcpListen(0, &listener).ok());
   ASSERT_GT(listener->port(), 0);
 
-  std::unique_ptr<Connection> server_side;
-  std::thread accepter(
-      [&] { ASSERT_TRUE(listener->Accept(&server_side).ok()); });
   std::unique_ptr<Connection> client;
   ASSERT_TRUE(TcpConnect("127.0.0.1", listener->port(), &client).ok());
-  accepter.join();
+  // The listener is non-blocking: wait for it to poll readable, then take
+  // the pending connection.
+  pollfd ready{listener->pollable_fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&ready, 1, /*timeout=*/5000), 1);
+  std::unique_ptr<Connection> server_side;
+  ASSERT_TRUE(listener->TryAccept(&server_side).ok());
   ASSERT_NE(server_side, nullptr);
 
   ASSERT_TRUE(client->Send("ping").ok());

@@ -3,12 +3,15 @@
 #ifndef LMERGE_TESTS_TEST_UTIL_H_
 #define LMERGE_TESTS_TEST_UTIL_H_
 
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "common/row.h"
 #include "core/merge_algorithm.h"
+#include "engine/merger.h"
 #include "stream/element.h"
 #include "stream/sink.h"
 #include "temporal/tdb.h"
@@ -94,6 +97,35 @@ inline KindCounts CountKinds(const ElementSequence& elements) {
     }
   }
   return counts;
+}
+
+// Delivers one element as a one-element batch; Ok means enqueued.
+inline Status DeliverOne(Merger* merger, int stream, StreamElement element) {
+  return merger->TryDeliverBatch(stream, std::span(&element, 1));
+}
+
+// Delivers `inputs[i]` as stream i from one thread per input, one element at
+// a time (cross-stream interleaving is up to the scheduler), joins them, and
+// waits until everything is merged.  Aborts on delivery errors (the inputs
+// are trusted replicas).
+inline void RunReplicas(Merger* merger,
+                        const std::vector<ElementSequence>& inputs) {
+  std::vector<std::thread> threads;
+  threads.reserve(inputs.size());
+  for (size_t s = 0; s < inputs.size(); ++s) {
+    threads.emplace_back([merger, s, &inputs] {
+      for (const StreamElement& element : inputs[s]) {
+        const Status status =
+            DeliverOne(merger, static_cast<int>(s), element);
+        LM_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  merger->WaitIdle();
+  const Status status = merger->error();
+  LM_CHECK_MSG(status.ok(), "concurrent delivery failed: %s",
+               status.ToString().c_str());
 }
 
 }  // namespace lmerge::testing_util

@@ -117,8 +117,10 @@ void PrintTable(const net::StatsResponseMessage& stats,
                 rate.c_str());
   }
   // Partitioned merge (--merge-threads > 1): summarize how evenly the
-  // (Vs, payload) hash spread the work.  A hot shard means a skewed key
-  // distribution — the merge degrades toward single-threaded throughput.
+  // (Vs, payload) hash spread the work, from the input elements routed to
+  // each shard (every stable counts once per shard).  A hot shard means a
+  // skewed key distribution — the merge degrades toward single-threaded
+  // throughput.
   const int64_t shards = stats.metrics.Value("merge.shards", 0);
   if (shards > 1) {
     int64_t total = 0;
